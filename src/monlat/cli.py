@@ -22,7 +22,7 @@ from .formats import (
     emit_semilattice_text,
     parse_structure,
 )
-from .monoid import FinMonoid, InvalidMonoid, MonoidError
+from .monoid import FinMonoid, InvalidMonoid, MonoidError, NotCommutative
 from .nsub import enumerate_nsub, is_distributive, is_modular, lattice_of_semilattice
 from .scenarios import run_reference_scenarios
 from .semilattice import fixture
@@ -62,9 +62,26 @@ def cmd_nsub(args) -> int:
     except (ParseError, InvalidMonoid, MonoidError) as exc:
         print(f"{args.input}: {exc}", file=sys.stderr)
         return 2
-    lat = enumerate_nsub(cmon_context(), M)
+    try:
+        lat = enumerate_nsub(cmon_context(), M)
+    except NotCommutative as exc:
+        print(f"{args.input}: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(emit_lattice_text(lat))
     return 0
+
+
+def _check_reports(args, M: FinMonoid, name: str) -> list:
+    if args.ses_depth == 0 or args.property == "stability":
+        return run_check(args.property, M, 0, name)
+    if args.jobs > 1:
+        from .checks import CHECKS, objects_at_depth
+
+        triples = objects_at_depth(M, args.ses_depth, name)
+        fn = CHECKS[args.property]
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            return list(pool.map(lambda t: fn(t[0], t[1], t[2], args.ses_depth), triples))
+    return run_check(args.property, M, args.ses_depth, name)
 
 
 def cmd_check(args) -> int:
@@ -76,19 +93,11 @@ def cmd_check(args) -> int:
     if args.property == "stability" and args.ses_depth != 0:
         print("stability is a base-context check; use --ses-depth 0", file=sys.stderr)
         return 2
-    if args.ses_depth == 0 or args.property == "stability":
-        reports = run_check(args.property, M, 0, name)
-    elif args.jobs > 1:
-        from .checks import CHECKS, objects_at_depth
-
-        triples = objects_at_depth(M, args.ses_depth, name)
-        fn = CHECKS[args.property]
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(
-                pool.map(lambda t: fn(t[0], t[1], t[2], args.ses_depth), triples)
-            )
-    else:
-        reports = run_check(args.property, M, args.ses_depth, name)
+    try:
+        reports = _check_reports(args, M, name)
+    except NotCommutative as exc:
+        print(f"{args.input}: {exc}", file=sys.stderr)
+        return 2
     for report in reports:
         sys.stdout.write(report.result_line() + "\n")
     failures = sum(0 if r.passed else 1 for r in reports)

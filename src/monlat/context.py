@@ -13,6 +13,7 @@ per-context dictionaries only memoize results of pure calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterator, NamedTuple
 
 from . import monoid as mn
@@ -302,69 +303,131 @@ def make_ses(inner, base, sub_mono) -> SesObject:
     return obj
 
 
-@dataclass(frozen=True)
 class SesHom:
-    """A morphism of short exact sequences: a compatible triple of maps.
+    """A morphism of short exact sequences, at any depth of the tower.
 
-    alpha acts on the subobjects, beta on the bases, gamma on the quotients;
-    both squares are checked to commute at construction time.
+    It is stored as its innermost monoid map ``base``, because that one map
+    forces every leg: ``beta`` (on the bases) is the same map one level
+    down, ``alpha`` (on the subobjects) is forced because ``dst.sub`` is
+    mono, and ``gamma`` (on the quotients) because ``src.quo`` is epi. The
+    legs are derived on first use and cached on the instance; at depth 1
+    they are plain MonoidHoms. Deriving a leg is idempotent, so threads
+    sharing a morphism at worst derive equal legs twice. Equality and
+    hashing use (src, dst, base mapping).
+
+    ``SesHom(src, dst, alpha, beta, gamma)`` takes an explicit triple and
+    checks that both squares commute. Inside the package morphisms are
+    built from their base map: ``ses_hom_from_beta`` checks it against the
+    subobjects, and the context's operations produce valid maps by
+    construction or check them level by level.
     """
 
-    src: SesObject
-    dst: SesObject
-    alpha: Any
-    beta: Any
-    gamma: Any
-
-    def __post_init__(self):
-        inner = self.src.ctx
-        if inner.dom(self.beta) != self.src.base or inner.cod(self.beta) != self.dst.base:
+    def __init__(self, src: SesObject, dst: SesObject, alpha, beta, gamma):
+        inner = src.ctx
+        if inner.dom(beta) != src.base or inner.cod(beta) != dst.base:
             raise MonoidError("beta endpoints do not match")
-        if inner.dom(self.alpha) != self.src.sub_object or inner.cod(self.alpha) != self.dst.sub_object:
+        if inner.dom(alpha) != src.sub_object or inner.cod(alpha) != dst.sub_object:
             raise MonoidError("alpha endpoints do not match")
-        if inner.dom(self.gamma) != self.src.quo_object or inner.cod(self.gamma) != self.dst.quo_object:
+        if inner.dom(gamma) != src.quo_object or inner.cod(gamma) != dst.quo_object:
             raise MonoidError("gamma endpoints do not match")
-        if not inner.hom_equal(
-            inner.compose(self.dst.sub, self.alpha), inner.compose(self.beta, self.src.sub)
-        ):
+        if not inner.hom_equal(inner.compose(dst.sub, alpha), inner.compose(beta, src.sub)):
             raise MonoidError("left square does not commute")
-        if not inner.hom_equal(
-            inner.compose(self.gamma, self.src.quo), inner.compose(self.dst.quo, self.beta)
-        ):
+        if not inner.hom_equal(inner.compose(gamma, src.quo), inner.compose(dst.quo, beta)):
             raise MonoidError("right square does not commute")
+        self.__dict__.update(src=src, dst=dst, base=_base_map(beta))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SesHom is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SesHom is immutable")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, SesHom):
+            return NotImplemented
+        return (
+            self.base.mapping == other.base.mapping
+            and self.src == other.src
+            and self.dst == other.dst
+        )
 
     def __hash__(self):
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.src, self.dst, self.alpha, self.beta, self.gamma))
-            object.__setattr__(self, "_hash", h)
+            h = self.__dict__["_hash"] = hash((self.src, self.dst, self.base.mapping))
         return h
 
+    def __repr__(self):
+        return f"SesHom(depth={self.src.ctx.depth + 1}, {self.base.mapping})"
 
-def _ses_hom_unchecked(src, dst, alpha, beta, gamma) -> SesHom:
-    """Internal constructor for triples whose squares commute by construction
-    (componentwise composites, factorization outputs). External or manually
-    assembled triples go through SesHom(), which validates."""
+    @cached_property
+    def beta(self):
+        return _at_level(self.src.base, self.dst.base, self.base)
+
+    @cached_property
+    def alpha(self):
+        src, dst = self.src, self.dst
+        a = _CMON.factor_through_kernel(mn.compose(self.base, _base_map(src.sub)), _base_map(dst.sub))
+        return _at_level(src.sub_object, dst.sub_object, a)
+
+    @cached_property
+    def gamma(self):
+        src, dst = self.src, self.dst
+        g = _CMON.factor_through_cokernel(_base_map(src.quo), mn.compose(_base_map(dst.quo), self.base))
+        return _at_level(src.quo_object, dst.quo_object, g)
+
+
+def _thin_hom(src: SesObject, dst: SesObject, base: MonoidHom) -> SesHom:
+    """The morphism src -> dst with innermost map ``base``. Callers guarantee
+    that base carries the subobject into the target's at every level."""
     h = object.__new__(SesHom)
-    object.__setattr__(h, "src", src)
-    object.__setattr__(h, "dst", dst)
-    object.__setattr__(h, "alpha", alpha)
-    object.__setattr__(h, "beta", beta)
-    object.__setattr__(h, "gamma", gamma)
+    h.__dict__.update(src=src, dst=dst, base=base)
     return h
+
+
+def _base_map(f) -> MonoidHom:
+    """The innermost monoid map of a morphism at any depth."""
+    return f if isinstance(f, MonoidHom) else f.base
+
+
+def _at_level(src, dst, base: MonoidHom):
+    """The morphism src -> dst with innermost map ``base``, at the depth of
+    its endpoints: the map itself between monoids, a SesHom otherwise."""
+    return _thin_hom(src, dst, base) if isinstance(src, SesObject) else base
+
+
+def _carries_sub(src: SesObject, dst: SesObject, base: MonoidHom) -> bool:
+    """Does the innermost map send src's subobject into dst's subobject?"""
+    target = _base_map(dst.sub).image
+    mapping = base.mapping
+    return all(mapping[x] in target for x in _base_map(src.sub).mapping)
+
+
+def _require_subs_carried(src, dst, base: MonoidHom, message: str) -> None:
+    """Check at every level of the tower that the innermost map src -> dst
+    carries the subobject into the target's; raises MonoidError."""
+    while isinstance(src, SesObject):
+        if not _carries_sub(src, dst, base):
+            raise MonoidError(message)
+        src, dst = src.base, dst.base
 
 
 def ses_hom_from_beta(src: SesObject, dst: SesObject, beta) -> SesHom:
     """The unique morphism of short exact sequences extending a base map.
 
-    alpha is the restriction (factoring through the target sub) and gamma the
-    induced map on quotients; raises if beta does not respect the subobjects.
-    The two factorizations make both squares commute exactly.
+    beta is a morphism src.base -> dst.base one level down, valid there. It
+    extends exactly when it carries src's subobject into dst's, which is
+    checked on the innermost members; alpha and gamma are then forced.
     """
     inner = src.ctx
-    alpha = inner.factor_through_kernel(inner.compose(beta, src.sub), dst.sub)
-    gamma = inner.factor_through_cokernel(src.quo, inner.compose(dst.quo, beta))
-    return _ses_hom_unchecked(src, dst, alpha, beta, gamma)
+    if inner.dom(beta) != src.base or inner.cod(beta) != dst.base:
+        raise MonoidError("beta endpoints do not match")
+    base = _base_map(beta)
+    if not _carries_sub(src, dst, base):
+        raise MonoidError("map does not carry the subobject into the target's")
+    return _thin_hom(src, dst, base)
 
 
 class SesContext:
@@ -398,27 +461,15 @@ class SesContext:
         return f.dst
 
     def identity(self, X: SesObject) -> SesHom:
-        return ses_hom_from_beta(X, X, self.inner.identity(X.base))
+        return _thin_hom(X, X, mn.identity_hom(self.innermost_object(X)))
 
     def compose(self, g: SesHom, f: SesHom) -> SesHom:
         if f.dst != g.src:
             raise MonoidError("ses homs are not composable")
-        return _ses_hom_unchecked(
-            f.src,
-            g.dst,
-            self.inner.compose(g.alpha, f.alpha),
-            self.inner.compose(g.beta, f.beta),
-            self.inner.compose(g.gamma, f.gamma),
-        )
+        return _thin_hom(f.src, g.dst, mn.compose(g.base, f.base))
 
     def hom_equal(self, f: SesHom, g: SesHom) -> bool:
-        return (
-            f.src == g.src
-            and f.dst == g.dst
-            and self.inner.hom_equal(f.alpha, g.alpha)
-            and self.inner.hom_equal(f.beta, g.beta)
-            and self.inner.hom_equal(f.gamma, g.gamma)
-        )
+        return f == g
 
     def zero_object(self) -> SesObject:
         z = self.inner.zero_object()
@@ -428,10 +479,10 @@ class SesContext:
         return self.inner.is_zero_object(X.base)
 
     def zero_hom(self, X: SesObject, Y: SesObject) -> SesHom:
-        return ses_hom_from_beta(X, Y, self.inner.zero_hom(X.base, Y.base))
+        return _thin_hom(X, Y, mn.zero_hom(self.innermost_object(X), self.innermost_object(Y)))
 
     def is_zero_hom(self, f: SesHom) -> bool:
-        return self.inner.is_zero_hom(f.beta)
+        return not any(f.base.mapping)
 
     def size(self, X: SesObject) -> int:
         return self.inner.size(X.base)
@@ -470,31 +521,38 @@ class SesContext:
         return q
 
     def factor_through_kernel(self, f: SesHom, m: SesHom) -> SesHom:
-        beta = self.inner.factor_through_kernel(f.beta, m.beta)
-        u = ses_hom_from_beta(f.src, m.src, beta)
-        if not self.hom_equal(self.compose(m, u), f):
-            raise MonoidError("ses map does not factor through the kernel")
-        return u
+        """The unique u with m . u = f: factored on the innermost maps, then
+        checked to carry the subobject at every level."""
+        if f.dst != m.dst:
+            raise MonoidError("ses map and mono do not share a codomain")
+        base = _CMON.factor_through_kernel(f.base, m.base)
+        _require_subs_carried(f.src, m.src, base, "ses map does not factor through the kernel")
+        return _thin_hom(f.src, m.src, base)
 
     def factor_through_cokernel(self, e: SesHom, f: SesHom) -> SesHom:
-        beta = self.inner.factor_through_cokernel(e.beta, f.beta)
-        u = ses_hom_from_beta(e.dst, f.dst, beta)
-        if not self.hom_equal(self.compose(u, e), f):
-            raise MonoidError("ses map does not factor through the cokernel")
-        return u
+        """The unique u with u . e = f: factored on the innermost maps, then
+        checked to carry the subobject at every level."""
+        if e.src != f.src:
+            raise MonoidError("epi and ses map do not share a domain")
+        base = _CMON.factor_through_cokernel(e.base, f.base)
+        _require_subs_carried(e.dst, f.dst, base, "ses map does not factor through the cokernel")
+        return _thin_hom(e.dst, f.dst, base)
 
     # -- mono/epi/iso and normality
 
     def is_mono(self, f: SesHom) -> bool:
-        return self.inner.is_mono(f.alpha) and self.inner.is_mono(f.beta)
+        """alpha and beta mono; alpha is a restriction of beta."""
+        return f.base.is_injective()
 
     def is_epi(self, f: SesHom) -> bool:
-        return self.inner.is_epi(f.beta) and self.inner.is_epi(f.gamma)
+        """beta and gamma epi; gamma is induced by beta on quotients."""
+        return f.base.is_surjective()
 
     def is_iso(self, f: SesHom) -> bool:
+        # the legs are checked one by one: the sub legs must correspond too
         return (
-            self.inner.is_iso(f.alpha)
-            and self.inner.is_iso(f.beta)
+            self.inner.is_iso(f.beta)
+            and self.inner.is_iso(f.alpha)
             and self.inner.is_iso(f.gamma)
         )
 
@@ -533,8 +591,8 @@ class SesContext:
 
     def mono_key(self, m: SesHom):
         """Subobjects at every level are determined by the base-level mono,
-        so keys bottom out at member sets of the innermost monoid."""
-        return self.inner.mono_key(m.beta)
+        so keys are member sets of the innermost monoid."""
+        return m.base.image
 
     def subobject_mono(self, X: SesObject, key) -> SesHom:
         cached = self._subobject_cache.get((X, key))

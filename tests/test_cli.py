@@ -126,6 +126,36 @@ class TestCheck:
         assert code == 2
 
 
+class TestNonCommutativeInput:
+    """A non-commutative monoid has no normal-subobject lattice here; the
+    commands that need one report an input error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nsub",),
+            ("check", "--property", "hsd"),
+            ("check", "--property", "dpn", "--ses-depth", "1"),
+            ("--jobs", "2", "check", "--property", "dpn", "--ses-depth", "1"),
+        ],
+    )
+    def test_exits_two_without_traceback(self, tmp_path, argv):
+        import subprocess
+        import sys
+
+        p = tmp_path / "noncomm.txt"
+        p.write_text("monoid 3\n0 1 2\n1 1 1\n2 2 2\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "monlat", *argv, str(p)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [f"{p}: normal subobject enumeration needs a commutative monoid"]
+        assert proc.stdout == ""
+
+
 class TestEnumerate:
     def test_counts_through_five(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--max-size", "5")

@@ -13,8 +13,10 @@ from monlat.context import (
     ses_context,
     ses_hom_from_beta,
 )
+from monlat.nsub import enumerate_nsub
 from monlat.monoid import (
     MonoidError,
+    MonoidHom,
     NormalDecomposition,
     NotNormal,
     all_homs,
@@ -449,3 +451,121 @@ class TestLemmaInstances:
                         i for i in range(Z.size) if qx(i) in k.image
                     )
                     assert preimage == y.image
+
+
+# ---------------------------------------------------------------------------
+# thin morphisms: a ses hom is stored as its innermost monoid map, so the
+# leg-wise checks below are oracles kept out of the context's hot path
+
+
+def _rebuild(f):
+    """Re-validate a morphism leg by leg at every level: the hom law on the
+    monoid maps, both commuting squares above them."""
+    if isinstance(f, MonoidHom):
+        return MonoidHom(f.dom, f.cod, f.mapping)
+    return SesHom(f.src, f.dst, _rebuild(f.alpha), _rebuild(f.beta), _rebuild(f.gamma))
+
+
+def _legwise(f, base_test, legs) -> bool:
+    if isinstance(f, MonoidHom):
+        return base_test(f)
+    return all(_legwise(getattr(f, leg), base_test, legs) for leg in legs)
+
+
+def _legwise_mono(f) -> bool:
+    return _legwise(f, MonoidHom.is_injective, ("alpha", "beta"))
+
+
+def _legwise_epi(f) -> bool:
+    return _legwise(f, MonoidHom.is_surjective, ("beta", "gamma"))
+
+
+def _legwise_equal(f, g) -> bool:
+    if isinstance(f, MonoidHom):
+        return f == g
+    return (
+        f.src == g.src
+        and f.dst == g.dst
+        and all(_legwise_equal(getattr(f, leg), getattr(g, leg)) for leg in ("alpha", "beta", "gamma"))
+    )
+
+
+def _produced(ctx, X):
+    """The morphisms the context produces on X: its normal subobject monos,
+    their cokernels and the kernels of those, and the two factorizations
+    the third-iso check makes for every pair of nested subobjects. Returns
+    them with the (m, u, f) triples of m . u = f and the (e, u, f) triples
+    of u . e = f."""
+    lat = enumerate_nsub(ctx, X)
+    homs = list(lat.monos)
+    through_kernel, through_cokernel = [], []
+    for ix, x in enumerate(lat.monos):
+        qx = ctx.cokernel(x)
+        homs += [qx, ctx.kernel(qx)]
+        for iy, y in enumerate(lat.monos):
+            if not lat.leq[ix][iy]:
+                continue
+            u = ctx.factor_through_kernel(x, y)
+            e = ctx.cokernel(u)
+            f = ctx.compose(qx, y)
+            g = ctx.factor_through_cokernel(e, f)
+            through_kernel.append((y, u, x))
+            through_cokernel.append((e, g, f))
+            homs += [u, e, f, g]
+    return homs, through_kernel, through_cokernel
+
+
+class TestThinMorphisms:
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("fixture", ["N5", "V4", "L6"])
+    def test_derived_legs_agree_with_legwise_definitions(self, commutative_fixtures, fixture, depth):
+        from monlat.checks import objects_at_depth
+
+        X = commutative_fixtures[fixture]
+        for ctx, S, _ in objects_at_depth(X, depth, fixture):
+            homs, through_kernel, through_cokernel = _produced(ctx, S)
+            # compare the pairs that share their ends or their base mapping
+            groups = {}
+            for f in homs:
+                assert _rebuild(f) == f
+                assert ctx.is_mono(f) == _legwise_mono(f)
+                assert ctx.is_epi(f) == _legwise_epi(f)
+                groups.setdefault((f.src, f.dst), set()).add(f)
+                groups.setdefault(f.base.mapping, set()).add(f)
+            for m, u, f in through_kernel:
+                assert ctx.compose(m, u) == f
+            for e, u, f in through_cokernel:
+                assert ctx.compose(u, e) == f
+            for group in groups.values():
+                for f in group:
+                    for g in group:
+                        assert ctx.hom_equal(f, g) == _legwise_equal(f, g)
+
+    def test_per_level_validation_rejects_broken_inner_sub(self, cmon, ses1):
+        # depth-2 objects A over (chain3, {0,1}) and C over (chain3, {0}),
+        # both with the zero sub on top; the identity of chain3 carries the
+        # top-level sub ({0} into {0}) from A to C but not the inner one
+        # ({0,1} into {0}), while C -> A is a valid mono and epi
+        from monlat.semilattice import chain
+
+        M = chain(3)
+        ses2 = ses_context(ses1)
+        P = make_ses(cmon, M, cmon.subobject_mono(M, frozenset({0})))
+        Q = make_ses(cmon, M, cmon.subobject_mono(M, frozenset({0, 1})))
+        A = make_ses(ses1, Q, ses1.subobject_mono(Q, frozenset({0})))
+        C = make_ses(ses1, P, ses1.subobject_mono(P, frozenset({0})))
+        m = ses_hom_from_beta(C, A, ses_hom_from_beta(P, Q, cmon.identity(M)))
+        assert ses2.is_mono(m) and ses2.is_epi(m)
+        with pytest.raises(MonoidError):
+            ses_hom_from_beta(A, C, ses_hom_from_beta(Q, P, cmon.identity(M)))
+        with pytest.raises(MonoidError):
+            ses2.factor_through_kernel(ses2.identity(A), m)
+        with pytest.raises(MonoidError):
+            ses2.factor_through_cokernel(m, ses2.identity(C))
+
+    def test_equal_morphisms_hash_alike(self, cmon, ses1, N5):
+        S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
+        f = ses1.identity(S)
+        g = ses_hom_from_beta(S, S, cmon.identity(N5))
+        assert f == g and hash(f) == hash(g)
+        assert ses1.kernel(f) is ses1.kernel(g)
