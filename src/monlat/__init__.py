@@ -2,13 +2,11 @@
 monoids and monoidal semilattices, with per-object verifiers for homological
 self-duality, preservation of normal maps by dinversion, and di-exactness."""
 
-from .census import brute_force_lattices, lattices_of_size, lattices_up_to
+from .census import lattices_of_size, lattices_up_to
 from .checks import (
     CheckReport,
     CheckWitness,
-    DecompositionDisagreement,
     DiExtensionGrid,
-    FormulationDisagreement,
     build_diextension,
     diexact_check,
     dpn_check,
@@ -45,13 +43,11 @@ from .monoid import (
     is_normal_submonoid,
     kernel_subset,
     normal_closure,
-    normal_decomposition,
     syntactic_quotient,
     validate_monoid,
 )
 from .nsub import (
     GaloisReport,
-    LatticeMethodDisagreement,
     LatticeWitness,
     NSubLattice,
     cokersquare_check,

@@ -7,16 +7,11 @@ acquiring two incomparable minimal upper bounds can never be repaired later.
 Both facts give exact pruning rules. Emitted structures are deduplicated up
 to isomorphism and presented by a canonical join table: the lexicographically
 minimal table over all bottom-preserving relabelings along linear extensions.
-
-A brute-force generator over naturally-labelled order relations serves as an
-independent oracle for small sizes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
-
 from .monoid import FinMonoid, find_isomorphism
 
 
@@ -205,65 +200,4 @@ def lattices_up_to(max_size: int) -> list[FinMonoid]:
     out: list[FinMonoid] = []
     for n in range(1, max_size + 1):
         out.extend(lattices_of_size(n))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# independent brute-force oracle (small sizes)
-
-
-def brute_force_lattices(n: int) -> list[FinMonoid]:
-    """Every lattice of size n up to isomorphism, found by enumerating all
-    naturally-labelled strict orders outright and filtering; deduplication is
-    by minimal table over all bottom-fixing permutations. Independent of the
-    incremental generator, usable up to n ~ 5."""
-    if n == 1:
-        return [FinMonoid(((0,),))]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    canon_seen = set()
-    out = []
-    for mask in range(1 << len(pairs)):
-        lt = [[False] * n for _ in range(n)]
-        for b, (i, j) in enumerate(pairs):
-            if mask >> b & 1:
-                lt[i][j] = True
-        if not all(
-            not (lt[i][j] and lt[j][k]) or lt[i][k]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        ):
-            continue
-        leq = [[i == j or lt[i][j] for j in range(n)] for i in range(n)]
-        bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
-        if len(bottoms) != 1:
-            continue
-        table = [[0] * n for _ in range(n)]
-        is_lattice = True
-        for i in range(n):
-            for j in range(n):
-                ubs = [t for t in range(n) if leq[i][t] and leq[j][t]]
-                least = [t for t in ubs if all(leq[t][s] for s in ubs)]
-                if len(least) != 1:
-                    is_lattice = False
-                    break
-                table[i][j] = least[0]
-            if not is_lattice:
-                break
-        if not is_lattice:
-            continue
-        bottom = bottoms[0]
-        best = None
-        for perm in permutations(range(n)):
-            if perm[bottom] != 0:
-                continue
-            inv = [0] * n
-            for old, new in enumerate(perm):
-                inv[new] = old
-            cand = tuple(tuple(perm[table[inv[a]][inv[b]]] for b in range(n)) for a in range(n))
-            if best is None or cand < best:
-                best = cand
-        if best not in canon_seen:
-            canon_seen.add(best)
-            out.append(FinMonoid(best))
     return out

@@ -1,10 +1,9 @@
 """Per-object verifiers for the homological frameworks.
 
 Each checker sweeps the normal subobjects of one object and returns a
-CheckReport with replayable witnesses. Where two characterizations of the
-same property exist they are both evaluated, and a divergence raises instead
-of being smoothed over: on these finite instances the characterizations are
-expected to coincide, and a counterexample would be significant.
+CheckReport with replayable witnesses. Each verdict comes from one
+characterization of its property; the equivalent characterizations are
+compared against it in the test suite, not here.
 """
 
 from __future__ import annotations
@@ -23,14 +22,6 @@ from .context import (
 )
 from .monoid import NormalDecomposition
 from .nsub import NSubLattice, enumerate_nsub, is_distributive, is_modular, join_via_uniinter
-
-
-class FormulationDisagreement(RuntimeError):
-    """Equivalent formulations of the second isomorphism property diverged."""
-
-
-class DecompositionDisagreement(RuntimeError):
-    """Di-exactness differs from (third iso) + (second iso) on one object."""
 
 
 @dataclass(frozen=True)
@@ -100,16 +91,15 @@ def third_iso_check(ctx, Z, name="object", depth=0, lat: NSubLattice | None = No
 
 
 def second_iso_check(ctx, X, name="object", depth=0, lat: NSubLattice | None = None) -> CheckReport:
-    """Second Isomorphism Property at one object, in all its formulations.
+    """Second Isomorphism Property at one object.
 
-    For each ordered pair (Y, Z) of normal subobjects: (i) the canonical
-    comparison Y/(Y^Z) -> (YvZ)/Z is an isomorphism, (ii) the composite
-    Y >-> YvZ ->> (YvZ)/Z is a normal map, (iii) it is a normal epi. The
-    three verdicts must agree on every single pair; each is computed by an
-    independent route. The dual statement (the canonical map between the
-    kernels of X/(Y^Z) -> X/Z and of X/Y -> X/(YvZ) is an isomorphism) is
-    evaluated in the same sweep; its failures mirror the primal ones on
-    swapped pairs.
+    For each ordered pair (Y, Z) of normal subobjects, the canonical
+    comparison Y/(Y^Z) -> (YvZ)/Z must be an isomorphism. The equivalent
+    formulations (the composite Y >-> YvZ ->> (YvZ)/Z is a normal map, or
+    a normal epi) are not evaluated here. The dual statement (the
+    canonical map between the kernels of X/(Y^Z) -> X/Z and of
+    X/Y -> X/(YvZ) is an isomorphism) is evaluated in the same sweep; its
+    failures mirror the primal ones on swapped pairs.
 
     The comparisons are the canonical induced maps, never a search for an
     abstract isomorphism: on the hexagon lattice (two 3-chains glued at both
@@ -134,14 +124,6 @@ def second_iso_check(ctx, X, name="object", depth=0, lat: NSubLattice | None = N
             f = ctx.compose(qa, restrict_mono(ctx, y, j_mono))
             u = ctx.factor_through_cokernel(qb, f)  # Y/(Y^Z) -> (YvZ)/Z
             iso = ctx.is_iso(u)
-
-            normal = isinstance(normal_decomposition_in(ctx, f), NormalDecomposition)
-            nepi = ctx.is_normal_epi(f)
-            if not (iso == normal == nepi):
-                raise FormulationDisagreement(
-                    f"pair ({lat.names[iy]},{lat.names[iz]}) on {name}: "
-                    f"iso={iso} normal={normal} normal_epi={nepi}"
-                )
 
             q_m = ctx.cokernel(m_mono)
             q_z = ctx.cokernel(z)
@@ -188,10 +170,9 @@ def dpn_check(ctx, X, name="object", depth=0, lat: NSubLattice | None = None) ->
     return _report("dpn", name, depth, witnesses, cases)
 
 
-def diexact_check(ctx, X, name="object", depth=0, lat: NSubLattice | None = None, cross_check=True) -> CheckReport:
+def diexact_check(ctx, X, name="object", depth=0, lat: NSubLattice | None = None) -> CheckReport:
     """Local di-exactness: every antinormal composite Y >-> X ->> X/Z through
-    this object is a normal map. Cross-checked against the decomposition
-    "di-exact = third iso + second iso"; a divergence raises."""
+    this object is a normal map."""
     lat = lat or enumerate_nsub(ctx, X)
     witnesses = []
     cases = 0
@@ -208,15 +189,7 @@ def diexact_check(ctx, X, name="object", depth=0, lat: NSubLattice | None = None
                         dec.reason,
                     )
                 )
-    report = _report("diexact", name, depth, witnesses, cases)
-    if cross_check:
-        third = third_iso_check(ctx, X, name, depth, lat)
-        second = second_iso_check(ctx, X, name, depth, lat)
-        if report.passed != (third.passed and second.passed):
-            raise DecompositionDisagreement(
-                f"{name}: diexact={report.passed} third={third.passed} second={second.passed}"
-            )
-    return report
+    return _report("diexact", name, depth, witnesses, cases)
 
 
 @dataclass

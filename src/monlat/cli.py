@@ -25,7 +25,7 @@ from .formats import (
 from .monoid import FinMonoid, InvalidMonoid, MonoidError, NotCommutative
 from .nsub import enumerate_nsub, is_distributive, is_modular, lattice_of_semilattice
 from .scenarios import run_reference_scenarios
-from .semilattice import fixture
+from .semilattice import covers_of, fixture
 
 PROPERTIES = ("hsd", "secondiso", "dpn", "diexact", "modular", "distributive", "stability")
 
@@ -121,7 +121,7 @@ def cmd_enumerate(args) -> int:
         if args.filter == "nondistributive" and distributive:
             continue
         counts[L.size] = counts.get(L.size, 0) + 1
-        covers = ";".join(f"{a}<{b}" for a, b in lat.covers()) or "-"
+        covers = ";".join(f"{a}<{b}" for a, b in covers_of(lat.leq)) or "-"
         fields = (
             f"size={L.size}",
             f"index={counts[L.size] - 1}",

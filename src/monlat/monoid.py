@@ -407,16 +407,6 @@ def normal_closure(M: FinMonoid, seed: frozenset) -> frozenset[int]:
             return frozenset(current)
 
 
-def is_normal_mono(f: MonoidHom) -> bool:
-    """Injective, with normal image, and equal (up to the canonical
-    identification) to the kernel of its own cokernel."""
-    if not f.is_injective():
-        return False
-    if not is_normal_submonoid(f.cod, f.image)[0]:
-        return False
-    return kernel_subset(cokernel_of_hom(f)) == f.image
-
-
 def is_normal_epi(f: MonoidHom) -> bool:
     """Surjective and coinciding, up to the canonical iso, with the cokernel
     of its own kernel."""
@@ -447,42 +437,6 @@ class NotNormal:
     """Returned (not raised) when a map admits no normal decomposition."""
 
     reason: str
-
-
-def normal_decomposition(f: MonoidHom) -> NormalDecomposition | NotNormal:
-    """Canonical normal decomposition of a hom between commutative monoids.
-
-    The candidate middle map u sends the kernel-class of x to f(x), from the
-    quotient by the kernel into the kernel of the cokernel; f is normal
-    exactly when u is bijective, by uniqueness of normal decompositions.
-    """
-    K = kernel_subset(f)
-    Q, e = cokernel_by_submonoid(f.dom, K)
-    p = cokernel_of_hom(f)
-    I = kernel_subset(p)
-    m = inclusion_hom(f.cod, I)
-    order = sorted(I)
-    pos = {v: i for i, v in enumerate(order)}
-    u_map = [None] * Q.size
-    for x in range(f.dom.size):
-        v = pos[f(x)]  # image always lands in ker(coker f)
-        if u_map[e(x)] is None:
-            u_map[e(x)] = v
-        elif u_map[e(x)] != v:
-            raise RuntimeError("induced map is not constant on kernel classes")
-    u = _hom_unchecked(Q, m.dom, tuple(u_map))  # hom law holds by construction
-    if not u.is_injective():
-        return NotNormal("induced map not injective")
-    if not u.is_surjective():
-        return NotNormal("induced map not surjective")
-    dec = NormalDecomposition(compose(u, e), m)
-    if compose(dec.mono, dec.epi) != f:
-        raise RuntimeError("normal decomposition does not recompose")
-    return dec
-
-
-def is_normal_map(f: MonoidHom) -> bool:
-    return isinstance(normal_decomposition(f), NormalDecomposition)
 
 
 def _iso_backtrack(M: FinMonoid, N: FinMonoid) -> Iterator[tuple[int, ...]]:
@@ -532,33 +486,3 @@ def find_isomorphism(M: FinMonoid, N: FinMonoid) -> MonoidHom | None:
 @lru_cache(maxsize=None)
 def are_isomorphic(M: FinMonoid, N: FinMonoid) -> bool:
     return find_isomorphism(M, N) is not None
-
-
-def all_homs(M: FinMonoid, N: FinMonoid) -> list[MonoidHom]:
-    """Every homomorphism M -> N, by backtracking over partial maps."""
-    n = M.size
-    f: list[int | None] = [0] + [None] * (n - 1)
-    out: list[MonoidHom] = []
-
-    def consistent(upto: int) -> bool:
-        for i in range(upto + 1):
-            for j in range(upto + 1):
-                k = M.table[i][j]
-                if k <= upto and f[k] != N.table[f[i]][f[j]]:
-                    return False
-        return True
-
-    def extend(i: int):
-        if i == n:
-            out.append(_hom_unchecked(M, N, tuple(f)))  # type: ignore[arg-type]
-            return
-        for c in range(N.size):
-            f[i] = c
-            if consistent(i):
-                extend(i + 1)
-            f[i] = None
-
-    if n == 1:
-        return [_hom_unchecked(M, N, (0,))]
-    extend(1)
-    return out

@@ -1,8 +1,8 @@
 """The lattice of normal subobjects of an object in any context.
 
-Meets are pullbacks, joins are kernels of cokernels, and the two detection
-problems that drive the whole package (modularity, distributivity) are each
-answered by several independent methods that must agree.
+Meets are pullbacks, joins are kernels of cokernels. Modularity and
+distributivity are each decided by one scan of the lattice law; a failing
+lattice then gets the first pentagon or diamond sublattice as its witness.
 """
 
 from __future__ import annotations
@@ -15,13 +15,9 @@ from . import monoid as mn
 from .context import restrict_mono
 
 
-class LatticeMethodDisagreement(RuntimeError):
-    """Two supposedly equivalent lattice tests returned different verdicts."""
-
-
 @dataclass(frozen=True)
 class LatticeWitness:
-    kind: str  # pentagon | diamond | modular-law | distributive-law
+    kind: str  # pentagon | diamond
     elements: tuple[int, ...]
     names: tuple[str, ...]
 
@@ -53,37 +49,8 @@ class NSubLattice:
     def size(self) -> int:
         return len(self.leq)
 
-    def is_leq(self, i: int, j: int) -> bool:
-        return self.leq[i][j]
-
-    def interval(self, lo: int, hi: int) -> list[int]:
-        return [t for t in range(self.size) if self.leq[lo][t] and self.leq[t][hi]]
-
     def index_of_key(self, key) -> int:
         return self.keys.index(key)
-
-    def covers(self) -> list[tuple[int, int]]:
-        n = self.size
-        out = []
-        for a in range(n):
-            for b in range(n):
-                if a != b and self.leq[a][b]:
-                    if not any(
-                        c not in (a, b) and self.leq[a][c] and self.leq[c][b]
-                        for c in range(n)
-                    ):
-                        out.append((a, b))
-        return sorted(out)
-
-    def as_join_monoid(self) -> mn.FinMonoid:
-        """The join table as a commutative idempotent monoid with the lattice
-        bottom relabelled to index 0 (joins determine meets, so lattice
-        isomorphism coincides with isomorphism of these monoids)."""
-        n = self.size
-        order = sorted(range(n), key=lambda i: (i != self.bottom, i))
-        pos = {v: i for i, v in enumerate(order)}
-        table = tuple(tuple(pos[self.join[a][b]] for b in order) for a in order)
-        return mn.FinMonoid(table, tuple(self.names[v] for v in order))
 
 
 def _verify_lattice(lat: NSubLattice) -> None:
@@ -215,7 +182,7 @@ def enumerate_nsub(ctx, X) -> NSubLattice:
 
 
 # ---------------------------------------------------------------------------
-# modularity and distributivity, each by independent methods
+# modularity and distributivity: the law scan decides, a sublattice witnesses
 
 
 def _first_modular_law_violation(lat) -> tuple[int, int, int] | None:
@@ -256,24 +223,10 @@ def _sublattice_shape(lat, combo) -> str | None:
 
 
 def _find_sublattice(lat, shape: str) -> tuple[int, ...] | None:
+    """The lexicographically first 5-subset forming the given sublattice."""
     for combo in combinations(range(lat.size), 5):
         if _sublattice_shape(lat, combo) == shape:
             return combo
-    return None
-
-
-def _first_interval_failure(lat) -> tuple[int, int] | None:
-    """First pair (x, y) where t -> t v y fails to be an order isomorphism
-    from [x^y, x] onto [y, xvy] with inverse u -> u ^ x."""
-    n = lat.size
-    for x, y in product(range(n), repeat=2):
-        lo, hi = lat.meet[x][y], lat.join[x][y]
-        for t in lat.interval(lo, x):
-            if lat.meet[lat.join[t][y]][x] != t:
-                return (x, y)
-        for u in lat.interval(y, hi):
-            if lat.join[lat.meet[u][x]][y] != u:
-                return (x, y)
     return None
 
 
@@ -282,37 +235,25 @@ def _witness(lat, kind, elements) -> LatticeWitness:
 
 
 def is_modular(lat: NSubLattice) -> tuple[bool, LatticeWitness | None]:
-    """Modularity by three methods that must agree: the law scan, the search
-    for a pentagon sublattice, and the interval-transposition test."""
-    law = _first_modular_law_violation(lat)
-    pent = _find_sublattice(lat, "pentagon")
-    ival = _first_interval_failure(lat)
-    verdicts = (law is None, pent is None, ival is None)
-    if len(set(verdicts)) != 1:
-        raise LatticeMethodDisagreement(
-            f"modularity methods disagree: law={law} pentagon={pent} interval={ival}"
-        )
-    if law is None:
+    """Modularity by the modular-law scan. By Dedekind's theorem a lattice
+    fails the law exactly when it has a pentagon sublattice, so only a
+    failing lattice is searched, for its first pentagon as the witness."""
+    if _first_modular_law_violation(lat) is None:
         return True, None
-    return False, _witness(lat, "pentagon", pent)
+    return False, _witness(lat, "pentagon", _find_sublattice(lat, "pentagon"))
 
 
 def is_distributive(lat: NSubLattice) -> tuple[bool, LatticeWitness | None]:
-    """Distributivity by the law scan, cross-validated against "modular and
-    diamond-free"."""
-    law = _first_distributive_law_violation(lat)
-    modular, pent_witness = is_modular(lat)
-    diam = _find_sublattice(lat, "diamond")
-    indirect = modular and diam is None
-    if (law is None) != indirect:
-        raise LatticeMethodDisagreement(
-            f"distributivity methods disagree: law={law} modular={modular} diamond={diam}"
-        )
-    if law is None:
+    """Distributivity by the distributive-law scan. A failing lattice has a
+    pentagon or, by Birkhoff's theorem, a diamond sublattice: a non-modular
+    one gets its first pentagon as the witness, a modular one its first
+    diamond."""
+    if _first_distributive_law_violation(lat) is None:
         return True, None
+    modular, pentagon = is_modular(lat)
     if not modular:
-        return False, pent_witness
-    return False, _witness(lat, "diamond", diam)
+        return False, pentagon
+    return False, _witness(lat, "diamond", _find_sublattice(lat, "diamond"))
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +401,3 @@ def phi_psi(ctx, x_mono) -> GaloisReport:
         cases=cases,
     )
 
-
-def find_lattice_isomorphism(lat1: NSubLattice, lat2: NSubLattice):
-    """An isomorphism between two lattices, or None (search over the
-    corresponding join monoids; joins determine meets)."""
-    return mn.find_isomorphism(lat1.as_join_monoid(), lat2.as_join_monoid())
-
-
-def lattices_isomorphic(lat1: NSubLattice, lat2: NSubLattice) -> bool:
-    return find_lattice_isomorphism(lat1, lat2) is not None

@@ -14,7 +14,6 @@ from .monoid import (
     MonoidError,
     MonoidHom,
     Subset,
-    cokernel_by_submonoid,
     is_normal_submonoid,
 )
 
@@ -141,21 +140,24 @@ def require_semilattice(L: FinMonoid) -> None:
         raise SemilatticeError("expected a commutative idempotent monoid")
 
 
-def leq(L: FinMonoid, a: int, b: int) -> bool:
-    return L.op(a, b) == b
-
-
-def covers_of(L: FinMonoid) -> list[tuple[int, int]]:
-    """Cover pairs (a, b) of the semilattice order, a covered by b."""
+def order_of(L: FinMonoid) -> list[list[bool]]:
+    """The semilattice order as a relation matrix: a <= b when a v b = b."""
     require_semilattice(L)
-    n = L.size
-    out = []
-    for a in range(n):
-        for b in range(n):
-            if a != b and leq(L, a, b):
-                if not any(c not in (a, b) and leq(L, a, c) and leq(L, c, b) for c in range(n)):
-                    out.append((a, b))
-    return sorted(out)
+    return [[L.op(a, b) == b for b in range(L.size)] for a in range(L.size)]
+
+
+def covers_of(leq) -> list[tuple[int, int]]:
+    """Cover pairs (a, b), a covered by b, of a finite order given by its
+    relation matrix (``leq[a][b]`` when a <= b), in sorted order."""
+    n = len(leq)
+    return [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b
+        and leq[a][b]
+        and not any(c not in (a, b) and leq[a][c] and leq[c][b] for c in range(n))
+    ]
 
 
 def principal_downset(L: FinMonoid, a: int) -> Subset:
@@ -165,24 +167,6 @@ def principal_downset(L: FinMonoid, a: int) -> Subset:
 def principal_upset(L: FinMonoid, k: int) -> Subset:
     require_semilattice(L)
     return Subset(L, frozenset(x for x in range(L.size) if L.op(x, k) == x))
-
-
-def top_element(L: FinMonoid) -> int:
-    require_semilattice(L)
-    t = 0
-    for x in range(L.size):
-        t = L.op(t, x)
-    return t
-
-
-def meet(L: FinMonoid, a: int, b: int) -> int:
-    """Greatest common lower bound; every finite monoidal semilattice has one."""
-    require_semilattice(L)
-    lbs = [c for c in range(L.size) if leq(L, c, a) and leq(L, c, b)]
-    greatest = [m for m in lbs if all(leq(L, c, m) for c in lbs)]
-    if len(greatest) != 1:
-        raise SemilatticeError(f"no meet for ({a},{b})")
-    return greatest[0]
 
 
 def quotient_by_downset(L: FinMonoid, k: int) -> tuple[FinMonoid, MonoidHom]:
@@ -214,15 +198,6 @@ def all_normal_subobjects_semilattice(L: FinMonoid) -> list[Subset]:
         if not ok:
             raise RuntimeError(f"down-set fails normality, witness {witness}")
     return out
-
-
-def generic_quotient_partition(L: FinMonoid, k: int) -> set[frozenset[int]]:
-    """Class partition of the congruence quotient by the down-set of k."""
-    _, proj = cokernel_by_submonoid(L, principal_downset(L, k).members)
-    classes: dict[int, set[int]] = {}
-    for x in range(L.size):
-        classes.setdefault(proj(x), set()).add(x)
-    return {frozenset(c) for c in classes.values()}
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,12 @@ is a structural property quantified over whole fixture families. Tolerances
 are exact: all structures are finite and all comparisons are discrete.
 """
 
-from monlat.census import brute_force_lattices, lattices_of_size, lattices_up_to
+from monlat.census import lattices_of_size, lattices_up_to
 from monlat.checks import (
     diexact_check,
     dpn_check,
     objects_at_depth,
     pullback_stability_check,
-    second_iso_check,
     subquotient_closure,
     third_iso_check,
 )
@@ -34,6 +33,12 @@ from monlat.scenarios import (
 )
 
 from conftest import down
+from oracles import (
+    brute_force_lattices,
+    diexact_disagreement,
+    lattice_method_disagreements,
+    second_iso_disagreements,
+)
 
 
 def _announce(k, ok, detail=""):
@@ -151,13 +156,12 @@ def test_criterion_07_lattice_method_agreement():
     counts = [len(lattices_of_size(n)) for n in range(1, 6)]
     brute = [len(brute_force_lattices(n)) for n in range(1, 6)]
     checked = 0
+    disagreements = []
     for L in lattices_up_to(8):
-        lat = lattice_of_semilattice(L)
-        is_modular(lat)  # raises LatticeMethodDisagreement on divergence
-        is_distributive(lat)
+        disagreements += lattice_method_disagreements(lattice_of_semilattice(L))
         checked += 1
-    ok = counts == [1, 1, 1, 2, 5] and brute == counts and checked == 300
-    _announce(7, ok, f"{checked} lattices, counts {counts}")
+    ok = counts == [1, 1, 1, 2, 5] and brute == counts and checked == 300 and not disagreements
+    _announce(7, ok, f"{checked} lattices, counts {counts}, disagreements {disagreements[:3]}")
 
 
 def test_criterion_08_nsub_transfer_across_depths(commutative_fixtures):
@@ -187,28 +191,29 @@ def test_criterion_08_nsub_transfer_across_depths(commutative_fixtures):
 
 
 def test_criterion_09_formulation_equivalences(commutative_fixtures):
-    # FormulationDisagreement / DecompositionDisagreement raise on divergence
+    disagreements = []
     checked = 0
-    for name, L in commutative_fixtures.items():
-        second_iso_check(cmon_context(), L, name)
-        diexact_check(cmon_context(), L, name, cross_check=True)
+
+    def compare(ctx, X, name, depth):
+        nonlocal checked
+        disagreements.extend(second_iso_disagreements(ctx, X, name, depth))
+        found = diexact_disagreement(ctx, X, name, depth)
+        if found is not None:
+            disagreements.append(found)
         checked += 1
+
+    for name, L in commutative_fixtures.items():
+        compare(cmon_context(), L, name, 0)
         for ctx, S, nm in objects_at_depth(L, 1, name):
-            second_iso_check(ctx, S, nm, depth=1)
-            diexact_check(ctx, S, nm, depth=1, cross_check=True)
-            checked += 1
+            compare(ctx, S, nm, 1)
     # widen the checked set to every enumerated lattice: size <= 6 at the
     # base level and size <= 5 one ses level up
     for i, L in enumerate(lattices_up_to(6)):
-        second_iso_check(cmon_context(), L, f"c{i}")
-        diexact_check(cmon_context(), L, f"c{i}", cross_check=True)
-        checked += 1
+        compare(cmon_context(), L, f"c{i}", 0)
     for i, L in enumerate(lattices_up_to(5)):
         for ctx, S, nm in objects_at_depth(L, 1, f"c{i}"):
-            second_iso_check(ctx, S, nm, depth=1)
-            diexact_check(ctx, S, nm, depth=1, cross_check=True)
-            checked += 1
-    _announce(9, True, f"{checked} objects, zero disagreements")
+            compare(ctx, S, nm, 1)
+    _announce(9, not disagreements, f"{checked} objects, disagreements {disagreements[:3]}")
 
 
 def test_criterion_10_regular_case_properties(cmon, commutative_fixtures):
@@ -235,7 +240,7 @@ def test_criterion_11_localized_modularity_search(cmon):
         nonmodular += 1
         members = subquotient_closure(cmon, L)
         if not any(
-            not diexact_check(cmon, member, "member", cross_check=False).passed
+            not diexact_check(cmon, member, "member").passed
             for member in members
         ):
             exceptions.append(L.table)

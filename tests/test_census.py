@@ -1,11 +1,8 @@
-from monlat.census import (
-    brute_force_lattices,
-    canonical_join_table,
-    lattices_of_size,
-    lattices_up_to,
-)
+from monlat.census import canonical_join_table, lattices_of_size, lattices_up_to
 from monlat.monoid import are_isomorphic, find_isomorphism
 from monlat.nsub import is_modular, lattice_of_semilattice
+
+from oracles import brute_force_lattices
 
 
 class TestCounts:

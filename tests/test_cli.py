@@ -126,6 +126,44 @@ class TestCheck:
         assert code == 2
 
 
+class TestWitnessBytes:
+    """Lattice witnesses are the lexicographically first pentagon or
+    diamond; these RESULT lines pin the search that picks them."""
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (
+                ("check", "--property", "modular", "N5"),
+                ["RESULT\tobject=N5\tproperty=modular\tdepth=0\tstatus=fail\tcases=125"
+                 "\twitness=({0};{0,C};{0,D};{0,C,B};{0,C,D,B,A}):pentagon"],
+            ),
+            (
+                ("check", "--property", "distributive", "M3"),
+                ["RESULT\tobject=M3\tproperty=distributive\tdepth=0\tstatus=fail\tcases=125"
+                 "\twitness=({0};{0,a};{0,b};{0,c};{0,a,b,c,1}):diamond"],
+            ),
+            (
+                ("check", "--property", "distributive", "V4"),
+                ["RESULT\tobject=V4\tproperty=distributive\tdepth=0\tstatus=fail\tcases=125"
+                 "\twitness=({0};{0,g};{0,h};{0,k};{0,g,h,k}):diamond"],
+            ),
+            (
+                ("check", "--property", "modular", "--ses-depth", "1", "N5"),
+                [
+                    f"RESULT\tobject=N5|sub={sub}\tproperty=modular\tdepth=1\tstatus=fail\tcases=125"
+                    "\twitness=({0};{0,C};{0,D};{0,C,B};{0,C,D,B,A}):pentagon"
+                    for sub in ("{0}", "{0,C}", "{0,D}", "{0,C,B}", "{0,C,D,B,A}")
+                ],
+            ),
+        ],
+    )
+    def test_result_lines(self, capsys, argv, lines):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert [l for l in out.splitlines() if l.startswith("RESULT")] == lines
+
+
 class TestNonCommutativeInput:
     """A non-commutative monoid has no normal-subobject lattice here; the
     commands that need one report an input error, not a traceback."""

@@ -1,14 +1,15 @@
 import pytest
 
+from monlat.census import lattices_up_to
 from monlat.context import (
+    SesContext,
     SesHom,
     SesInvariantError,
+    SesObject,
     antinormal_composite,
     generic_pullback_epi_along_mono,
     make_ses,
     normal_decomposition_in,
-    preimage_mono,
-    quotient_by_subobject,
     restrict_mono,
     ses_context,
     ses_hom_from_beta,
@@ -19,10 +20,23 @@ from monlat.monoid import (
     MonoidHom,
     NormalDecomposition,
     NotNormal,
-    all_homs,
+    identity_hom,
 )
 
 from conftest import down
+from oracles import all_homs, normal_decomposition, normal_submonoids_by_filter
+
+
+def preimage_mono(ctx, m, f):
+    """Pullback of a normal mono m along an arbitrary map f, as a normal
+    mono into dom(f). This is the kernel of coker(m) . f."""
+    return ctx.kernel(ctx.compose(ctx.cokernel(m), f))
+
+
+def quotient_by_subobject(ctx, X, key):
+    """The quotient object X / (subobject named by key), with its projection."""
+    q = ctx.cokernel(ctx.subobject_mono(X, key))
+    return ctx.cod(q), q
 
 
 class TestCmonContextBasics:
@@ -45,6 +59,13 @@ class TestCmonContextBasics:
                 assert cmon.is_zero_hom(cmon.compose(f, k))
                 q = cmon.cokernel(f)
                 assert cmon.is_zero_hom(cmon.compose(q, f))
+
+    def test_normal_subobjects_match_exhaustive_filter(self, cmon, commutative_fixtures):
+        # the join-closure generation finds exactly the normal submonoids
+        # that a filter over all subsets finds
+        for L in list(commutative_fixtures.values()) + lattices_up_to(7):
+            found = {cmon.mono_key(m) for m in cmon.normal_subobject_monos(L)}
+            assert found == normal_submonoids_by_filter(L)
 
     def test_ker_coker_idempotence(self, cmon, N5):
         for m in cmon.normal_subobject_monos(N5):
@@ -261,6 +282,18 @@ class TestSesNormality:
         g = ses1.factor_through_cokernel(e, ses1.compose(ses1.cokernel(c), b))
         assert ses1.normal_mono_failure(g) == "left-square-not-pullback"
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_transferred_subobjects_are_normal_monos(self, commutative_fixtures, depth):
+        # one subobject per normal subobject of the base, each a normal mono
+        from monlat.checks import objects_at_depth
+
+        for name, L in commutative_fixtures.items():
+            for ctx, S, _ in objects_at_depth(L, depth, name):
+                monos = ctx.normal_subobject_monos(S)
+                assert len(monos) == len(ctx.inner.normal_subobject_monos(S.base))
+                for m in monos:
+                    assert ctx.normal_mono_failure(m) is None
+
     def test_identity_ses_hom_is_normal_mono_and_epi(self, cmon, ses1, N5):
         S = self._ses_over(cmon, N5, ("D",))
         assert ses1.is_normal_mono(ses1.identity(S))
@@ -281,8 +314,6 @@ class TestSesNormality:
         assert res.reason == "induced map not invertible"
 
     def test_normal_decomposition_generic_matches_concrete(self, cmon, N5, V4):
-        from monlat.monoid import normal_decomposition
-
         for M in (N5, V4):
             for f in all_homs(M, M):
                 generic = normal_decomposition_in(cmon, f)
@@ -490,6 +521,29 @@ def _legwise_equal(f, g) -> bool:
     )
 
 
+def _legwise_iso(ctx, f) -> bool:
+    """Iso by the recursive definition: all three legs are isos one level
+    down (the sub legs must correspond, not only the bases)."""
+    if isinstance(f, MonoidHom):
+        return f.is_bijective()
+    return all(_legwise_iso(ctx.inner, leg) for leg in (f.beta, f.alpha, f.gamma))
+
+
+def _lift_base(src, dst, base):
+    """The morphism src -> dst with innermost map ``base``, built level by
+    level through ses_hom_from_beta; None when base does not carry the
+    subobject into the target's at some level."""
+    if not isinstance(src, SesObject):
+        return base
+    beta = _lift_base(src.base, dst.base, base)
+    if beta is None:
+        return None
+    try:
+        return ses_hom_from_beta(src, dst, beta)
+    except MonoidError:
+        return None
+
+
 def _produced(ctx, X):
     """The morphisms the context produces on X: its normal subobject monos,
     their cokernels and the kernels of those, and the two factorizations
@@ -540,6 +594,45 @@ class TestThinMorphisms:
                 for f in group:
                     for g in group:
                         assert ctx.hom_equal(f, g) == _legwise_equal(f, g)
+
+    @pytest.mark.parametrize(
+        "fixture, depth",
+        [(name, d) for name in ("bool2", "chain4") for d in (1, 2, 3)]
+        + [(name, d) for name in ("N5", "V4", "L6") for d in (1, 2)],
+    )
+    def test_is_iso_agrees_with_legwise_definition(self, commutative_fixtures, monkeypatch, fixture, depth):
+        # on every middle comparison u that normal_decomposition_in tests,
+        # every isomorphism the context enumerates between two objects, and
+        # every morphism between two objects whose base map is the identity
+        # (bijective, but an iso only when it carries each sub onto the other)
+        from monlat.checks import objects_at_depth
+
+        cases = []
+        is_iso = SesContext.is_iso
+
+        def recording(self, f):
+            cases.append(f)
+            return is_iso(self, f)
+
+        X = commutative_fixtures[fixture]
+        objects = objects_at_depth(X, depth, fixture)
+        ctx = objects[0][0]
+        monkeypatch.setattr(SesContext, "is_iso", recording)
+        for _, S, _ in objects:
+            keys = [ctx.mono_key(m) for m in ctx.normal_subobject_monos(S)]
+            for y in keys:
+                for z in keys:
+                    normal_decomposition_in(ctx, antinormal_composite(ctx, S, y, z))
+        monkeypatch.undo()
+        for _, S, _ in objects:
+            for _, T, _ in objects:
+                cases += ctx.isomorphisms(S, T)
+                identity = _lift_base(S, T, identity_hom(X))
+                if identity is not None:
+                    cases.append(identity)
+        verdicts = [ctx.is_iso(f) for f in cases]
+        assert set(verdicts) == {True, False}
+        assert verdicts == [_legwise_iso(ctx, f) for f in cases]
 
     def test_per_level_validation_rejects_broken_inner_sub(self, cmon, ses1):
         # depth-2 objects A over (chain3, {0,1}) and C over (chain3, {0}),

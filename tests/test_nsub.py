@@ -2,21 +2,21 @@ import pytest
 
 from monlat.monoid import normal_closure
 from monlat.nsub import (
-    LatticeMethodDisagreement,
+    _sublattice_shape,
     cokersquare_check,
     enumerate_nsub,
-    find_lattice_isomorphism,
     is_distributive,
     is_modular,
     join_agreement_check,
     join_via_uniinter,
     lattice_from_join_table,
     lattice_of_semilattice,
-    lattices_isomorphic,
     phi_psi,
 )
+from monlat.semilattice import covers_of
 
 from conftest import down
+from oracles import find_lattice_isomorphism, lattice_method_disagreements, lattices_isomorphic
 
 
 class TestEnumerate:
@@ -103,20 +103,27 @@ class TestModularity:
         from monlat.census import lattices_up_to
 
         for L in lattices_up_to(6):
-            # is_modular raises LatticeMethodDisagreement on any divergence
-            is_modular(lattice_of_semilattice(L))
+            lat = lattice_of_semilattice(L)
+            assert lattice_method_disagreements(lat) == []
+            # a failing verdict carries a sublattice of the named shape
+            for ok, witness in (is_modular(lat), is_distributive(lat)):
+                assert ok == (witness is None)
+                if witness is not None:
+                    assert _sublattice_shape(lat, witness.elements) == witness.kind
 
     def test_disagreement_trap_fires_on_corrupt_tables(self):
         # corrupting the meet table of a 3-chain breaks the law scan, while
-        # the pentagon search (needing 5 elements) still reports modular
+        # the pentagon search (needing 5 elements) still reports modular;
+        # the oracle comparison must report exactly that
         from monlat.semilattice import chain
 
         lat = lattice_of_semilattice(chain(3))
+        assert lattice_method_disagreements(lat) == []
         broken = [list(row) for row in lat.meet]
         broken[2][2] = 0
         lat.meet = tuple(tuple(row) for row in broken)
-        with pytest.raises(LatticeMethodDisagreement):
-            is_modular(lat)
+        found = lattice_method_disagreements(lat)
+        assert found and found[0].startswith("pentagon search: True, law scan: False")
 
 
 class TestDistributivity:
@@ -234,7 +241,7 @@ class TestLatticeTables:
 
     def test_covers_of_pentagon(self, N5):
         lat = lattice_of_semilattice(N5)
-        names = {(lat.names[a], lat.names[b]) for a, b in lat.covers()}
+        names = {(lat.names[a], lat.names[b]) for a, b in covers_of(lat.leq)}
         assert names == {("0", "C"), ("0", "D"), ("C", "B"), ("B", "A"), ("D", "A")}
 
     def test_isomorphism_search(self, N5, M3):
