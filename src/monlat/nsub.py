@@ -230,7 +230,10 @@ def _find_sublattice(lat, shape: str) -> tuple[int, ...] | None:
     return None
 
 
-def _witness(lat, kind, elements) -> LatticeWitness:
+def _witness(lat, kind, elements) -> LatticeWitness | None:
+    # a law can fail without the sublattice only on tables that are not a lattice
+    if elements is None:
+        return None
     return LatticeWitness(kind, tuple(elements), tuple(lat.names[e] for e in elements))
 
 

@@ -27,9 +27,9 @@ from monlat.monoid import (
 )
 from monlat.nsub import (
     _find_sublattice,
-    _first_distributive_law_violation,
-    _first_modular_law_violation,
     enumerate_nsub,
+    is_distributive,
+    is_modular,
 )
 
 
@@ -70,20 +70,33 @@ def distributive_by_sublattice(lat) -> bool:
 
 
 def lattice_method_disagreements(lat) -> list[str]:
-    """How the law scans that decide ``is_modular`` and ``is_distributive``
-    differ from the sublattice and interval oracles; empty when they agree."""
-    modular = _first_modular_law_violation(lat) is None
-    distributive = _first_distributive_law_violation(lat) is None
+    """How the verdicts of ``is_modular`` and ``is_distributive`` differ from
+    the sublattice and interval oracles, and any failing verdict that lacks
+    a witness; empty when they agree."""
+    modular, modular_witness = is_modular(lat)
+    distributive, distributive_witness = is_distributive(lat)
     oracles = (
-        ("pentagon search", modular, modular_by_sublattice(lat)),
-        ("interval test", modular, first_interval_failure(lat) is None),
-        ("modular and diamond-free", distributive, distributive_by_sublattice(lat)),
+        ("pentagon search", "is_modular", modular, modular_by_sublattice(lat)),
+        ("interval test", "is_modular", modular, first_interval_failure(lat) is None),
+        (
+            "modular and diamond-free",
+            "is_distributive",
+            distributive,
+            distributive_by_sublattice(lat),
+        ),
     )
-    return [
-        f"{oracle}: {verdict}, law scan: {law}"
-        for oracle, law, verdict in oracles
-        if verdict != law
+    found = [
+        f"{oracle}: {verdict}, {name}: {decided}"
+        for oracle, name, decided, verdict in oracles
+        if verdict != decided
     ]
+    for name, decided, witness in (
+        ("is_modular", modular, modular_witness),
+        ("is_distributive", distributive, distributive_witness),
+    ):
+        if decided == (witness is not None):
+            found.append(f"{name}: {decided} with witness {witness}")
+    return found
 
 
 def find_lattice_isomorphism(lat1, lat2):

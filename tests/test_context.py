@@ -282,7 +282,7 @@ class TestSesNormality:
         g = ses1.factor_through_cokernel(e, ses1.compose(ses1.cokernel(c), b))
         assert ses1.normal_mono_failure(g) == "left-square-not-pullback"
 
-    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_transferred_subobjects_are_normal_monos(self, commutative_fixtures, depth):
         # one subobject per normal subobject of the base, each a normal mono
         from monlat.checks import objects_at_depth

@@ -112,9 +112,10 @@ class TestModularity:
                     assert _sublattice_shape(lat, witness.elements) == witness.kind
 
     def test_disagreement_trap_fires_on_corrupt_tables(self):
-        # corrupting the meet table of a 3-chain breaks the law scan, while
-        # the pentagon search (needing 5 elements) still reports modular;
-        # the oracle comparison must report exactly that
+        # corrupting the meet table of a 3-chain breaks the modular-law scan,
+        # so is_modular fails without a pentagon, while the pentagon search
+        # (needing 5 elements) still reports modular; the oracle comparison
+        # must report exactly that
         from monlat.semilattice import chain
 
         lat = lattice_of_semilattice(chain(3))
@@ -123,7 +124,7 @@ class TestModularity:
         broken[2][2] = 0
         lat.meet = tuple(tuple(row) for row in broken)
         found = lattice_method_disagreements(lat)
-        assert found and found[0].startswith("pentagon search: True, law scan: False")
+        assert found and found[0].startswith("pentagon search: True, is_modular: False")
 
 
 class TestDistributivity:
