@@ -24,7 +24,6 @@ from .context import (
     SesObject,
     antinormal_composite,
     cmon_context,
-    context_at_depth,
     is_normal_map_in,
     make_ses,
     normal_decomposition_in,
@@ -43,7 +42,6 @@ from .monoid import (
     is_normal_submonoid,
     kernel_subset,
     normal_closure,
-    syntactic_quotient,
     validate_monoid,
 )
 from .nsub import (
@@ -68,8 +66,6 @@ from .semilattice import (
     klein_four,
     pentagon,
     principal_downset,
-    principal_upset,
-    quotient_by_downset,
     semilattice_from_covers,
     six_lattice,
 )

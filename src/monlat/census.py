@@ -1,199 +1,161 @@
 """Enumeration of all finite monoidal semilattices (equivalently, finite
 lattices) up to isomorphism.
 
-The generator extends linear extensions one element at a time: prefixes of a
-linear extension are down-closed, so meets are already present, and a pair
-acquiring two incomparable minimal upper bounds can never be repaired later.
-Both facts give exact pruning rules. Emitted structures are deduplicated up
-to isomorphism and presented by a canonical join table: the lexicographically
-minimal table over all bottom-preserving relabelings along linear extensions.
+Everything rests on natural labellings: element 0 is the bottom and every
+element's label is larger than the labels of the elements below it.
+
+The generator builds every natural labelling of every lattice exactly once,
+appending one element at a time above a down-closed set of the elements
+placed so far. A pair that acquires two incomparable minimal upper bounds can
+never be repaired later, which gives an exact pruning rule, and the rule is
+one mask test per pair: under a natural labelling a set of upper bounds has
+a least element exactly when its lowest-labelled member lies below all the
+others. Meets need no rule of their own. In a finite order with a bottom in
+which every pair with an upper bound has a least one, the lower bounds of a
+pair are joined pairwise below both members of the pair, so their join is
+the pair's meet.
+
+A lattice is presented by its canonical join table: the lexicographically
+minimal table over all its natural labellings. Those labellings are exactly
+what the generator emits for its isomorphism class, so after sorting the
+emitted tables the first table of each class is the class's canonical table.
+Accepting it marks all of its natural relabellings (its linear extensions)
+as seen, and every later table already marked is skipped: deduplication
+needs no isomorphism search. Tables are packed into one int each, row-major
+with the first entry most significant and a fixed width per entry, so
+integer order is lexicographic table order; only the representatives are
+unpacked and validated as monoids.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from .monoid import FinMonoid, find_isomorphism
+
+from .monoid import FinMonoid
+from .semilattice import least_upper_bound
 
 
-def _down_closed_subsets(down: list[int], k: int) -> list[int]:
-    """Bitmasks over elements 0..k-1 that contain 0 and are down-closed."""
-    out = []
-    for mask in range(1, 1 << k, 2):  # bit 0 always set
-        if all(not (mask >> j & 1) or (down[j] & mask) == down[j] for j in range(k)):
-            out.append(mask)
-    return out
-
-
-def _iter_bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
+def _entry_bits(n: int) -> int:
+    return max(1, (n - 1).bit_length())
 
 
 def _extension_feasible(down: list[int], up: list[int]) -> bool:
     """Exact feasibility after appending one element, checking only what the
-    new element can break.
-
-    Prefixes of a linear extension are down-closed, so the common lower
-    bounds of old pairs never change; only pairs involving the new element
-    need the unique-maximal-lower-bound test. Dually, the new element may
-    become a second minimal upper bound of a pair it dominates, and such a
-    defect can never be repaired later.
-    """
+    new element can break: the least upper bound of each pair of elements
+    below it."""
     new = len(down) - 1
-    dn = down[new]
-    for i in range(new):
-        lb = down[i] & dn
-        count = 0
-        rest = lb
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if up[b.bit_length() - 1] & lb == b:
-                count += 1
-                if count > 1:
-                    return False
-    strict = dn ^ (1 << new)
+    strict = down[new] ^ (1 << new)
     left = strict
     while left:
         bi = left & -left
         left ^= bi
-        right = strict & ~((bi << 1) - 1)
         ui = up[bi.bit_length() - 1]
+        right = left
         while right:
             bj = right & -right
             right ^= bj
             ubs = ui & up[bj.bit_length() - 1]
-            count = 0
-            rest = ubs
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                if down[b.bit_length() - 1] & ubs == b:
-                    count += 1
-                    if count > 1:
-                        break
-            if count > 1:
+            if up[(ubs & -ubs).bit_length() - 1] & ubs != ubs:
                 return False
     return True
 
 
-def _has_unique_top(up: list[int]) -> bool:
-    """With unique minimal upper bounds enforced throughout, a completed
-    poset is a lattice exactly when it has a single maximal element."""
-    return sum(1 for t, u in enumerate(up) if u == 1 << t) == 1
-
-
-def _join_table(down: list[int], up: list[int]) -> tuple[tuple[int, ...], ...]:
-    n = len(down)
-    table = [[0] * n for _ in range(n)]
+def _packed_join_table(up: list[int], bits: int) -> int:
+    n = len(up)
+    packed = 0
     for i in range(n):
         for j in range(n):
-            ubs = up[i] & up[j]
-            least = [t for t in _iter_bits(ubs) if down[t] & ubs == 1 << t]
-            assert len(least) == 1, "search emitted a non-lattice"
-            table[i][j] = least[0]
-    return tuple(tuple(row) for row in table)
+            t = least_upper_bound(up, i, j)
+            assert t is not None, "search emitted a non-lattice"
+            packed = packed << bits | t
+    return packed
 
 
-def _naturally_labelled_lattices(n: int):
-    """All (lattice, linear extension) pairs of size n, as join tables."""
-    if n == 1:
-        yield ((0,),)
-        return
-    found = []
+def _unpack(packed: int, n: int) -> tuple[tuple[int, ...], ...]:
+    bits = _entry_bits(n)
+    mask = (1 << bits) - 1
+    flat = [packed >> (bits * (n * n - 1 - k)) & mask for k in range(n * n)]
+    return tuple(tuple(flat[a * n : (a + 1) * n]) for a in range(n))
 
-    def extend(down: list[int], up: list[int]):
+
+def _natural_tables(n: int) -> list[int]:
+    """Packed join tables of every naturally labelled lattice of size n.
+
+    ``ideals`` holds the down-closed subsets (containing 0) of the elements
+    placed so far; the new element k goes above one of them, and the ideals
+    of the extended order are the old ones plus I | {k} for each old I that
+    contains k's strict down-set. The last element must be the top.
+    """
+    bits = _entry_bits(n)
+    found: list[int] = []
+
+    def extend(down: list[int], up: list[int], ideals: list[int]):
         k = len(down)
         if k == n:
-            found.append(_join_table(down, up))
+            found.append(_packed_join_table(up, bits))
             return
-        for mask in _down_closed_subsets(down, k):
-            down.append(mask | (1 << k))
-            up.append(1 << k)
-            for j in _iter_bits(mask):
-                up[j] |= 1 << k
-            if _extension_feasible(down, up) and (k + 1 < n or _has_unique_top(up)):
-                extend(down, up)
-            for j in _iter_bits(mask):
-                up[j] &= ~(1 << k)
+        bit = 1 << k
+        for mask in ideals if k + 1 < n else (bit - 1,):
+            down.append(mask | bit)
+            up.append(bit)
+            for j in range(k):
+                if mask >> j & 1:
+                    up[j] |= bit
+            if _extension_feasible(down, up):
+                extend(down, up, ideals + [i | bit for i in ideals if i & mask == mask])
+            for j in range(k):
+                if mask >> j & 1:
+                    up[j] ^= bit
             up.pop()
             down.pop()
 
-    extend([1], [1])
-    yield from found
+    extend([1], [1], [1])
+    return found
 
 
-def _linear_extensions(leq: list[list[bool]]):
-    """All linear extensions of a partial order, as old->new index maps."""
-    n = len(leq)
-    new_index = [None] * n
-    placed = []
+def _relabellings(table, bits: int) -> set[int]:
+    """Packed tables of every natural labelling of a naturally labelled
+    lattice, one per linear extension of its order."""
+    n = len(table)
+    down = [sum(1 << a for a in range(n) if table[a][b] == b) for b in range(n)]
+    order: list[int] = []
+    pos = [0] * n
+    out: set[int] = set()
 
-    def extend():
-        if len(placed) == n:
-            yield tuple(new_index)
+    def extend(placed: int):
+        if len(order) == n:
+            packed = 0
+            for a in order:
+                row = table[a]
+                for b in order:
+                    packed = packed << bits | pos[row[b]]
+            out.add(packed)
             return
         for i in range(n):
-            if new_index[i] is None and all(
-                new_index[j] is not None for j in range(n) if j != i and leq[j][i]
-            ):
-                new_index[i] = len(placed)
-                placed.append(i)
-                yield from extend()
-                placed.pop()
-                new_index[i] = None
+            if down[i] & ~placed == 1 << i:
+                pos[i] = len(order)
+                order.append(i)
+                extend(placed | 1 << i)
+                order.pop()
 
-    yield from extend()
-
-
-def canonical_join_table(table) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically minimal relabelling of a join table over all linear
-    extensions of its order (every such relabelling keeps the bottom at 0)."""
-    n = len(table)
-    leq = [[table[a][b] == b for b in range(n)] for a in range(n)]
-    best = None
-    for perm in _linear_extensions(leq):
-        cand = tuple(
-            tuple(perm[table[a][b]] for b in _inverse_order(perm, n))
-            for a in _inverse_order(perm, n)
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def _inverse_order(perm, n):
-    inv = [0] * n
-    for old, new in enumerate(perm):
-        inv[new] = old
-    return inv
+    extend(0)
+    return out
 
 
 @lru_cache(maxsize=None)
 def lattices_of_size(n: int) -> tuple[FinMonoid, ...]:
     """All lattices with n elements up to isomorphism, canonical tables,
     sorted lexicographically."""
-    classes: dict[tuple, list[FinMonoid]] = {}
-    for table in _naturally_labelled_lattices(n):
-        M = FinMonoid(table)
-        # cheap isomorphism invariant before the backtracking test
-        profile = tuple(
-            sorted(
-                (
-                    sum(table[a][b] == b for b in range(n)),
-                    sum(table[a][b] == a for b in range(n)),
-                )
-                for a in range(n)
-            )
-        )
-        bucket = classes.setdefault(profile, [])
-        if not any(find_isomorphism(M, seen) for seen in bucket):
-            bucket.append(M)
-    all_reps = [M for bucket in classes.values() for M in bucket]
-    canon = sorted(canonical_join_table(M.table) for M in all_reps)
-    return tuple(FinMonoid(t) for t in canon)
+    bits = _entry_bits(n)
+    seen: set[int] = set()
+    reps = []
+    for packed in sorted(_natural_tables(n)):
+        if packed in seen:
+            continue
+        M = FinMonoid(_unpack(packed, n))
+        reps.append(M)
+        seen |= _relabellings(M.table, bits)
+    return tuple(reps)
 
 
 def lattices_up_to(max_size: int) -> list[FinMonoid]:

@@ -657,13 +657,6 @@ def ses_context(ctx) -> SesContext:
     return found
 
 
-def context_at_depth(depth: int):
-    ctx = cmon_context()
-    for _ in range(depth):
-        ctx = ses_context(ctx)
-    return ctx
-
-
 # ---------------------------------------------------------------------------
 # generic constructions available in any context
 

@@ -46,10 +46,6 @@ class NotCommutative(MonoidError):
     pass
 
 
-class NotNormalSubmonoid(MonoidError):
-    pass
-
-
 def table_axiom_failures(table) -> list[AxiomFailure]:
     """All axiom violations in a square operation table.
 
@@ -353,29 +349,6 @@ def cokernel_by_submonoid(M: FinMonoid, members: frozenset) -> tuple[FinMonoid, 
 def cokernel_of_hom(f: MonoidHom) -> MonoidHom:
     """Projection of the codomain by the congruence generated by the image."""
     return cokernel_by_submonoid(f.cod, f.image)[1]
-
-
-@lru_cache(maxsize=None)
-def syntactic_quotient(M: FinMonoid, members: frozenset) -> tuple[FinMonoid, MonoidHom]:
-    """Quotient of a (possibly non-commutative) monoid by the syntactic
-    congruence of a normal submonoid: m and n are identified when xmy and
-    xny land in the submonoid for exactly the same pairs (x, y)."""
-    ok, witness = is_normal_submonoid(M, members)
-    if not ok:
-        raise NotNormalSubmonoid(f"submonoid is not normal, witness {witness}")
-    t = M.table
-    rng = range(M.size)
-    signature = [
-        frozenset((x, y) for x in rng for y in rng if t[t[x][m]][y] in members)
-        for m in rng
-    ]
-    groups: dict[frozenset, list[int]] = {}
-    for m in rng:
-        groups.setdefault(signature[m], []).append(m)
-    Q, proj = _quotient_by_classes(M, [tuple(g) for g in groups.values()])
-    if kernel_subset(proj) != members:
-        raise RuntimeError("identity class of the syntactic congruence differs from the submonoid")
-    return Q, proj
 
 
 @lru_cache(maxsize=None)

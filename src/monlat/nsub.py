@@ -53,31 +53,6 @@ class NSubLattice:
         return self.keys.index(key)
 
 
-def _verify_lattice(lat: NSubLattice) -> None:
-    n = lat.size
-    leq, join, meet = lat.leq, lat.join, lat.meet
-    for i in range(n):
-        if not leq[i][i]:
-            raise RuntimeError("order not reflexive")
-        for j in range(n):
-            if leq[i][j] and leq[j][i] and i != j:
-                raise RuntimeError("order not antisymmetric")
-            for k in range(n):
-                if leq[i][j] and leq[j][k] and not leq[i][k]:
-                    raise RuntimeError("order not transitive")
-    for i, j in product(range(n), repeat=2):
-        u, m = join[i][j], meet[i][j]
-        if not (leq[i][u] and leq[j][u]) or not (leq[m][i] and leq[m][j]):
-            raise RuntimeError("join/meet tables violate the order")
-        for c in range(n):
-            if leq[i][c] and leq[j][c] and not leq[u][c]:
-                raise RuntimeError("join is not a least upper bound")
-            if leq[c][i] and leq[c][j] and not leq[c][m]:
-                raise RuntimeError("meet is not a greatest lower bound")
-    if not all(leq[i][lat.top] and leq[lat.bottom][i] for i in range(n)):
-        raise RuntimeError("top/bottom are wrong")
-
-
 def lattice_from_join_table(table, names=None) -> NSubLattice:
     """Lattice structure of a finite monoidal semilattice given by its joins."""
     n = len(table)
@@ -94,7 +69,7 @@ def lattice_from_join_table(table, names=None) -> NSubLattice:
     tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
     if len(bottoms) != 1 or len(tops) != 1:
         raise mn.MonoidError("join table is not a bounded lattice")
-    lat = NSubLattice(
+    return NSubLattice(
         leq=leq,
         join=tuple(tuple(row) for row in table),
         meet=tuple(tuple(row) for row in meet),
@@ -102,8 +77,6 @@ def lattice_from_join_table(table, names=None) -> NSubLattice:
         bottom=bottoms[0],
         names=tuple(names) if names is not None else tuple(str(i) for i in range(n)),
     )
-    _verify_lattice(lat)
-    return lat
 
 
 def lattice_of_semilattice(L: mn.FinMonoid) -> NSubLattice:
@@ -129,8 +102,7 @@ def enumerate_nsub(ctx, X) -> NSubLattice:
     """The lattice of normal subobjects of X in ctx.
 
     Elements come from the context's enumerator; meets are computed as
-    pullbacks and joins as kernels of cokernels, then the lattice axioms are
-    verified outright.
+    pullbacks and joins as kernels of cokernels.
     """
     cached = _NSUB_LATTICE_CACHE.get((id(ctx), X))
     if cached is not None:
@@ -176,7 +148,6 @@ def enumerate_nsub(ctx, X) -> NSubLattice:
         monos=tuple(monos),
         keys=tuple(keys),
     )
-    _verify_lattice(lat)
     _NSUB_LATTICE_CACHE[(id(ctx), X)] = lat
     return lat
 

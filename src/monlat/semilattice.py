@@ -1,7 +1,7 @@
 """Monoidal semilattices (join-semilattices with a bottom) as commutative
-idempotent monoids: construction from cover graphs, principal down-sets and
-up-sets, the join-with-k quotient shortcut, and the named fixtures used
-throughout the test suite.
+idempotent monoids: construction from cover graphs with the bitmask
+least-upper-bound search the census shares, principal down-sets, and the
+named fixtures used throughout the test suite.
 """
 
 from __future__ import annotations
@@ -9,13 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .monoid import (
-    FinMonoid,
-    MonoidError,
-    MonoidHom,
-    Subset,
-    is_normal_submonoid,
-)
+from .monoid import FinMonoid, MonoidError, Subset
 
 
 class SemilatticeError(MonoidError):
@@ -76,6 +70,22 @@ def _closure(size: int, covers) -> list[list[bool]]:
     return leq
 
 
+def least_upper_bound(up: list[int], a: int, b: int) -> int | None:
+    """The least common upper bound of a and b, or None, in an order given
+    by up-set bitmasks (bit t of ``up[a]`` set when a <= t): the first t,
+    scanning the common upper bounds from low labels, whose up-set holds
+    them all. On a natural labelling that is the first one or none."""
+    ubs = up[a] & up[b]
+    rest = ubs
+    while rest:
+        low = rest & -rest
+        t = low.bit_length() - 1
+        if up[t] & ubs == ubs:
+            return t
+        rest ^= low
+    return None
+
+
 def semilattice_from_covers(g: CoverGraph) -> FinMonoid:
     """Least-upper-bound table of a cover graph, as a commutative monoid.
 
@@ -97,14 +107,14 @@ def semilattice_from_covers(g: CoverGraph) -> FinMonoid:
     if len(minimal) != 1:
         raise NoBottom(f"minimal elements: {sorted(minimal)}")
 
+    up = [sum(1 << c for c in range(n) if leq[a][c]) for a in range(n)]
     join = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            ubs = [c for c in range(n) if leq[a][c] and leq[b][c]]
-            least = [u for u in ubs if all(leq[u][v] for v in ubs)]
-            if len(least) != 1:
+            t = least_upper_bound(up, a, b)
+            if t is None:
                 raise NoJoin(a, b)
-            join[a][b] = least[0]
+            join[a][b] = t
 
     # layered linear extension: emit every element whose strict down-set is
     # already numbered, one layer at a time, ordered by original index
@@ -163,41 +173,6 @@ def covers_of(leq) -> list[tuple[int, int]]:
 def principal_downset(L: FinMonoid, a: int) -> Subset:
     require_semilattice(L)
     return Subset(L, frozenset(x for x in range(L.size) if L.op(x, a) == a))
-
-def principal_upset(L: FinMonoid, k: int) -> Subset:
-    require_semilattice(L)
-    return Subset(L, frozenset(x for x in range(L.size) if L.op(x, k) == x))
-
-
-def quotient_by_downset(L: FinMonoid, k: int) -> tuple[FinMonoid, MonoidHom]:
-    """Quotient of a semilattice by a principal down-set, computed directly
-    on the up-set of k: the projection sends l to l v k. Isomorphic to the
-    generic congruence quotient, with the same class partition."""
-    require_semilattice(L)
-    up = sorted(principal_upset(L, k).members)
-    order = [k] + [x for x in up if x != k]  # k is the identity of the quotient
-    pos = {m: i for i, m in enumerate(order)}
-    table = tuple(tuple(pos[L.op(a, b)] for b in order) for a in order)
-    labels = tuple(L.label(m) for m in order) if L.labels is not None else None
-    Q = FinMonoid(table, labels)
-    proj = MonoidHom(L, Q, tuple(pos[L.op(x, k)] for x in range(L.size)))
-    return Q, proj
-
-
-def all_normal_subobjects_semilattice(L: FinMonoid) -> list[Subset]:
-    """The normal submonoids of a finite monoidal semilattice: exactly the
-    principal down-sets, one per element."""
-    require_semilattice(L)
-    seen = {}
-    for a in range(L.size):
-        d = principal_downset(L, a)
-        seen.setdefault(d.members, d)
-    out = sorted(seen.values(), key=lambda s: (len(s.members), sorted(s.members)))
-    for s in out:
-        ok, witness = is_normal_submonoid(L, s.members)
-        if not ok:
-            raise RuntimeError(f"down-set fails normality, witness {witness}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +257,3 @@ def fixture(name: str) -> FinMonoid:
         return chain(int(m.group(1)))
     raise KeyError(f"unknown fixture {name!r}")
 
-
-def fixture_names() -> list[str]:
-    return sorted(_FIXTURE_BUILDERS) + ["chainN"]

@@ -8,15 +8,18 @@ each verdict one way only; the tests compare it against these.
 
 from itertools import permutations, product
 
+from monlat.census import _natural_tables, _unpack
 from monlat.checks import diexact_check, second_iso_check, third_iso_check
 from monlat.context import normal_decomposition_in, restrict_mono
 from monlat.monoid import (
     FinMonoid,
     MonoidHom,
     NormalDecomposition,
+    MonoidError,
     NotNormal,
     Subset,
     _hom_unchecked,
+    _quotient_by_classes,
     cokernel_by_submonoid,
     cokernel_of_hom,
     compose,
@@ -25,6 +28,7 @@ from monlat.monoid import (
     is_normal_submonoid,
     kernel_subset,
 )
+from monlat.semilattice import principal_downset, require_semilattice
 from monlat.nsub import (
     _find_sublattice,
     enumerate_nsub,
@@ -97,6 +101,35 @@ def lattice_method_disagreements(lat) -> list[str]:
         if decided == (witness is not None):
             found.append(f"{name}: {decided} with witness {witness}")
     return found
+
+
+def lattice_axiom_failure(lat) -> str | None:
+    """The first way the order, join, meet, top or bottom of a lattice
+    structure is wrong, by an O(n^3) scan of its tables; None when it is a
+    lattice."""
+    n = lat.size
+    leq, join, meet = lat.leq, lat.join, lat.meet
+    for i in range(n):
+        if not leq[i][i]:
+            return "order not reflexive"
+        for j in range(n):
+            if leq[i][j] and leq[j][i] and i != j:
+                return "order not antisymmetric"
+            for k in range(n):
+                if leq[i][j] and leq[j][k] and not leq[i][k]:
+                    return "order not transitive"
+    for i, j in product(range(n), repeat=2):
+        u, m = join[i][j], meet[i][j]
+        if not (leq[i][u] and leq[j][u]) or not (leq[m][i] and leq[m][j]):
+            return "join/meet tables violate the order"
+        for c in range(n):
+            if leq[i][c] and leq[j][c] and not leq[u][c]:
+                return "join is not a least upper bound"
+            if leq[c][i] and leq[c][j] and not leq[c][m]:
+                return "meet is not a greatest lower bound"
+    if not all(leq[i][lat.top] and leq[lat.bottom][i] for i in range(n)):
+        return "top/bottom are wrong"
+    return None
 
 
 def find_lattice_isomorphism(lat1, lat2):
@@ -172,8 +205,143 @@ def brute_force_lattices(n: int) -> list[FinMonoid]:
     return out
 
 
+def _linear_extensions(leq: list[list[bool]]):
+    """All linear extensions of a partial order, as old->new index maps."""
+    n = len(leq)
+    new_index = [None] * n
+    placed = []
+
+    def extend():
+        if len(placed) == n:
+            yield tuple(new_index)
+            return
+        for i in range(n):
+            if new_index[i] is None and all(
+                new_index[j] is not None for j in range(n) if j != i and leq[j][i]
+            ):
+                new_index[i] = len(placed)
+                placed.append(i)
+                yield from extend()
+                placed.pop()
+                new_index[i] = None
+
+    yield from extend()
+
+
+def _inverse_order(perm, n):
+    inv = [0] * n
+    for old, new in enumerate(perm):
+        inv[new] = old
+    return inv
+
+
+def canonical_join_table(table) -> tuple[tuple[int, ...], ...]:
+    """Lexicographically minimal relabelling of a join table over all linear
+    extensions of its order (every such relabelling keeps the bottom at 0)."""
+    n = len(table)
+    leq = [[table[a][b] == b for b in range(n)] for a in range(n)]
+    best = None
+    for perm in _linear_extensions(leq):
+        cand = tuple(
+            tuple(perm[table[a][b]] for b in _inverse_order(perm, n))
+            for a in _inverse_order(perm, n)
+        )
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def census_oracle(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The canonical join tables of the lattices of size n, sorted: the
+    census generator's labelled tables deduplicated by a backtracking
+    isomorphism search (behind a cheap invariant) and each class then
+    canonicalized by trying every linear extension."""
+    classes: dict[tuple, list[FinMonoid]] = {}
+    for packed in _natural_tables(n):
+        table = _unpack(packed, n)
+        M = FinMonoid(table)
+        # cheap isomorphism invariant before the backtracking test
+        profile = tuple(
+            sorted(
+                (
+                    sum(table[a][b] == b for b in range(n)),
+                    sum(table[a][b] == a for b in range(n)),
+                )
+                for a in range(n)
+            )
+        )
+        bucket = classes.setdefault(profile, [])
+        if not any(find_isomorphism(M, seen) for seen in bucket):
+            bucket.append(M)
+    return sorted(
+        canonical_join_table(M.table) for bucket in classes.values() for M in bucket
+    )
+
+
 # ---------------------------------------------------------------------------
-# normal subobjects and normal maps of commutative monoids
+# normal subobjects, quotients and normal maps of commutative monoids
+
+
+def principal_upset(L: FinMonoid, k: int) -> Subset:
+    require_semilattice(L)
+    return Subset(L, frozenset(x for x in range(L.size) if L.op(x, k) == x))
+
+
+def quotient_by_downset(L: FinMonoid, k: int) -> tuple[FinMonoid, MonoidHom]:
+    """Quotient of a semilattice by a principal down-set, computed directly
+    on the up-set of k: the projection sends l to l v k. Isomorphic to the
+    generic congruence quotient, with the same class partition."""
+    require_semilattice(L)
+    up = sorted(principal_upset(L, k).members)
+    order = [k] + [x for x in up if x != k]  # k is the identity of the quotient
+    pos = {m: i for i, m in enumerate(order)}
+    table = tuple(tuple(pos[L.op(a, b)] for b in order) for a in order)
+    labels = tuple(L.label(m) for m in order) if L.labels is not None else None
+    Q = FinMonoid(table, labels)
+    proj = MonoidHom(L, Q, tuple(pos[L.op(x, k)] for x in range(L.size)))
+    return Q, proj
+
+
+def all_normal_subobjects_semilattice(L: FinMonoid) -> list[Subset]:
+    """The normal submonoids of a finite monoidal semilattice: exactly the
+    principal down-sets, one per element."""
+    require_semilattice(L)
+    seen = {}
+    for a in range(L.size):
+        d = principal_downset(L, a)
+        seen.setdefault(d.members, d)
+    out = sorted(seen.values(), key=lambda s: (len(s.members), sorted(s.members)))
+    for s in out:
+        ok, witness = is_normal_submonoid(L, s.members)
+        if not ok:
+            raise RuntimeError(f"down-set fails normality, witness {witness}")
+    return out
+
+
+class NotNormalSubmonoid(MonoidError):
+    pass
+
+
+def syntactic_quotient(M: FinMonoid, members: frozenset) -> tuple[FinMonoid, MonoidHom]:
+    """Quotient of a (possibly non-commutative) monoid by the syntactic
+    congruence of a normal submonoid: m and n are identified when xmy and
+    xny land in the submonoid for exactly the same pairs (x, y)."""
+    ok, witness = is_normal_submonoid(M, members)
+    if not ok:
+        raise NotNormalSubmonoid(f"submonoid is not normal, witness {witness}")
+    t = M.table
+    rng = range(M.size)
+    signature = [
+        frozenset((x, y) for x in rng for y in rng if t[t[x][m]][y] in members)
+        for m in rng
+    ]
+    groups: dict[frozenset, list[int]] = {}
+    for m in rng:
+        groups.setdefault(signature[m], []).append(m)
+    Q, proj = _quotient_by_classes(M, [tuple(g) for g in groups.values()])
+    if kernel_subset(proj) != members:
+        raise RuntimeError("identity class of the syntactic congruence differs from the submonoid")
+    return Q, proj
 
 
 def normal_submonoids_by_filter(X: FinMonoid) -> set[frozenset[int]]:

@@ -1,8 +1,10 @@
-from monlat.census import canonical_join_table, lattices_of_size, lattices_up_to
-from monlat.monoid import are_isomorphic, find_isomorphism
-from monlat.nsub import is_modular, lattice_of_semilattice
+import pytest
 
-from oracles import brute_force_lattices
+from monlat.census import lattices_of_size, lattices_up_to
+from monlat.monoid import are_isomorphic, find_isomorphism
+from monlat.nsub import is_distributive, is_modular, lattice_of_semilattice
+
+from oracles import brute_force_lattices, canonical_join_table, census_oracle
 
 
 class TestCounts:
@@ -12,6 +14,14 @@ class TestCounts:
 
     def test_known_small_counts(self):
         assert [len(lattices_of_size(n)) for n in range(1, 6)] == [1, 1, 1, 2, 5]
+
+    def test_known_counts_to_eight(self):
+        # OEIS A006966, and the modular and distributive lattices among them
+        counts = [len(lattices_of_size(n)) for n in range(1, 9)]
+        assert counts == [1, 1, 1, 2, 5, 15, 53, 222]
+        lats = [lattice_of_semilattice(L) for L in lattices_up_to(8)]
+        assert sum(is_modular(lat)[0] for lat in lats) == 67
+        assert sum(is_distributive(lat)[0] for lat in lats) == 36
 
     def test_brute_force_classes_match_one_to_one(self):
         for n in range(1, 6):
@@ -35,6 +45,10 @@ class TestEmittedStructures:
             for i, a in enumerate(group):
                 for b in group[i + 1 :]:
                     assert not are_isomorphic(a, b)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_tables_match_isomorphism_search_oracle(self, n):
+        assert [L.table for L in lattices_of_size(n)] == census_oracle(n)
 
     def test_canonical_tables_are_fixed_points(self):
         for L in lattices_up_to(6):

@@ -10,7 +10,6 @@ from monlat.monoid import (
     NotASubmonoid,
     NotCommutative,
     NotNormal,
-    NotNormalSubmonoid,
     Subset,
     are_isomorphic,
     cokernel_by_submonoid,
@@ -22,14 +21,18 @@ from monlat.monoid import (
     is_normal_submonoid,
     kernel_subset,
     normal_closure,
-    syntactic_quotient,
     validate_monoid,
     zero_hom,
 )
-from monlat.semilattice import quotient_by_downset
 
 from conftest import down
-from oracles import all_homs, normal_decomposition
+from oracles import (
+    NotNormalSubmonoid,
+    all_homs,
+    normal_decomposition,
+    quotient_by_downset,
+    syntactic_quotient,
+)
 
 
 Z2 = ((0, 1), (1, 0))

@@ -16,7 +16,12 @@ from monlat.nsub import (
 from monlat.semilattice import covers_of
 
 from conftest import down
-from oracles import find_lattice_isomorphism, lattice_method_disagreements, lattices_isomorphic
+from oracles import (
+    find_lattice_isomorphism,
+    lattice_axiom_failure,
+    lattice_method_disagreements,
+    lattices_isomorphic,
+)
 
 
 class TestEnumerate:
@@ -236,6 +241,21 @@ class TestPhiPsi:
 
 
 class TestLatticeTables:
+    def test_built_lattices_pass_the_axiom_scan(self, cmon, commutative_fixtures):
+        # every lattice this module builds from a fixture: its subobject
+        # lattice, the subobject lattice of each of its quotients (phi_psi),
+        # and the lattice of its own join table
+        for L in commutative_fixtures.values():
+            lats = [enumerate_nsub(cmon, L)]
+            lats += [
+                enumerate_nsub(cmon, cmon.cod(cmon.cokernel(m)))
+                for m in cmon.normal_subobject_monos(L)
+            ]
+            if L.is_semilattice:
+                lats.append(lattice_of_semilattice(L))
+            for lat in lats:
+                assert lattice_axiom_failure(lat) is None
+
     def test_from_join_table_rejects_unbounded(self):
         with pytest.raises(Exception):
             lattice_from_join_table(((0, 1), (1, 0)))  # Z2 is not a semilattice order

@@ -7,19 +7,17 @@ from monlat.semilattice import (
     NoJoin,
     NotAPartialOrder,
     NotHasse,
-    all_normal_subobjects_semilattice,
     chain,
     covers_of,
     order_of,
     pentagon,
     principal_downset,
-    principal_upset,
-    quotient_by_downset,
     semilattice_from_covers,
     fixture,
 )
 
 from conftest import down
+from oracles import all_normal_subobjects_semilattice, principal_upset, quotient_by_downset
 
 
 def generic_quotient_partition(L, k) -> set[frozenset[int]]:
