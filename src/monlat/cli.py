@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .census import lattices_up_to
@@ -22,7 +21,7 @@ from .formats import (
     emit_semilattice_text,
     parse_structure,
 )
-from .monoid import FinMonoid, InvalidMonoid, MonoidError, NotCommutative
+from .monoid import FinMonoid, MonoidError, NotCommutative
 from .nsub import enumerate_nsub, is_distributive, is_modular, lattice_of_semilattice
 from .scenarios import run_reference_scenarios
 from .semilattice import covers_of, fixture
@@ -39,16 +38,19 @@ def _load(source: str) -> tuple[FinMonoid, str]:
     path = Path(source)
     if not path.exists():
         raise ParseError(0, f"no such fixture or file: {source}")
-    M = parse_structure(path.read_text())
-    return M, path.stem
-
-
-def cmd_validate(args) -> int:
     try:
-        M, _ = _load(args.input)
-    except (ParseError, InvalidMonoid, MonoidError) as exc:
-        print(f"{args.input}: {exc}", file=sys.stderr)
-        return 2
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(0, f"cannot read file: {exc}") from None
+    return parse_structure(text), path.stem
+
+
+def _input_error(source: str, exc: Exception) -> int:
+    print(f"{source}: {exc}", file=sys.stderr)
+    return 2
+
+
+def cmd_validate(args, M: FinMonoid, name: str) -> int:
     if M.is_semilattice:
         sys.stdout.write(emit_semilattice_text(M))
     else:
@@ -56,48 +58,16 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_nsub(args) -> int:
-    try:
-        M, _ = _load(args.input)
-    except (ParseError, InvalidMonoid, MonoidError) as exc:
-        print(f"{args.input}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        lat = enumerate_nsub(cmon_context(), M)
-    except NotCommutative as exc:
-        print(f"{args.input}: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(emit_lattice_text(lat))
+def cmd_nsub(args, M: FinMonoid, name: str) -> int:
+    sys.stdout.write(emit_lattice_text(enumerate_nsub(cmon_context(), M)))
     return 0
 
 
-def _check_reports(args, M: FinMonoid, name: str) -> list:
-    if args.ses_depth == 0 or args.property == "stability":
-        return run_check(args.property, M, 0, name)
-    if args.jobs > 1:
-        from .checks import CHECKS, objects_at_depth
-
-        triples = objects_at_depth(M, args.ses_depth, name)
-        fn = CHECKS[args.property]
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            return list(pool.map(lambda t: fn(t[0], t[1], t[2], args.ses_depth), triples))
-    return run_check(args.property, M, args.ses_depth, name)
-
-
-def cmd_check(args) -> int:
-    try:
-        M, name = _load(args.input)
-    except (ParseError, InvalidMonoid, MonoidError) as exc:
-        print(f"{args.input}: {exc}", file=sys.stderr)
-        return 2
+def cmd_check(args, M: FinMonoid, name: str) -> int:
     if args.property == "stability" and args.ses_depth != 0:
         print("stability is a base-context check; use --ses-depth 0", file=sys.stderr)
         return 2
-    try:
-        reports = _check_reports(args, M, name)
-    except NotCommutative as exc:
-        print(f"{args.input}: {exc}", file=sys.stderr)
-        return 2
+    reports = run_check(args.property, M, args.ses_depth, name)
     for report in reports:
         sys.stdout.write(report.result_line() + "\n")
     failures = sum(0 if r.passed else 1 for r in reports)
@@ -157,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         "commutative monoids and monoidal semilattices",
     )
     parser.add_argument("--format", choices=("text", "tsv"), default="text")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse, validate and echo the canonical form")
@@ -193,7 +162,16 @@ def main(argv=None) -> int:
     if not 0 <= depth <= 3:
         print("ses depth must be between 0 and 3", file=sys.stderr)
         return 2
-    return args.fn(args)
+    if "input" not in args:
+        return args.fn(args)
+    try:
+        M, name = _load(args.input)
+    except (ParseError, MonoidError) as exc:
+        return _input_error(args.input, exc)
+    try:
+        return args.fn(args, M, name)
+    except NotCommutative as exc:  # the command needs a normal-subobject lattice
+        return _input_error(args.input, exc)
 
 
 if __name__ == "__main__":

@@ -301,9 +301,8 @@ class SesHom:
     down, ``alpha`` (on the subobjects) is forced because ``dst.sub`` is
     mono, and ``gamma`` (on the quotients) because ``src.quo`` is epi. The
     legs are derived on first use and cached on the instance; at depth 1
-    they are plain MonoidHoms. Deriving a leg is idempotent, so threads
-    sharing a morphism at worst derive equal legs twice. Equality and
-    hashing use (src, dst, base mapping).
+    they are plain MonoidHoms. Equality and hashing use (src, dst, base
+    mapping).
 
     ``SesHom(src, dst, alpha, beta, gamma)`` takes an explicit triple and
     checks that both squares commute. Inside the package morphisms are

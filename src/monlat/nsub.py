@@ -1,18 +1,19 @@
 """The lattice of normal subobjects of an object in any context.
 
-Meets are pullbacks, joins are kernels of cokernels. Modularity and
-distributivity are each decided by one scan of the lattice law; a failing
-lattice then gets the first pentagon or diamond sublattice as its witness.
+Every object of the context tower shares the lattice of its innermost
+commutative monoid: meets are intersections, joins are normal closures of
+unions. Modularity and distributivity are each decided by one scan of the
+lattice law; a failing lattice then gets the first pentagon or diamond
+sublattice as its witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import combinations, product
-from typing import Any
 
 from . import monoid as mn
-from .context import restrict_mono
+from .context import cmon_context, restrict_mono
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,6 @@ class NSubLattice:
     top: int
     bottom: int
     names: tuple[str, ...]
-    ctx: Any = field(default=None, repr=False)
-    obj: Any = field(default=None, repr=False)
     monos: tuple = ()
     keys: tuple = ()
 
@@ -95,61 +94,44 @@ def join_via_uniinter(ctx, X, y_mono, z_mono):
     return ctx.kernel(ctx.compose(q2, qz))
 
 
-_NSUB_LATTICE_CACHE: dict = {}
+# keyed by the monoid and its labels: monoids compare by table only, and the
+# names are rendered with the labels
+_NSUB_LATTICE_CACHE: dict[tuple, NSubLattice] = {}
+
+
+def _monoid_lattice(M: mn.FinMonoid) -> NSubLattice:
+    """The lattice of normal submonoids of a commutative monoid, indexed in
+    enumeration order: the meet of two is their intersection and the join
+    the normal closure of their union, the closures the enumeration formed."""
+    cached = _NSUB_LATTICE_CACHE.get((M, M.labels))
+    if cached is not None:
+        return cached
+    keys = tuple(m.image for m in cmon_context().normal_subobject_monos(M))
+    index = {k: i for i, k in enumerate(keys)}
+    lat = NSubLattice(
+        leq=tuple(tuple(a <= b for b in keys) for a in keys),
+        join=tuple(tuple(index[mn.normal_closure(M, a | b)] for b in keys) for a in keys),
+        meet=tuple(tuple(index[a & b] for b in keys) for a in keys),
+        top=len(keys) - 1,
+        bottom=0,
+        names=tuple(M.render_subset(k) for k in keys),
+        keys=keys,
+    )
+    _NSUB_LATTICE_CACHE[M, M.labels] = lat
+    return lat
 
 
 def enumerate_nsub(ctx, X) -> NSubLattice:
-    """The lattice of normal subobjects of X in ctx.
+    """The lattice of normal subobjects of X in ctx, with the context's
+    canonical monos attached.
 
-    Elements come from the context's enumerator; meets are computed as
-    pullbacks and joins as kernels of cokernels.
+    At every depth of the tower the normal subobjects of X are those of its
+    innermost monoid (keyed by their member sets, in the same order), and
+    kernels, cokernels and composites act on the innermost maps, so the
+    lattice is the innermost monoid's, shared by every object over it.
     """
-    cached = _NSUB_LATTICE_CACHE.get((id(ctx), X))
-    if cached is not None:
-        return cached
-    monos = list(ctx.normal_subobject_monos(X))
-    keys = [ctx.mono_key(m) for m in monos]
-    names = [ctx.render_key(X, k) for k in keys]
-    index = {k: i for i, k in enumerate(keys)}
-    n = len(monos)
-
-    meet = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            span = ctx.pullback_of_monos(monos[i], monos[j])
-            key = ctx.mono_key(ctx.compose(monos[i], span.to_first))
-            if key not in index:
-                raise RuntimeError("meet escaped the enumerated subobjects")
-            meet[i][j] = meet[j][i] = index[key]
-    leq = tuple(tuple(meet[i][j] == i for j in range(n)) for i in range(n))
-
-    join = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            jm = join_via_uniinter(ctx, X, monos[i], monos[j])
-            key = ctx.mono_key(jm)
-            if key not in index:
-                raise RuntimeError("join escaped the enumerated subobjects")
-            join[i][j] = join[j][i] = index[key]
-
-    tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
-    bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
-    if len(tops) != 1 or len(bottoms) != 1:
-        raise RuntimeError("subobject order is not bounded")
-    lat = NSubLattice(
-        leq=leq,
-        join=tuple(tuple(row) for row in join),
-        meet=tuple(tuple(row) for row in meet),
-        top=tops[0],
-        bottom=bottoms[0],
-        names=tuple(names),
-        ctx=ctx,
-        obj=X,
-        monos=tuple(monos),
-        keys=tuple(keys),
-    )
-    _NSUB_LATTICE_CACHE[(id(ctx), X)] = lat
-    return lat
+    monos = ctx.normal_subobject_monos(X)
+    return replace(_monoid_lattice(ctx.innermost_object(X)), monos=monos)
 
 
 # ---------------------------------------------------------------------------

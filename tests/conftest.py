@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 
 from monlat import cmon_context, ses_context
+from monlat.monoid import FinMonoid
 from monlat.semilattice import (
     bool2,
     chain,
@@ -70,3 +73,16 @@ def down(M, *names):
         if any(M.op(x, M.element(n)) == M.element(n) for n in names):
             out.add(x)
     return frozenset(out)
+
+
+def abelian_group(*orders):
+    """The group Z_m1 x ... x Z_mk, elements in lexicographic order of their
+    coordinates (the identity first)."""
+    elems = list(product(*(range(m) for m in orders)))
+    index = {e: i for i, e in enumerate(elems)}
+    return FinMonoid(
+        tuple(
+            tuple(index[tuple((x + y) % m for x, y, m in zip(a, b, orders))] for b in elems)
+            for a in elems
+        )
+    )

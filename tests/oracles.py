@@ -30,11 +30,57 @@ from monlat.monoid import (
 )
 from monlat.semilattice import principal_downset, require_semilattice
 from monlat.nsub import (
+    NSubLattice,
     _find_sublattice,
     enumerate_nsub,
     is_distributive,
     is_modular,
+    join_via_uniinter,
 )
+
+
+# ---------------------------------------------------------------------------
+# the lattice of normal subobjects, built categorically
+
+
+def categorical_lattice(ctx, X) -> NSubLattice:
+    """The lattice of normal subobjects of X built inside ctx itself: meets
+    as pullbacks of the monos, joins as kernels of cokernels
+    (``join_via_uniinter``), order and bounds read off the meet table."""
+    monos = list(ctx.normal_subobject_monos(X))
+    keys = [ctx.mono_key(m) for m in monos]
+    index = {k: i for i, k in enumerate(keys)}
+    n = len(monos)
+
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            span = ctx.pullback_of_monos(monos[i], monos[j])
+            key = ctx.mono_key(ctx.compose(monos[i], span.to_first))
+            if key not in index:
+                raise RuntimeError("meet escaped the enumerated subobjects")
+            meet[i][j] = meet[j][i] = index[key]
+            key = ctx.mono_key(join_via_uniinter(ctx, X, monos[i], monos[j]))
+            if key not in index:
+                raise RuntimeError("join escaped the enumerated subobjects")
+            join[i][j] = join[j][i] = index[key]
+    leq = tuple(tuple(meet[i][j] == i for j in range(n)) for i in range(n))
+
+    tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
+    bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
+    if len(tops) != 1 or len(bottoms) != 1:
+        raise RuntimeError("subobject order is not bounded")
+    return NSubLattice(
+        leq=leq,
+        join=tuple(tuple(row) for row in join),
+        meet=tuple(tuple(row) for row in meet),
+        top=tops[0],
+        bottom=bottoms[0],
+        names=tuple(ctx.render_key(X, k) for k in keys),
+        monos=tuple(monos),
+        keys=tuple(keys),
+    )
 
 
 # ---------------------------------------------------------------------------

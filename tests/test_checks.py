@@ -11,7 +11,13 @@ from monlat.checks import (
     subquotient_closure,
     third_iso_check,
 )
-from monlat.context import antinormal_composite, is_normal_map_in, make_ses, ses_context
+from monlat.context import (
+    antinormal_composite,
+    is_normal_map_in,
+    make_ses,
+    restrict_mono,
+    ses_context,
+)
 
 from conftest import down
 from oracles import diexact_disagreement, second_iso_disagreements
@@ -40,8 +46,6 @@ class TestThirdIso:
         assert not degenerate
 
     def test_witness_replay(self, cmon, ses1, N5):
-        from monlat.context import restrict_mono
-
         S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
         report = third_iso_check(ses1, S, "S", depth=1)
         for w in report.witnesses:
@@ -53,6 +57,21 @@ class TestThirdIso:
                 e, ses1.compose(ses1.cokernel(x), y)
             )
             assert ses1.normal_mono_failure(g) == w.note
+
+    @pytest.mark.parametrize(
+        "name, depths", [("bool2", 3), ("chain4", 3), ("N5", 2), ("V4", 2), ("L6", 2)]
+    )
+    def test_restricted_inclusions_are_normal_monos(self, commutative_fixtures, name, depths):
+        # the composition lemma third_iso_check relies on: for normal
+        # subobjects X <= Y of Z, the induced X >-> Y is a normal mono
+        for depth in range(depths + 1):
+            for ctx, Z, nm in objects_at_depth(commutative_fixtures[name], depth, name):
+                monos = ctx.normal_subobject_monos(Z)
+                for x in monos:
+                    for y in monos:
+                        if ctx.mono_key(x) <= ctx.mono_key(y):
+                            u = restrict_mono(ctx, x, y)
+                            assert ctx.normal_mono_failure(u) is None, (nm, x, y)
 
 
 class TestSecondIso:

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from monlat.cli import main
@@ -15,6 +18,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_module(*argv):
+    """``python -m monlat`` in a fresh interpreter, so a traceback shows."""
+    return subprocess.run(
+        [sys.executable, "-m", "monlat", *argv], capture_output=True, text=True
+    )
 
 
 class TestValidate:
@@ -104,12 +114,11 @@ class TestCheck:
         _, out2, _ = run(capsys, "check", "--property", "secondiso", "L6")
         assert out1 == out2
 
-    def test_jobs_flag_produces_identical_output(self, capsys):
-        _, seq, _ = run(capsys, "check", "--property", "dpn", "--ses-depth", "1", "N5")
-        _, par, _ = run(
-            capsys, "--jobs", "4", "check", "--property", "dpn", "--ses-depth", "1", "N5"
-        )
-        assert seq == par
+    def test_jobs_flag_is_a_usage_error(self):
+        proc = run_module("--jobs", "2", "check", "--property", "dpn", "N5")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_stability_check(self, capsys):
         code, out, _ = run(capsys, "check", "--property", "stability", "L6")
@@ -174,24 +183,86 @@ class TestNonCommutativeInput:
             ("nsub",),
             ("check", "--property", "hsd"),
             ("check", "--property", "dpn", "--ses-depth", "1"),
-            ("--jobs", "2", "check", "--property", "dpn", "--ses-depth", "1"),
         ],
     )
     def test_exits_two_without_traceback(self, tmp_path, argv):
-        import subprocess
-        import sys
-
         p = tmp_path / "noncomm.txt"
         p.write_text("monoid 3\n0 1 2\n1 1 1\n2 2 2\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "monlat", *argv, str(p)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module(*argv, str(p))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [f"{p}: normal subobject enumeration needs a commutative monoid"]
         assert proc.stdout == ""
+
+
+class TestUnreadableInput:
+    """A path that cannot be read as text is an input error under every
+    command that takes an input."""
+
+    @pytest.fixture(params=["directory", "non-utf8"])
+    def unreadable(self, request, tmp_path):
+        if request.param == "directory":
+            return str(tmp_path)
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"monoid 1\n\xff\n")
+        return str(p)
+
+    @pytest.mark.parametrize(
+        "argv", [("validate",), ("nsub",), ("check", "--property", "hsd")]
+    )
+    def test_exits_two_with_one_line(self, unreadable, argv):
+        proc = run_module(*argv, unreadable)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{unreadable}: ")
+        assert proc.stdout == ""
+
+
+class TestLatticeBytes:
+    """The lattice names and indices every depth shares, as ``nsub`` and a
+    depth-1 ``check`` print them."""
+
+    @pytest.mark.parametrize(
+        "fixture_name, text",
+        [
+            (
+                "N5",
+                "lattice 5\ncover 0 1\ncover 0 2\ncover 1 3\ncover 2 4\ncover 3 4\n"
+                "label 0 {0}\nlabel 1 {0,C}\nlabel 2 {0,D}\nlabel 3 {0,C,B}\n"
+                "label 4 {0,C,D,B,A}\n",
+            ),
+            (
+                "V4",
+                "lattice 5\ncover 0 1\ncover 0 2\ncover 0 3\ncover 1 4\ncover 2 4\n"
+                "cover 3 4\nlabel 0 {0}\nlabel 1 {0,g}\nlabel 2 {0,h}\nlabel 3 {0,k}\n"
+                "label 4 {0,g,h,k}\n",
+            ),
+            (
+                "L6",
+                "lattice 6\ncover 0 1\ncover 0 2\ncover 1 3\ncover 1 4\ncover 2 4\n"
+                "cover 3 5\ncover 4 5\nlabel 0 {0}\nlabel 1 {0,D}\nlabel 2 {0,E}\n"
+                "label 3 {0,D,B}\nlabel 4 {0,D,E,C}\nlabel 5 {0,D,E,B,C,A}\n",
+            ),
+        ],
+    )
+    def test_nsub_export(self, capsys, fixture_name, text):
+        assert run(capsys, "nsub", fixture_name) == (0, text, "")
+
+    def test_hsd_result_lines_at_depth_one(self, capsys):
+        code, out, _ = run(capsys, "check", "--property", "hsd", "--ses-depth", "1", "N5")
+        assert code == 1
+        assert [l for l in out.splitlines() if l.startswith("RESULT")] == [
+            f"RESULT\tobject=N5|sub={sub}\tproperty=hsd\tdepth=1\tstatus={status}"
+            f"\tcases=13\twitness={witness}"
+            for sub, status, witness in (
+                ("{0}", "pass", "-"),
+                ("{0,C}", "pass", "-"),
+                ("{0,D}", "fail", "({0,C};{0,C,B}):left-square-not-pullback"),
+                ("{0,C,B}", "pass", "-"),
+                ("{0,C,D,B,A}", "pass", "-"),
+            )
+        ]
 
 
 class TestEnumerate:
@@ -232,14 +303,7 @@ class TestEnumerate:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "monlat", "check", "--property", "dpn", "N5"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("check", "--property", "dpn", "N5")
         assert proc.returncode == 1
         assert proc.stdout.startswith("RESULT\tobject=N5")
 

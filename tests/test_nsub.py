@@ -15,8 +15,9 @@ from monlat.nsub import (
 )
 from monlat.semilattice import covers_of
 
-from conftest import down
+from conftest import abelian_group, down
 from oracles import (
+    categorical_lattice,
     find_lattice_isomorphism,
     lattice_axiom_failure,
     lattice_method_disagreements,
@@ -58,6 +59,20 @@ class TestEnumerate:
                         lat.join[index[down_keys[a]]][index[down_keys[b]]]
                         == index[down_keys[L.op(a, b)]]
                     )
+
+
+class TestSharedLattice:
+    """The lattice built from the enumeration's own intersections and normal
+    closures against the one built by pullbacks and kernels of cokernels;
+    criterion 08 compares them on the ses objects at depths 1..3."""
+
+    def test_matches_categorical_lattice_at_depth_zero(self, cmon, commutative_fixtures):
+        from monlat.census import lattices_up_to
+
+        pool = list(commutative_fixtures.values()) + lattices_up_to(7)
+        pool += [abelian_group(2, 2, 2), abelian_group(2, 4), abelian_group(3, 3, 3)]
+        for M in pool:
+            assert enumerate_nsub(cmon, M) == categorical_lattice(cmon, M)
 
 
 class TestJoinViaUniinter:
