@@ -1,8 +1,11 @@
 """Command-line surface.
 
 Subcommands: validate, nsub, check, enumerate, paper-examples. Exit codes:
-0 all pass, 1 property failures found, 2 input errors. Reports are
-deterministic: identical inputs and flags produce byte-identical output.
+0 all pass, 1 property failures found, 2 input errors, 3 a broken internal
+invariant (one ``<input>: internal error: <message>`` line on stderr; the
+command name stands for the input of enumerate and paper-examples).
+Reports are deterministic: identical inputs and flags produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -48,6 +51,13 @@ def _load(source: str) -> tuple[FinMonoid, str]:
 def _input_error(source: str, exc: Exception) -> int:
     print(f"{source}: {exc}", file=sys.stderr)
     return 2
+
+
+def _internal_error(source: str, exc: RuntimeError) -> int:
+    """A broken internal invariant (SesInvariantError, a quotient partition
+    that is not a congruence): never expected, reported in one line."""
+    print(f"{source}: internal error: {exc}", file=sys.stderr)
+    return 3
 
 
 def cmd_validate(args, M: FinMonoid, name: str) -> int:
@@ -163,7 +173,10 @@ def main(argv=None) -> int:
         print("ses depth must be between 0 and 3", file=sys.stderr)
         return 2
     if "input" not in args:
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        except RuntimeError as exc:
+            return _internal_error(args.command, exc)
     try:
         M, name = _load(args.input)
     except (ParseError, MonoidError) as exc:
@@ -172,6 +185,8 @@ def main(argv=None) -> int:
         return args.fn(args, M, name)
     except NotCommutative as exc:  # the command needs a normal-subobject lattice
         return _input_error(args.input, exc)
+    except RuntimeError as exc:
+        return _internal_error(args.input, exc)
 
 
 if __name__ == "__main__":

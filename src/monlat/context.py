@@ -281,10 +281,9 @@ def make_ses(inner, base, sub_mono) -> SesObject:
     if cached is not None:
         return cached
     sub = inner.subobject_mono(base, key)
-    if not inner.is_normal_mono(sub):
-        raise SesInvariantError(
-            f"sub leg is not a normal mono: {inner.normal_mono_failure(sub)}"
-        )
+    failure = inner.normal_mono_failure(sub)
+    if failure is not None:
+        raise SesInvariantError(f"sub leg is not a normal mono: {failure}")
     quo = inner.cokernel(sub)
     if inner.mono_key(inner.kernel(quo)) != key:
         raise SesInvariantError("sub leg is not the kernel of the quotient leg")
@@ -419,14 +418,62 @@ def ses_hom_from_beta(src: SesObject, dst: SesObject, beta) -> SesHom:
     return _thin_hom(src, dst, base)
 
 
+def _normal_mono_failure(src: SesObject, dst: SesObject, base: MonoidHom) -> str | None:
+    """The first failing clause of "the morphism src -> dst with innermost
+    map ``base`` is a normal mono", level by level (see SesContext)."""
+    if not _is_normal_mono(src.base, dst.base, base):
+        return "beta-not-normal-mono"
+    into = mn.compose(base, _base_map(src.sub))
+    sub = _base_map(dst.sub)
+    if not _is_normal_mono(src.sub_object, dst.sub_object, _CMON.factor_through_kernel(into, sub)):
+        return "alpha-not-normal-mono"
+    if into.image != base.image & sub.image:
+        return "left-square-not-pullback"
+    return None
+
+
+def _is_normal_mono(src, dst, base: MonoidHom) -> bool:
+    if isinstance(src, SesObject):
+        return _normal_mono_failure(src, dst, base) is None
+    return _CMON.is_normal_mono(base)
+
+
+def _normal_epi_failure(src: SesObject, dst: SesObject, base: MonoidHom) -> str | None:
+    """The first failing clause of "the morphism src -> dst with innermost
+    map ``base`` is a normal epi", level by level (see SesContext)."""
+    if not _is_normal_epi(src.base, dst.base, base):
+        return "beta-not-normal-epi"
+    quo = _CMON.factor_through_cokernel(_base_map(src.quo), mn.compose(_base_map(dst.quo), base))
+    if not _is_normal_epi(src.quo_object, dst.quo_object, quo):
+        return "gamma-not-normal-epi"
+    pushed = mn.compose(base, _base_map(src.sub)).image
+    if mn.normal_closure(base.cod, pushed) != _base_map(dst.sub).image:
+        return "right-square-not-pushout"
+    return None
+
+
+def _is_normal_epi(src, dst, base: MonoidHom) -> bool:
+    if isinstance(src, SesObject):
+        return _normal_epi_failure(src, dst, base) is None
+    return mn.is_normal_epi(base)
+
+
 class SesContext:
     """The context of short exact sequences over an inner context.
 
     Kernels and cokernels follow the componentwise recipes: the kernel of
     (alpha, beta, gamma) has base ker(beta) with sub induced from ker(alpha);
     the cokernel has base coker(beta) with quotient leg induced from
-    coker(gamma). Normal monos are recognized by "components normal and the
-    left square a pullback"; normal epis dually by a pushout comparison.
+    coker(gamma).
+
+    The normality recognizers work level by level on the innermost map f
+    and innermost member sets, and build no morphism, kernel or pullback.
+    With A the subs and M the innermost monoids, f is a normal mono when
+    its base and sub legs are normal monos one level down and f(A_S) =
+    f(M_S) & A_T (the left square is a pullback); it is a normal epi when
+    its base and quotient legs are normal epis one level down and the
+    normal closure of f(A_S) is A_T (the right square is a pushout). The
+    first failing clause is the reason returned.
     """
 
     def __init__(self, inner):
@@ -553,32 +600,13 @@ class SesContext:
         return True
 
     def normal_mono_failure(self, f: SesHom) -> str | None:
-        inner = self.inner
-        if not inner.is_normal_mono(f.beta):
-            return "beta-not-normal-mono"
-        if not inner.is_normal_mono(f.alpha):
-            return "alpha-not-normal-mono"
-        span = inner.pullback_of_monos(f.dst.sub, f.beta)
-        pulled = inner.mono_key(inner.compose(f.dst.sub, span.to_first))
-        if inner.mono_key(inner.compose(f.beta, f.src.sub)) != pulled:
-            return "left-square-not-pullback"
-        return None
+        return _normal_mono_failure(f.src, f.dst, f.base)
 
     def is_normal_mono(self, f: SesHom) -> bool:
         return self.normal_mono_failure(f) is None
 
     def normal_epi_failure(self, f: SesHom) -> str | None:
-        inner = self.inner
-        if not inner.is_normal_epi(f.beta):
-            return "beta-not-normal-epi"
-        if not inner.is_normal_epi(f.gamma):
-            return "gamma-not-normal-epi"
-        pushed = inner.mono_key(
-            inner.kernel(inner.cokernel(inner.compose(f.beta, f.src.sub)))
-        )
-        if inner.mono_key(f.dst.sub) != pushed:
-            return "right-square-not-pushout"
-        return None
+        return _normal_epi_failure(f.src, f.dst, f.base)
 
     def is_normal_epi(self, f: SesHom) -> bool:
         return self.normal_epi_failure(f) is None

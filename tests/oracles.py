@@ -10,7 +10,7 @@ from itertools import permutations, product
 
 from monlat.census import _natural_tables, _unpack
 from monlat.checks import diexact_check, second_iso_check, third_iso_check
-from monlat.context import normal_decomposition_in, restrict_mono
+from monlat.context import generic_pullback_of_monos, normal_decomposition_in, restrict_mono
 from monlat.monoid import (
     FinMonoid,
     MonoidHom,
@@ -81,6 +81,52 @@ def categorical_lattice(ctx, X) -> NSubLattice:
         monos=tuple(monos),
         keys=tuple(keys),
     )
+
+
+# ---------------------------------------------------------------------------
+# normal monos and normal epis of short exact sequences, recursively
+
+
+def recursive_normal_mono_failure(ctx, f) -> str | None:
+    """Why f is not a normal mono, by the categorical definition: its beta
+    and alpha legs are normal monos one level down (recursively, down to the
+    monoid context) and its left square is a pullback, the pullback being
+    the kernel of the composite with a cokernel
+    (``generic_pullback_of_monos``)."""
+    if ctx.depth == 0:
+        return ctx.normal_mono_failure(f)
+    inner = ctx.inner
+    if recursive_normal_mono_failure(inner, f.beta) is not None:
+        return "beta-not-normal-mono"
+    if recursive_normal_mono_failure(inner, f.alpha) is not None:
+        return "alpha-not-normal-mono"
+    span = generic_pullback_of_monos(inner, f.dst.sub, f.beta)
+    pulled = inner.mono_key(inner.compose(f.dst.sub, span.to_first))
+    if inner.mono_key(inner.compose(f.beta, f.src.sub)) != pulled:
+        return "left-square-not-pullback"
+    return None
+
+
+def recursive_normal_epi_failure(ctx, f) -> str | None:
+    """Why the ses morphism f is not a normal epi, by the categorical
+    definition: its beta and gamma legs are normal epis one level down and
+    its right square is a pushout, the target's sub being the kernel of the
+    cokernel of the pushed-forward sub."""
+    inner = ctx.inner
+    if not _recursive_is_normal_epi(inner, f.beta):
+        return "beta-not-normal-epi"
+    if not _recursive_is_normal_epi(inner, f.gamma):
+        return "gamma-not-normal-epi"
+    pushed = inner.mono_key(inner.kernel(inner.cokernel(inner.compose(f.beta, f.src.sub))))
+    if inner.mono_key(f.dst.sub) != pushed:
+        return "right-square-not-pushout"
+    return None
+
+
+def _recursive_is_normal_epi(ctx, f) -> bool:
+    if ctx.depth == 0:
+        return ctx.is_normal_epi(f)
+    return recursive_normal_epi_failure(ctx, f) is None
 
 
 # ---------------------------------------------------------------------------

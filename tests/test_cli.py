@@ -1,9 +1,11 @@
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
 from monlat.cli import main
+from monlat.context import CmonContext, cmon_context
 from monlat.formats import emit_monoid_text, emit_semilattice_text
 
 
@@ -263,6 +265,46 @@ class TestLatticeBytes:
                 ("{0,C,D,B,A}", "pass", "-"),
             )
         ]
+
+
+class TestInternalError:
+    """A broken internal invariant exits 3 with one line on stderr."""
+
+    def test_exits_three_with_one_line(self, capsys, monkeypatch):
+        # make_ses re-checks that every sub leg it is given is a normal mono;
+        # a recognizer that rejects them all breaks that invariant (a fresh
+        # object cache keeps earlier tests' sequences from hiding the check)
+        monkeypatch.setattr(CmonContext, "normal_mono_failure", lambda self, f: "not-injective")
+        monkeypatch.setattr(cmon_context(), "_ses_obj_cache", {})
+        code, out, err = run(capsys, "check", "--property", "hsd", "--ses-depth", "1", "N5")
+        assert code == 3
+        assert out == ""
+        assert err == "N5: internal error: sub leg is not a normal mono: not-injective\n"
+
+
+class TestTowerBytes:
+    """The md5 of the full stdout of depth-2 and depth-3 checks, as printed
+    before the normality recognizers became level-wise."""
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            pytest.param(argv, code, digest, id="-".join(argv))
+            for argv, code, digest in (
+                (("hsd", "3", "chain4"), 0, "5295694b757c62cb4057a8c5607e1f82"),
+                (("hsd", "3", "bool2"), 0, "08678efb97a58c0bd2b19a5ece5569e7"),
+                (("dpn", "3", "chain4"), 0, "d8a058f0b0714e8dc65f9f89fa38e23e"),
+                (("dpn", "3", "bool2"), 0, "d6311e213bd52f02e02265e8a6cda50a"),
+                (("hsd", "2", "N5"), 1, "8884fefdee3329bada5e87ac345a2634"),
+            )
+        ],
+    )
+    def test_stdout_digest(self, argv, code, digest):
+        prop, depth, name = argv
+        proc = run_module("check", "--property", prop, "--ses-depth", depth, name)
+        assert proc.returncode == code
+        assert proc.stderr == ""
+        assert hashlib.md5(proc.stdout.encode()).hexdigest() == digest
 
 
 class TestEnumerate:

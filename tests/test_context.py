@@ -1,7 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from monlat.census import lattices_up_to
+from monlat.checks import objects_at_depth, third_iso_check
 from monlat.context import (
+    CmonContext,
     SesContext,
     SesHom,
     SesInvariantError,
@@ -21,10 +25,18 @@ from monlat.monoid import (
     NormalDecomposition,
     NotNormal,
     identity_hom,
+    inclusion_hom,
 )
+from monlat.semilattice import bool2, chain
 
-from conftest import down
-from oracles import all_homs, normal_decomposition, normal_submonoids_by_filter
+from conftest import abelian_group, down
+from oracles import (
+    all_homs,
+    normal_decomposition,
+    normal_submonoids_by_filter,
+    recursive_normal_epi_failure,
+    recursive_normal_mono_failure,
+)
 
 
 def preimage_mono(ctx, m, f):
@@ -662,3 +674,148 @@ class TestThinMorphisms:
         g = ses_hom_from_beta(S, S, cmon.identity(N5))
         assert f == g and hash(f) == hash(g)
         assert ses1.kernel(f) is ses1.kernel(g)
+
+
+# ---------------------------------------------------------------------------
+# the level-wise normality recognizers against the recursive categorical
+# definitions of tests/oracles.py
+
+
+def _recorded_recognizer_calls(monkeypatch, X, depth, name):
+    """Every (context, morphism) on which make_ses, SesContext.cokernel and
+    third_iso_check ask a ses-level normality recognizer, over the tower of
+    X built on a new monoid context (so that no cached object or cokernel
+    hides a call)."""
+    calls = set()
+
+    def recording(method):
+        def wrapper(self, f):
+            calls.add((self, f))
+            return method(self, f)
+
+        return wrapper
+
+    for method in ("normal_mono_failure", "normal_epi_failure"):
+        monkeypatch.setattr(SesContext, method, recording(getattr(SesContext, method)))
+    for ctx, S, nm in objects_at_depth(X, depth, name, CmonContext()):
+        third_iso_check(ctx, S, nm, depth)
+    monkeypatch.undo()
+    return calls
+
+
+def _malformed_mono_source(ctx, h):
+    """For a mono h: X -> Y, the morphism (Y with sub h) -> (Y with sub Y)
+    over the identity of Y, whose alpha leg is h. With h not a normal mono
+    the source is no short exact sequence (make_ses refuses it)."""
+    Y = ctx.cod(h)
+    S = SesObject(ctx=ctx, base=Y, sub=h, quo=None)
+    return ses_hom_from_beta(S, make_ses(ctx, Y, ctx.identity(Y)), ctx.identity(Y))
+
+
+def _malformed_epi_target(ctx, e):
+    """For an epi e: X -> Y, the morphism (X, 0, id) -> (X, 0, e) over the
+    identity of X, whose gamma leg is e. With e not a normal epi the target
+    is no short exact sequence: its quotient leg is not the cokernel of its
+    sub."""
+    X = ctx.dom(e)
+    zero = ctx.subobject_mono(X, frozenset({0}))
+    S = SesObject(ctx=ctx, base=X, sub=zero, quo=ctx.identity(X))
+    T = SesObject(ctx=ctx, base=X, sub=zero, quo=e)
+    return ses_hom_from_beta(S, T, ctx.identity(X))
+
+
+class TestLevelwiseNormality:
+    @pytest.mark.parametrize(
+        "fixture, depth",
+        [(name, d) for name in ("bool2", "chain4") for d in (1, 2, 3)]
+        + [(name, d) for name in ("N5", "V4", "L6") for d in (1, 2)],
+    )
+    def test_agrees_with_recursive_definition(self, commutative_fixtures, monkeypatch, fixture, depth):
+        # both recognizers, on every morphism the production path asks
+        # either of them about
+        calls = _recorded_recognizer_calls(monkeypatch, commutative_fixtures[fixture], depth, fixture)
+        assert calls
+        for ctx, f in calls:
+            assert ctx.normal_mono_failure(f) == recursive_normal_mono_failure(ctx, f), f
+            assert ctx.normal_epi_failure(f) == recursive_normal_epi_failure(ctx, f), f
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_reasons_on_every_morphism_between_small_sequences(self, depth):
+        # every monoid map between the innermost monoids that lifts to a
+        # morphism of the two sequences. Only four reasons can fire: once
+        # the beta clause holds, f is injective with f(M_S) normal in M_T,
+        # so f(A_S) is normal in M_T and hence in A_T, and the alpha leg's
+        # pullbacks follow from the beta leg's by injectivity; dually, the
+        # gamma clause holds once the beta clause does
+        monoids = {"chain2": chain(2), "chain3": chain(3), "bool2": bool2(), "Z4": abelian_group(4)}
+        objects = {
+            name: objects_at_depth(M, depth, name) for name, M in monoids.items()
+        }
+        ctx = objects["chain2"][0][0]
+        mono, epi = Counter(), Counter()
+        for a, b in [(a, b) for a in monoids for b in monoids]:
+            homs = all_homs(monoids[a], monoids[b])
+            for _, S, _ in objects[a]:
+                for _, T, _ in objects[b]:
+                    for F in homs:
+                        f = _lift_base(S, T, F)
+                        if f is None:
+                            continue
+                        reason = ctx.normal_mono_failure(f)
+                        assert reason == recursive_normal_mono_failure(ctx, f), f
+                        mono[reason] += 1
+                        reason = ctx.normal_epi_failure(f)
+                        assert reason == recursive_normal_epi_failure(ctx, f), f
+                        epi[reason] += 1
+        assert set(mono) == {None, "beta-not-normal-mono", "left-square-not-pullback"}
+        assert set(epi) == {None, "beta-not-normal-epi", "right-square-not-pushout"}
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_alpha_and_gamma_reasons_on_malformed_sequences(self, cmon, ses1, N5, depth):
+        if depth == 1:
+            ctx, M = cmon, chain(3)
+            h = inclusion_hom(M, frozenset({0, 2}))  # 1 v 2 = 2: not normal
+            e = MonoidHom(M, chain(2), (0, 1, 1))  # identifies 1, 2 over kernel 0
+            assert cmon.normal_mono_failure(h) == "image-not-normal"
+            assert not cmon.is_normal_epi(e)
+        else:
+            # (N5, 0) -> (N5, downD) over the identity fails both squares
+            ctx = ses1
+            S0 = make_ses(cmon, N5, cmon.subobject_mono(N5, frozenset({0})))
+            SD = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
+            h = e = ses_hom_from_beta(S0, SD, cmon.identity(N5))
+            assert ses1.normal_mono_failure(h) == "left-square-not-pullback"
+            assert ses1.normal_epi_failure(e) == "right-square-not-pushout"
+        up = ses_context(ctx)
+        f = _malformed_mono_source(ctx, h)
+        assert up.normal_mono_failure(f) == recursive_normal_mono_failure(up, f) == "alpha-not-normal-mono"
+        g = _malformed_epi_target(ctx, e)
+        assert up.normal_epi_failure(g) == recursive_normal_epi_failure(up, g) == "gamma-not-normal-epi"
+
+    def test_recognizers_build_no_morphism_kernel_or_pullback(self, monkeypatch):
+        # one depth-3 call of each recognizer, on a normal mono and a normal
+        # epi so that every level is visited, derives no leg and makes no
+        # kernel, cokernel or pullback at any ses level
+        ctx, S, _ = objects_at_depth(chain(4), 3, "chain4")[-1]
+        m = ctx.normal_subobject_monos(S)[2]
+        q = ctx.cokernel(m)
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("kernel", "cokernel", "pullback_of_monos"):
+            monkeypatch.setattr(SesContext, name, counting(name, getattr(SesContext, name)))
+        for leg in ("alpha", "beta", "gamma"):
+            monkeypatch.setattr(SesHom, leg, property(counting(leg, SesHom.__dict__[leg].func)))
+        assert ctx.depth == 3
+        assert ctx.normal_mono_failure(m) is None
+        assert ctx.normal_epi_failure(q) is None
+        assert calls == Counter()
+        # the counters see the derived legs the recursive definition uses
+        recursive_normal_mono_failure(ctx, m)
+        assert calls["beta"] and calls["alpha"] and calls["cokernel"]

@@ -1,0 +1,103 @@
+"""Digest the output of a fixed set of 148 CLI calls, one line per call.
+
+Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
+byte and its stderr, the exit code, and the arguments. Two checkouts print
+the same lines exactly when every call gives the same bytes and exit code,
+so a change that must keep the CLI output can be checked with
+
+    python3 tools/cli_digest.py --src <other-checkout>/src > before.tsv
+    python3 tools/cli_digest.py > after.tsv
+    diff before.tsv after.tsv
+
+The calls: ``check`` of every property at depths 0-3 on bool2 and chain4
+(``stability`` at depth 0 only) and at depths 0-2 on N5, V4 and L6;
+``stability`` on N5, V4 and L6; ``nsub`` on the nine named fixtures;
+``paper-examples`` at depths 1 and 2; ``enumerate --max-size 8``; ``nsub``,
+``modular`` and ``distributive`` on Z2^3, Z2xZ4, Z3^3, Z2^4 and Z6xZ2^2;
+and every depth-1 check and ``stability`` on Z2^3 and Z2xZ4. Every call
+runs in a fresh interpreter; the group tables are written to a temporary
+directory that is the calls' working directory, so no path shows in the
+output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from itertools import product
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CHECKS = ("hsd", "secondiso", "dpn", "diexact", "modular", "distributive")
+FIXTURES = ("triv", "chain2", "chain3", "chain4", "bool2", "N5", "M3", "L6", "V4")
+GROUPS = {
+    "Z2x2x2": (2, 2, 2),
+    "Z2x4": (2, 4),
+    "Z3x3x3": (3, 3, 3),
+    "Z2x2x2x2": (2, 2, 2, 2),
+    "Z6x2x2": (6, 2, 2),
+}
+
+
+def group_text(orders: tuple[int, ...]) -> str:
+    """The monoid file of Z_m1 x ... x Z_mk, elements in lexicographic order
+    of their coordinates (the identity first)."""
+    elems = list(product(*(range(m) for m in orders)))
+    index = {e: i for i, e in enumerate(elems)}
+    rows = [
+        " ".join(
+            str(index[tuple((x + y) % m for x, y, m in zip(a, b, orders))]) for b in elems
+        )
+        for a in elems
+    ]
+    return f"monoid {len(elems)}\n" + "\n".join(rows) + "\n"
+
+
+def calls() -> list[tuple[str, ...]]:
+    out: list[tuple[str, ...]] = []
+    for name, top in (("bool2", 3), ("chain4", 3), ("N5", 2), ("V4", 2), ("L6", 2)):
+        for depth in range(top + 1):
+            for prop in CHECKS + (("stability",) if depth == 0 else ()):
+                if prop == "stability" and name not in ("bool2", "chain4"):
+                    continue
+                out.append(("check", "--property", prop, "--ses-depth", str(depth), name))
+    out += [("check", "--property", "stability", name) for name in ("N5", "V4", "L6")]
+    out += [("nsub", name) for name in FIXTURES]
+    out += [("paper-examples", "--ses-depth", str(d)) for d in (1, 2)]
+    out.append(("enumerate", "--max-size", "8"))
+    for group in GROUPS:
+        path = f"{group}.txt"
+        out.append(("nsub", path))
+        out += [("check", "--property", prop, path) for prop in ("modular", "distributive")]
+    for group in ("Z2x2x2", "Z2x4"):
+        path = f"{group}.txt"
+        out += [("check", "--property", prop, "--ses-depth", "1", path) for prop in CHECKS]
+        out.append(("check", "--property", "stability", path))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(SRC), help="the src directory to import monlat from")
+    args = parser.parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
+    with tempfile.TemporaryDirectory() as work:
+        for group, orders in GROUPS.items():
+            Path(work, f"{group}.txt").write_text(group_text(orders))
+        for call in calls():
+            proc = subprocess.run(
+                [sys.executable, "-m", "monlat", *call], cwd=work, env=env, capture_output=True
+            )
+            digest = hashlib.md5(proc.stdout + b"\0" + proc.stderr).hexdigest()
+            sys.stdout.write(f"{digest}\t{proc.returncode}\t{' '.join(call)}\n")
+            sys.stdout.flush()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
