@@ -28,7 +28,6 @@ from .context import (
     make_ses,
     normal_decomposition_in,
     ses_context,
-    ses_hom_from_beta,
 )
 from .monoid import (
     FinMonoid,

@@ -66,7 +66,8 @@ def _packed_join_table(up: list[int], bits: int) -> int:
     for i in range(n):
         for j in range(n):
             t = least_upper_bound(up, i, j)
-            assert t is not None, "search emitted a non-lattice"
+            if t is None:
+                raise RuntimeError("search emitted a non-lattice")
             packed = packed << bits | t
     return packed
 

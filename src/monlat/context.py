@@ -3,17 +3,18 @@
 A context bundles the operations every checker needs: composition, kernels,
 cokernels, the two factorization maps, normality tests, and enumeration of
 normal subobjects. ``cmon_context()`` is the concrete context of finite
-commutative monoids; ``ses_context(ctx)`` builds the context of short exact
-sequences over any context of the same shape, so it can be iterated.
+commutative monoids; ``ses_context(ctx)`` is the context of short exact
+sequences one level above ctx, of the same shape, so it can be iterated.
+A sequence of any depth is stored flat, as its innermost monoid and one
+normal member set per level.
 
 Contexts are immutable bundles of pure functions over immutable values; the
-per-context dictionaries only memoize results of pure calls.
+monoid context's dictionary only memoizes results of pure calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Any, Iterator, NamedTuple
 
 from . import monoid as mn
@@ -56,7 +57,6 @@ class CmonContext:
 
     def __init__(self):
         self._nsub_cache: dict[FinMonoid, tuple[MonoidHom, ...]] = {}
-        self._ses_obj_cache: dict = {}
 
     def __repr__(self):
         return "CmonContext()"
@@ -139,8 +139,6 @@ class CmonContext:
             return "not-injective"
         if not mn.is_normal_submonoid(f.cod, f.image)[0]:
             return "image-not-normal"
-        if mn.kernel_subset(self.cokernel(f)) != f.image:
-            return "not-kernel-of-cokernel"
         return None
 
     def is_normal_mono(self, f: MonoidHom) -> bool:
@@ -238,252 +236,104 @@ def cmon_context() -> CmonContext:
 # short exact sequences
 
 
-@dataclass(frozen=True)
-class SesObject:
-    """A short exact sequence, stored as (base, sub, quo).
+class SesObject(NamedTuple):
+    """A short exact sequence at depth d = len(marks), stored flat.
 
-    ``sub`` is a canonical normal mono into ``base`` and ``quo`` is its
-    cokernel; the pair (base, sub) determines the object and is what equality
-    and hashing use. ``ctx`` is the context the three legs live in.
+    ``monoid`` is the innermost commutative monoid M and ``marks`` the
+    member sets (K1, ..., Kd) of normal submonoids of M, innermost level
+    first: the object at level i is the one at level i-1 with the sub whose
+    innermost members are Ki. Every leg of the nested sequence is read off
+    these sets: at level i the sub is the submonoid on Ki with the marks
+    Kj & Ki (j < i), and the quotient is M/Ki with the normal closures of
+    the images of those Kj.
     """
 
-    ctx: Any = field(compare=False, repr=False)
-    base: Any = None
-    sub: Any = None
-    quo: Any = field(default=None, compare=False, repr=False)
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.base, self.sub))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    @property
-    def sub_object(self):
-        return self.ctx.dom(self.sub)
-
-    @property
-    def quo_object(self):
-        return self.ctx.cod(self.quo)
+    monoid: FinMonoid
+    marks: tuple[frozenset[int], ...]
 
 
 def make_ses(inner, base, sub_mono) -> SesObject:
-    """Build a short exact sequence over a base object and a normal mono.
-
-    The mono is replaced by its canonical representative, the quotient leg is
-    the cokernel, and the defining invariant (sub is the kernel of quo) is
-    re-checked; a violation raises SesInvariantError. Results are memoized
-    per (base, subobject) on the inner context.
-    """
+    """The short exact sequence over ``base``, an object of ``inner``, whose
+    sub is the normal subobject that ``sub_mono`` names: base's monoid with
+    one more mark. The sub leg is re-checked to be a normal mono and the
+    kernel of its cokernel; a violation raises SesInvariantError."""
     key = inner.mono_key(sub_mono)
-    cached = inner._ses_obj_cache.get((base, key))
-    if cached is not None:
-        return cached
     sub = inner.subobject_mono(base, key)
     failure = inner.normal_mono_failure(sub)
     if failure is not None:
         raise SesInvariantError(f"sub leg is not a normal mono: {failure}")
-    quo = inner.cokernel(sub)
-    if inner.mono_key(inner.kernel(quo)) != key:
+    if inner.mono_key(inner.kernel(inner.cokernel(sub))) != key:
         raise SesInvariantError("sub leg is not the kernel of the quotient leg")
-    obj = SesObject(ctx=inner, base=base, sub=sub, quo=quo)
-    inner._ses_obj_cache[(base, key)] = obj
-    return obj
+    marks = base.marks if inner.depth else ()
+    return SesObject(inner.innermost_object(base), marks + (key,))
 
 
+@dataclass(frozen=True)
 class SesHom:
     """A morphism of short exact sequences, at any depth of the tower.
 
-    It is stored as its innermost monoid map ``base``, because that one map
-    forces every leg: ``beta`` (on the bases) is the same map one level
-    down, ``alpha`` (on the subobjects) is forced because ``dst.sub`` is
-    mono, and ``gamma`` (on the quotients) because ``src.quo`` is epi. The
-    legs are derived on first use and cached on the instance; at depth 1
-    they are plain MonoidHoms. Equality and hashing use (src, dst, base
-    mapping).
-
-    ``SesHom(src, dst, alpha, beta, gamma)`` takes an explicit triple and
-    checks that both squares commute. Inside the package morphisms are
-    built from their base map: ``ses_hom_from_beta`` checks it against the
-    subobjects, and the context's operations produce valid maps by
-    construction or check them level by level.
+    It is stored as its innermost monoid map ``base``, src.monoid ->
+    dst.monoid, which must carry every mark of src into the mark of dst at
+    the same level; that one map forces the map on every leg. The
+    constructor checks this; the context's operations build valid maps
+    directly.
     """
 
-    def __init__(self, src: SesObject, dst: SesObject, alpha, beta, gamma):
-        inner = src.ctx
-        if inner.dom(beta) != src.base or inner.cod(beta) != dst.base:
-            raise MonoidError("beta endpoints do not match")
-        if inner.dom(alpha) != src.sub_object or inner.cod(alpha) != dst.sub_object:
-            raise MonoidError("alpha endpoints do not match")
-        if inner.dom(gamma) != src.quo_object or inner.cod(gamma) != dst.quo_object:
-            raise MonoidError("gamma endpoints do not match")
-        if not inner.hom_equal(inner.compose(dst.sub, alpha), inner.compose(beta, src.sub)):
-            raise MonoidError("left square does not commute")
-        if not inner.hom_equal(inner.compose(gamma, src.quo), inner.compose(dst.quo, beta)):
-            raise MonoidError("right square does not commute")
-        self.__dict__.update(src=src, dst=dst, base=_base_map(beta))
+    src: SesObject
+    dst: SesObject
+    base: MonoidHom
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SesHom is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SesHom is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, SesHom):
-            return NotImplemented
-        return (
-            self.base.mapping == other.base.mapping
-            and self.src == other.src
-            and self.dst == other.dst
-        )
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.src, self.dst, self.base.mapping))
-        return h
-
-    def __repr__(self):
-        return f"SesHom(depth={self.src.ctx.depth + 1}, {self.base.mapping})"
-
-    @cached_property
-    def beta(self):
-        return _at_level(self.src.base, self.dst.base, self.base)
-
-    @cached_property
-    def alpha(self):
-        src, dst = self.src, self.dst
-        a = _CMON.factor_through_kernel(mn.compose(self.base, _base_map(src.sub)), _base_map(dst.sub))
-        return _at_level(src.sub_object, dst.sub_object, a)
-
-    @cached_property
-    def gamma(self):
-        src, dst = self.src, self.dst
-        g = _CMON.factor_through_cokernel(_base_map(src.quo), mn.compose(_base_map(dst.quo), self.base))
-        return _at_level(src.quo_object, dst.quo_object, g)
+    def __post_init__(self):
+        if self.base.dom != self.src.monoid or self.base.cod != self.dst.monoid:
+            raise MonoidError("map endpoints do not match")
+        if len(self.src.marks) != len(self.dst.marks):
+            raise MonoidError("sequences of different depths")
+        if not _carries(self.base, self.src.marks, self.dst.marks):
+            raise MonoidError("map does not carry the subobjects into the target's")
 
 
-def _thin_hom(src: SesObject, dst: SesObject, base: MonoidHom) -> SesHom:
-    """The morphism src -> dst with innermost map ``base``. Callers guarantee
-    that base carries the subobject into the target's at every level."""
+def _hom(src: SesObject, dst: SesObject, base: MonoidHom) -> SesHom:
+    """The morphism src -> dst with innermost map ``base``, unchecked:
+    callers guarantee that base carries every mark into the target's."""
     h = object.__new__(SesHom)
     h.__dict__.update(src=src, dst=dst, base=base)
     return h
 
 
-def _base_map(f) -> MonoidHom:
-    """The innermost monoid map of a morphism at any depth."""
-    return f if isinstance(f, MonoidHom) else f.base
+def _image(f: MonoidHom, members) -> frozenset[int]:
+    return frozenset(map(f.mapping.__getitem__, members))
 
 
-def _at_level(src, dst, base: MonoidHom):
-    """The morphism src -> dst with innermost map ``base``, at the depth of
-    its endpoints: the map itself between monoids, a SesHom otherwise."""
-    return _thin_hom(src, dst, base) if isinstance(src, SesObject) else base
-
-
-def _carries_sub(src: SesObject, dst: SesObject, base: MonoidHom) -> bool:
-    """Does the innermost map send src's subobject into dst's subobject?"""
-    target = _base_map(dst.sub).image
-    mapping = base.mapping
-    return all(mapping[x] in target for x in _base_map(src.sub).mapping)
-
-
-def _require_subs_carried(src, dst, base: MonoidHom, message: str) -> None:
-    """Check at every level of the tower that the innermost map src -> dst
-    carries the subobject into the target's; raises MonoidError."""
-    while isinstance(src, SesObject):
-        if not _carries_sub(src, dst, base):
-            raise MonoidError(message)
-        src, dst = src.base, dst.base
-
-
-def ses_hom_from_beta(src: SesObject, dst: SesObject, beta) -> SesHom:
-    """The unique morphism of short exact sequences extending a base map.
-
-    beta is a morphism src.base -> dst.base one level down, valid there. It
-    extends exactly when it carries src's subobject into dst's, which is
-    checked on the innermost members; alpha and gamma are then forced.
-    """
-    inner = src.ctx
-    if inner.dom(beta) != src.base or inner.cod(beta) != dst.base:
-        raise MonoidError("beta endpoints do not match")
-    base = _base_map(beta)
-    if not _carries_sub(src, dst, base):
-        raise MonoidError("map does not carry the subobject into the target's")
-    return _thin_hom(src, dst, base)
-
-
-def _normal_mono_failure(src: SesObject, dst: SesObject, base: MonoidHom) -> str | None:
-    """The first failing clause of "the morphism src -> dst with innermost
-    map ``base`` is a normal mono", level by level (see SesContext)."""
-    if not _is_normal_mono(src.base, dst.base, base):
-        return "beta-not-normal-mono"
-    into = mn.compose(base, _base_map(src.sub))
-    sub = _base_map(dst.sub)
-    if not _is_normal_mono(src.sub_object, dst.sub_object, _CMON.factor_through_kernel(into, sub)):
-        return "alpha-not-normal-mono"
-    if into.image != base.image & sub.image:
-        return "left-square-not-pullback"
-    return None
-
-
-def _is_normal_mono(src, dst, base: MonoidHom) -> bool:
-    if isinstance(src, SesObject):
-        return _normal_mono_failure(src, dst, base) is None
-    return _CMON.is_normal_mono(base)
-
-
-def _normal_epi_failure(src: SesObject, dst: SesObject, base: MonoidHom) -> str | None:
-    """The first failing clause of "the morphism src -> dst with innermost
-    map ``base`` is a normal epi", level by level (see SesContext)."""
-    if not _is_normal_epi(src.base, dst.base, base):
-        return "beta-not-normal-epi"
-    quo = _CMON.factor_through_cokernel(_base_map(src.quo), mn.compose(_base_map(dst.quo), base))
-    if not _is_normal_epi(src.quo_object, dst.quo_object, quo):
-        return "gamma-not-normal-epi"
-    pushed = mn.compose(base, _base_map(src.sub)).image
-    if mn.normal_closure(base.cod, pushed) != _base_map(dst.sub).image:
-        return "right-square-not-pushout"
-    return None
-
-
-def _is_normal_epi(src, dst, base: MonoidHom) -> bool:
-    if isinstance(src, SesObject):
-        return _normal_epi_failure(src, dst, base) is None
-    return mn.is_normal_epi(base)
+def _carries(f: MonoidHom, marks, target_marks) -> bool:
+    mapping = f.mapping
+    return all(mapping[x] in L for K, L in zip(marks, target_marks) for x in K)
 
 
 class SesContext:
-    """The context of short exact sequences over an inner context.
+    """The context of short exact sequences at one depth d >= 1.
 
-    Kernels and cokernels follow the componentwise recipes: the kernel of
-    (alpha, beta, gamma) has base ker(beta) with sub induced from ker(alpha);
-    the cokernel has base coker(beta) with quotient leg induced from
-    coker(gamma).
+    Objects are SesObjects (M, (K1, ..., Kd)) and morphisms SesHoms, and
+    every operation works on the innermost map F and member sets:
 
-    The normality recognizers work level by level on the innermost map f
-    and innermost member sets, and build no morphism, kernel or pullback.
-    With A the subs and M the innermost monoids, f is a normal mono when
-    its base and sub legs are normal monos one level down and f(A_S) =
-    f(M_S) & A_T (the left square is a pullback); it is a normal epi when
-    its base and quotient legs are normal epis one level down and the
-    normal closure of f(A_S) is A_T (the right square is a pushout). The
-    first failing clause is the reason returned.
+    - the kernel of f is the subobject of its source on ker F, and the
+      subobject on a normal submonoid N has the marks N & Ki, renumbered
+      into the submonoid;
+    - the cokernel of f is the quotient q of the target's monoid by the
+      image of F, with the marks normal_closure(q(Li));
+    - f is a normal mono when F is one and F(Ki) = F(M_S) & Li at every
+      level (the left square is a pullback), and a normal epi when F is one
+      and normal_closure(F(Ki)) = Li at every level (the right square is a
+      pushout). A failing level below the top makes the base map fail
+      (``beta-not-normal-...``); the top level is the square's own reason.
+
+    These agree with the componentwise kernels, cokernels and leg-by-leg
+    recognizers of the nested construction, which the test suite keeps as
+    the reference.
     """
 
     def __init__(self, inner):
         self.inner = inner
         self.depth = inner.depth + 1
-        self._kernel_cache: dict[SesHom, SesHom] = {}
-        self._cokernel_cache: dict[SesHom, SesHom] = {}
-        self._nsub_cache: dict[SesObject, tuple[SesHom, ...]] = {}
-        self._subobject_cache: dict = {}
-        self._ses_obj_cache: dict = {}
 
     def __repr__(self):
         return f"SesContext(depth={self.depth})"
@@ -497,116 +347,97 @@ class SesContext:
         return f.dst
 
     def identity(self, X: SesObject) -> SesHom:
-        return _thin_hom(X, X, mn.identity_hom(self.innermost_object(X)))
+        return _hom(X, X, mn.identity_hom(X.monoid))
 
     def compose(self, g: SesHom, f: SesHom) -> SesHom:
         if f.dst != g.src:
             raise MonoidError("ses homs are not composable")
-        return _thin_hom(f.src, g.dst, mn.compose(g.base, f.base))
+        return _hom(f.src, g.dst, mn.compose(g.base, f.base))
 
     def hom_equal(self, f: SesHom, g: SesHom) -> bool:
         return f == g
 
     def zero_object(self) -> SesObject:
-        z = self.inner.zero_object()
-        return make_ses(self.inner, z, self.inner.identity(z))
+        return SesObject(TRIVIAL, (frozenset({0}),) * self.depth)
 
     def is_zero_object(self, X: SesObject) -> bool:
-        return self.inner.is_zero_object(X.base)
+        return X.monoid.size == 1
 
     def zero_hom(self, X: SesObject, Y: SesObject) -> SesHom:
-        return _thin_hom(X, Y, mn.zero_hom(self.innermost_object(X), self.innermost_object(Y)))
+        return _hom(X, Y, mn.zero_hom(X.monoid, Y.monoid))
 
     def is_zero_hom(self, f: SesHom) -> bool:
         return not any(f.base.mapping)
 
     def size(self, X: SesObject) -> int:
-        return self.inner.size(X.base)
-
-    def object(self, base, sub_mono) -> SesObject:
-        return make_ses(self.inner, base, sub_mono)
+        return X.monoid.size
 
     # -- kernels, cokernels, factorizations
 
     def kernel(self, f: SesHom) -> SesHom:
-        cached = self._kernel_cache.get(f)
-        if cached is not None:
-            return cached
-        inner = self.inner
-        b = inner.kernel(f.beta)
-        a = inner.kernel(f.alpha)
-        u = inner.factor_through_kernel(inner.compose(f.src.sub, a), b)
-        K = make_ses(inner, inner.dom(b), u)
-        k = ses_hom_from_beta(K, f.src, b)
-        self._kernel_cache[f] = k
-        return k
+        return self.subobject_mono(f.src, mn.kernel_subset(f.base))
 
     def cokernel(self, f: SesHom) -> SesHom:
-        cached = self._cokernel_cache.get(f)
-        if cached is not None:
-            return cached
-        inner = self.inner
-        qb = inner.cokernel(f.beta)
-        qc = inner.cokernel(f.gamma)
-        v = inner.factor_through_cokernel(qb, inner.compose(qc, f.dst.quo))
-        if not inner.is_normal_epi(v):
-            raise SesInvariantError("induced quotient comparison is not a normal epi")
-        Q = make_ses(inner, inner.cod(qb), inner.kernel(v))
-        q = ses_hom_from_beta(f.dst, Q, qb)
-        self._cokernel_cache[f] = q
-        return q
+        Q, q = mn.cokernel_by_submonoid(f.dst.monoid, f.base.image)
+        marks = tuple(mn.normal_closure(Q, _image(q, L)) for L in f.dst.marks)
+        return _hom(f.dst, SesObject(Q, marks), q)
 
     def factor_through_kernel(self, f: SesHom, m: SesHom) -> SesHom:
         """The unique u with m . u = f: factored on the innermost maps, then
-        checked to carry the subobject at every level."""
+        checked to carry the marks."""
         if f.dst != m.dst:
             raise MonoidError("ses map and mono do not share a codomain")
         base = _CMON.factor_through_kernel(f.base, m.base)
-        _require_subs_carried(f.src, m.src, base, "ses map does not factor through the kernel")
-        return _thin_hom(f.src, m.src, base)
+        if not _carries(base, f.src.marks, m.src.marks):
+            raise MonoidError("ses map does not factor through the kernel")
+        return _hom(f.src, m.src, base)
 
     def factor_through_cokernel(self, e: SesHom, f: SesHom) -> SesHom:
         """The unique u with u . e = f: factored on the innermost maps, then
-        checked to carry the subobject at every level."""
+        checked to carry the marks."""
         if e.src != f.src:
             raise MonoidError("epi and ses map do not share a domain")
         base = _CMON.factor_through_cokernel(e.base, f.base)
-        _require_subs_carried(e.dst, f.dst, base, "ses map does not factor through the cokernel")
-        return _thin_hom(e.dst, f.dst, base)
+        if not _carries(base, e.dst.marks, f.dst.marks):
+            raise MonoidError("ses map does not factor through the cokernel")
+        return _hom(e.dst, f.dst, base)
 
     # -- mono/epi/iso and normality
 
     def is_mono(self, f: SesHom) -> bool:
-        """alpha and beta mono; alpha is a restriction of beta."""
         return f.base.is_injective()
 
     def is_epi(self, f: SesHom) -> bool:
-        """beta and gamma epi; gamma is induced by beta on quotients."""
         return f.base.is_surjective()
 
     def is_iso(self, f: SesHom) -> bool:
-        """The base map is bijective and, at every level, carries the
-        subobject onto the target's (the quotient legs then follow)."""
-        base = f.base
-        if not base.is_bijective():
-            return False
-        src, dst = f.src, f.dst
-        while isinstance(src, SesObject):
-            if _base_map(src.sub).dom.size != _base_map(dst.sub).dom.size:
-                return False
-            if not _carries_sub(src, dst, base):
-                return False
-            src, dst = src.base, dst.base
-        return True
+        """The innermost map is bijective and carries every mark onto the
+        target's; it carries each into it, so equal sizes decide."""
+        return f.base.is_bijective() and all(
+            len(K) == len(L) for K, L in zip(f.src.marks, f.dst.marks)
+        )
 
     def normal_mono_failure(self, f: SesHom) -> str | None:
-        return _normal_mono_failure(f.src, f.dst, f.base)
+        F = f.base
+        if _CMON.normal_mono_failure(F) is not None:
+            return "beta-not-normal-mono"
+        image = F.image
+        for level, (K, L) in enumerate(zip(f.src.marks, f.dst.marks), 1):
+            if _image(F, K) != image & L:
+                return "left-square-not-pullback" if level == self.depth else "beta-not-normal-mono"
+        return None
 
     def is_normal_mono(self, f: SesHom) -> bool:
         return self.normal_mono_failure(f) is None
 
     def normal_epi_failure(self, f: SesHom) -> str | None:
-        return _normal_epi_failure(f.src, f.dst, f.base)
+        F = f.base
+        if not mn.is_normal_epi(F):
+            return "beta-not-normal-epi"
+        for level, (K, L) in enumerate(zip(f.src.marks, f.dst.marks), 1):
+            if mn.normal_closure(f.dst.monoid, _image(F, K)) != L:
+                return "right-square-not-pushout" if level == self.depth else "beta-not-normal-epi"
+        return None
 
     def is_normal_epi(self, f: SesHom) -> bool:
         return self.normal_epi_failure(f) is None
@@ -614,41 +445,28 @@ class SesContext:
     # -- subobjects
 
     def mono_key(self, m: SesHom):
-        """Subobjects at every level are determined by the base-level mono,
+        """Subobjects at every level are determined by the innermost mono,
         so keys are member sets of the innermost monoid."""
         return m.base.image
 
     def subobject_mono(self, X: SesObject, key) -> SesHom:
-        cached = self._subobject_cache.get((X, key))
-        if cached is not None:
-            return cached
-        inner = self.inner
-        beta = inner.subobject_mono(X.base, key)
-        span = inner.pullback_of_monos(X.sub, beta)
-        K = make_ses(inner, inner.dom(beta), span.to_second)
-        mono = ses_hom_from_beta(K, X, beta)
-        self._subobject_cache[(X, key)] = mono
-        return mono
+        inclusion = mn.inclusion_hom(X.monoid, key)
+        position = {x: i for i, x in enumerate(inclusion.mapping)}
+        marks = tuple(frozenset(position[x] for x in K & key) for K in X.marks)
+        return _hom(SesObject(inclusion.dom, marks), X, inclusion)
 
     def render_key(self, X: SesObject, key) -> str:
-        return self.inner.render_key(X.base, key)
+        return X.monoid.render_subset(key)
 
-    def innermost_object(self, X: SesObject):
-        return self.inner.innermost_object(X.base)
+    def innermost_object(self, X: SesObject) -> FinMonoid:
+        return X.monoid
 
     def normal_subobject_monos(self, X: SesObject) -> tuple[SesHom, ...]:
-        """Normal subobjects of a short exact sequence: one per normal
-        subobject of the base, transferred by ``subobject_mono`` (the base
-        subobject with its pullback against the sequence's own sub)."""
-        cached = self._nsub_cache.get(X)
-        if cached is not None:
-            return cached
-        monos = tuple(
-            self.subobject_mono(X, self.inner.mono_key(m))
-            for m in self.inner.normal_subobject_monos(X.base)
+        """One normal subobject per normal submonoid of the innermost
+        monoid, in its order."""
+        return tuple(
+            self.subobject_mono(X, m.image) for m in _CMON.normal_subobject_monos(X.monoid)
         )
-        self._nsub_cache[X] = monos
-        return monos
 
     # -- pullbacks
 
@@ -661,27 +479,26 @@ class SesContext:
     # -- isomorphisms
 
     def isomorphisms(self, X: SesObject, Y: SesObject) -> Iterator[SesHom]:
-        """Isos of the bases that carry the one subobject onto the other."""
-        inner = self.inner
-        key_y = inner.mono_key(Y.sub)
-        for phi in inner.isomorphisms(X.base, Y.base):
-            if inner.mono_key(inner.compose(phi, X.sub)) == key_y:
-                yield ses_hom_from_beta(X, Y, phi)
+        """Isos of the innermost monoids that carry every mark onto the
+        target's."""
+        for phi in mn.isomorphisms(X.monoid, Y.monoid):
+            if all(_image(phi, K) == L for K, L in zip(X.marks, Y.marks)):
+                yield _hom(X, Y, phi)
 
     def are_isomorphic(self, X: SesObject, Y: SesObject) -> bool:
         return next(self.isomorphisms(X, Y), None) is not None
 
 
-_SES_CACHE: dict[int, SesContext] = {}
+_SES_CONTEXTS: list[SesContext] = []
 
 
 def ses_context(ctx) -> SesContext:
-    """The (memoized) context of short exact sequences over ctx."""
-    found = _SES_CACHE.get(id(ctx))
-    if found is None:
-        found = SesContext(ctx)
-        _SES_CACHE[id(ctx)] = found
-    return found
+    """The context of short exact sequences one level above ctx. There is
+    one per depth, over the shared monoid context: a sequence is its
+    innermost monoid and marks, whichever context built it."""
+    while len(_SES_CONTEXTS) <= ctx.depth:
+        _SES_CONTEXTS.append(SesContext(_SES_CONTEXTS[-1] if _SES_CONTEXTS else _CMON))
+    return _SES_CONTEXTS[ctx.depth]
 
 
 # ---------------------------------------------------------------------------

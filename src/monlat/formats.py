@@ -41,10 +41,14 @@ def _parse_labels(entries, n):
         if labels[idx] is not None:
             raise ParseError(lineno, f"duplicate label for element {idx}")
         labels[idx] = name
-    for i, lab in enumerate(labels):
-        if lab is None:
-            labels[i] = str(i)
-    return tuple(labels)
+    # names render subsets in witnesses, so no two elements may share one
+    # (the delimiters stay allowed: exported lattices name elements {0,A})
+    taken = {str(i) for i, lab in enumerate(labels) if lab is None}
+    for lineno, _, name in entries:
+        if name in taken:
+            raise ParseError(lineno, f"label {name!r} names two elements")
+        taken.add(name)
+    return tuple(str(i) if lab is None else lab for i, lab in enumerate(labels))
 
 
 def parse_monoid_text(text: str) -> FinMonoid:

@@ -6,11 +6,21 @@ property, or a concrete reference implementation. The package computes
 each verdict one way only; the tests compare it against these.
 """
 
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import permutations, product
+from typing import Any
 
 from monlat.census import _natural_tables, _unpack
 from monlat.checks import diexact_check, second_iso_check, third_iso_check
-from monlat.context import generic_pullback_of_monos, normal_decomposition_in, restrict_mono
+from monlat.context import (
+    SesHom,
+    SesObject,
+    cmon_context,
+    generic_pullback_of_monos,
+    normal_decomposition_in,
+    restrict_mono,
+)
 from monlat.monoid import (
     FinMonoid,
     MonoidHom,
@@ -84,15 +94,337 @@ def categorical_lattice(ctx, X) -> NSubLattice:
 
 
 # ---------------------------------------------------------------------------
-# normal monos and normal epis of short exact sequences, recursively
+# short exact sequences, nested: the categorical construction the package's
+# flat tower is compared against
+
+
+@dataclass(frozen=True)
+class NestedObject:
+    """A short exact sequence stored as (base, sub, quo): ``sub`` is a
+    canonical normal mono into ``base``, an object one level down, and
+    ``quo`` its cokernel; (base, sub) determine the object. ``ctx`` is the
+    context the three legs live in."""
+
+    ctx: Any = field(compare=False, repr=False)
+    base: Any = None
+    sub: Any = None
+    quo: Any = field(default=None, compare=False, repr=False)
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.base, self.sub))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    @property
+    def sub_object(self):
+        return self.ctx.dom(self.sub)
+
+    @property
+    def quo_object(self):
+        return self.ctx.cod(self.quo)
+
+
+class NestedHom:
+    """A morphism of nested sequences. ``NestedHom(src, dst, alpha, beta,
+    gamma)`` checks the explicit legs (on the subobjects, the bases and the
+    quotients) and that both squares commute. The innermost map ``base``
+    forces every leg, so it is what is stored: the legs are derived from it
+    on first use, and equality and hashing use (src, dst, base mapping)."""
+
+    def __init__(self, src: NestedObject, dst: NestedObject, alpha, beta, gamma):
+        inner = src.ctx
+        if inner.dom(beta) != src.base or inner.cod(beta) != dst.base:
+            raise MonoidError("beta endpoints do not match")
+        if inner.dom(alpha) != src.sub_object or inner.cod(alpha) != dst.sub_object:
+            raise MonoidError("alpha endpoints do not match")
+        if inner.dom(gamma) != src.quo_object or inner.cod(gamma) != dst.quo_object:
+            raise MonoidError("gamma endpoints do not match")
+        if not inner.hom_equal(inner.compose(dst.sub, alpha), inner.compose(beta, src.sub)):
+            raise MonoidError("left square does not commute")
+        if not inner.hom_equal(inner.compose(gamma, src.quo), inner.compose(dst.quo, beta)):
+            raise MonoidError("right square does not commute")
+        self.__dict__.update(src=src, dst=dst, base=_base_map(beta))
+
+    def __eq__(self, other):
+        if not isinstance(other, NestedHom):
+            return NotImplemented
+        return (
+            self.base.mapping == other.base.mapping
+            and self.src == other.src
+            and self.dst == other.dst
+        )
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.src, self.dst, self.base.mapping))
+        return h
+
+    @cached_property
+    def beta(self):
+        return _at_level(self.src.base, self.dst.base, self.base)
+
+    @cached_property
+    def alpha(self):
+        src, dst = self.src, self.dst
+        a = _CMON.factor_through_kernel(compose(self.base, _base_map(src.sub)), _base_map(dst.sub))
+        return _at_level(src.sub_object, dst.sub_object, a)
+
+    @cached_property
+    def gamma(self):
+        src, dst = self.src, self.dst
+        g = _CMON.factor_through_cokernel(_base_map(src.quo), compose(_base_map(dst.quo), self.base))
+        return _at_level(src.quo_object, dst.quo_object, g)
+
+
+_CMON = cmon_context()
+
+
+def _thin(src: NestedObject, dst: NestedObject, base: MonoidHom) -> NestedHom:
+    h = object.__new__(NestedHom)
+    h.__dict__.update(src=src, dst=dst, base=base)
+    return h
+
+
+def _base_map(f) -> MonoidHom:
+    """The innermost monoid map of a morphism at any depth."""
+    return f if isinstance(f, MonoidHom) else f.base
+
+
+def _at_level(src, dst, base: MonoidHom):
+    """The morphism src -> dst with innermost map ``base``, at the depth of
+    its endpoints: the map itself between monoids, a NestedHom otherwise."""
+    return _thin(src, dst, base) if isinstance(src, NestedObject) else base
+
+
+def nested_hom_from_beta(src: NestedObject, dst: NestedObject, beta) -> NestedHom:
+    """The unique morphism extending a valid base map one level down. It
+    extends exactly when it carries src's subobject into dst's, that is,
+    when the innermost maps factor (else MonoidError); alpha and gamma are
+    then forced."""
+    inner = src.ctx
+    if inner.dom(beta) != src.base or inner.cod(beta) != dst.base:
+        raise MonoidError("beta endpoints do not match")
+    base = _base_map(beta)
+    _CMON.factor_through_kernel(compose(base, _base_map(src.sub)), _base_map(dst.sub))
+    return _thin(src, dst, base)
+
+
+def make_nested(inner, base, sub_mono) -> NestedObject:
+    """The nested sequence over ``base`` with the canonical sub that
+    ``sub_mono`` names and its cokernel as quotient leg, memoized on the
+    context one level up (with the labels the names are rendered with:
+    monoids compare by table alone)."""
+    up = nested_context(inner.depth + 1)
+    key = inner.mono_key(sub_mono)
+    memo = (base, key, inner.innermost_object(base).labels)
+    cached = up.objects.get(memo)
+    if cached is not None:
+        return cached
+    sub = inner.subobject_mono(base, key)
+    if not inner.is_normal_mono(sub):
+        raise MonoidError("sub leg is not a normal mono")
+    quo = inner.cokernel(sub)
+    if inner.mono_key(inner.kernel(quo)) != key:
+        raise MonoidError("sub leg is not the kernel of the quotient leg")
+    obj = up.objects[memo] = NestedObject(ctx=inner, base=base, sub=sub, quo=quo)
+    return obj
+
+
+class NestedSesContext:
+    """The context of nested short exact sequences over an inner context,
+    by the componentwise recipes: the kernel of (alpha, beta, gamma) has
+    base ker(beta) with sub induced from ker(alpha); the cokernel has base
+    coker(beta) with quotient leg induced from coker(gamma); a subobject is
+    a base subobject with its pullback against the sequence's sub; mono,
+    epi, iso and the normality recognizers are decided leg by leg."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.depth = inner.depth + 1
+        self.objects: dict = {}
+        self._kernels: dict = {}
+        self._cokernels: dict = {}
+        self._subobjects: dict = {}
+
+    def dom(self, f):
+        return f.src
+
+    def cod(self, f):
+        return f.dst
+
+    def compose(self, g, f):
+        if f.dst != g.src:
+            raise MonoidError("ses homs are not composable")
+        return _thin(f.src, g.dst, compose(g.base, f.base))
+
+    @cache
+    def hom_equal(self, f, g):
+        return (
+            f.src == g.src
+            and f.dst == g.dst
+            and all(self.inner.hom_equal(getattr(f, leg), getattr(g, leg)) for leg in ("alpha", "beta", "gamma"))
+        )
+
+    def kernel(self, f):
+        if f not in self._kernels:
+            inner = self.inner
+            b = inner.kernel(f.beta)
+            a = inner.kernel(f.alpha)
+            u = inner.factor_through_kernel(inner.compose(f.src.sub, a), b)
+            K = make_nested(inner, inner.dom(b), u)
+            self._kernels[f] = nested_hom_from_beta(K, f.src, b)
+        return self._kernels[f]
+
+    def cokernel(self, f):
+        if f not in self._cokernels:
+            inner = self.inner
+            qb = inner.cokernel(f.beta)
+            qc = inner.cokernel(f.gamma)
+            v = inner.factor_through_cokernel(qb, inner.compose(qc, f.dst.quo))
+            Q = make_nested(inner, inner.cod(qb), inner.kernel(v))
+            self._cokernels[f] = nested_hom_from_beta(f.dst, Q, qb)
+        return self._cokernels[f]
+
+    def factor_through_kernel(self, f, m):
+        if f.dst != m.dst:
+            raise MonoidError("ses map and mono do not share a codomain")
+        return nested_hom_from_beta(f.src, m.src, self.inner.factor_through_kernel(f.beta, m.beta))
+
+    def factor_through_cokernel(self, e, f):
+        if e.src != f.src:
+            raise MonoidError("epi and ses map do not share a domain")
+        return nested_hom_from_beta(e.dst, f.dst, self.inner.factor_through_cokernel(e.beta, f.beta))
+
+    @cache
+    def is_mono(self, f):
+        return self.inner.is_mono(f.alpha) and self.inner.is_mono(f.beta)
+
+    @cache
+    def is_epi(self, f):
+        return self.inner.is_epi(f.beta) and self.inner.is_epi(f.gamma)
+
+    @cache
+    def is_iso(self, f):
+        return all(self.inner.is_iso(leg) for leg in (f.beta, f.alpha, f.gamma))
+
+    @cache
+    def normal_mono_failure(self, f):
+        return recursive_normal_mono_failure(self, f)
+
+    def is_normal_mono(self, f):
+        return self.normal_mono_failure(f) is None
+
+    @cache
+    def normal_epi_failure(self, f):
+        return recursive_normal_epi_failure(self, f)
+
+    def is_normal_epi(self, f):
+        return self.normal_epi_failure(f) is None
+
+    def mono_key(self, m):
+        return self.inner.mono_key(m.beta)
+
+    def subobject_mono(self, X, key):
+        if (X, key) not in self._subobjects:
+            inner = self.inner
+            beta = inner.subobject_mono(X.base, key)
+            span = inner.pullback_of_monos(X.sub, beta)
+            K = make_nested(inner, inner.dom(beta), span.to_second)
+            self._subobjects[X, key] = nested_hom_from_beta(K, X, beta)
+        return self._subobjects[X, key]
+
+    def render_key(self, X, key):
+        return self.inner.render_key(X.base, key)
+
+    def innermost_object(self, X):
+        return self.inner.innermost_object(X.base)
+
+    def normal_subobject_monos(self, X):
+        return tuple(
+            self.subobject_mono(X, self.inner.mono_key(m))
+            for m in self.inner.normal_subobject_monos(X.base)
+        )
+
+    def pullback_of_monos(self, m1, m2):
+        return generic_pullback_of_monos(self, m1, m2)
+
+
+_NESTED: dict[int, NestedSesContext] = {}
+
+
+def nested_context(depth: int):
+    """The nested context at a depth of the tower (the monoid context at 0)."""
+    if depth == 0:
+        return _CMON
+    if depth not in _NESTED:
+        _NESTED[depth] = NestedSesContext(nested_context(depth - 1))
+    return _NESTED[depth]
+
+
+def nested_objects_at_depth(X, depth: int, name: str) -> list:
+    """``checks.objects_at_depth`` built with nested sequences."""
+    layer = [(_CMON, X, name)]
+    for _ in range(depth):
+        nxt = []
+        for ctx, obj, nm in layer:
+            for m in ctx.normal_subobject_monos(obj):
+                label = ctx.render_key(obj, ctx.mono_key(m))
+                nxt.append((nested_context(ctx.depth + 1), make_nested(ctx, obj, m), f"{nm}|sub={label}"))
+        layer = nxt
+    return layer
+
+
+def nested_object(X):
+    """The nested sequence of a flat SesObject (a monoid stays itself)."""
+    if not isinstance(X, SesObject):
+        return X
+    memo = (X, X.monoid.labels)
+    if memo not in _NESTED_OBJECTS:
+        base = nested_object(SesObject(X.monoid, X.marks[:-1]) if len(X.marks) > 1 else X.monoid)
+        inner = nested_context(len(X.marks) - 1)
+        _NESTED_OBJECTS[memo] = make_nested(inner, base, inner.subobject_mono(base, X.marks[-1]))
+    return _NESTED_OBJECTS[memo]
+
+
+_NESTED_OBJECTS: dict = {}
+
+
+def nested_hom(f):
+    """The nested morphism of a flat SesHom, built level by level from its
+    innermost map."""
+    return _lift(nested_object(f.src), nested_object(f.dst), f.base)
+
+
+def _lift(src, dst, base):
+    if not isinstance(src, NestedObject):
+        return base
+    return nested_hom_from_beta(src, dst, _lift(src.base, dst.base, base))
+
+
+def flat_object(X):
+    """The flat SesObject of a nested sequence: its innermost monoid and
+    the innermost members of its sub at every level."""
+    marks = []
+    while isinstance(X, NestedObject):
+        marks.append(X.ctx.mono_key(X.sub))
+        X = X.base
+    return SesObject(X, tuple(reversed(marks)))
+
+
+def flat_hom(f):
+    """The flat SesHom of a nested morphism (checked to carry the marks)."""
+    return SesHom(flat_object(f.src), flat_object(f.dst), f.base)
 
 
 def recursive_normal_mono_failure(ctx, f) -> str | None:
-    """Why f is not a normal mono, by the categorical definition: its beta
-    and alpha legs are normal monos one level down (recursively, down to the
-    monoid context) and its left square is a pullback, the pullback being
-    the kernel of the composite with a cokernel
-    (``generic_pullback_of_monos``)."""
+    """Why the nested morphism f is not a normal mono, by the categorical
+    definition: its beta and alpha legs are normal monos one level down
+    (recursively, down to the monoid context) and its left square is a
+    pullback, the pullback being the kernel of the composite with a
+    cokernel (``generic_pullback_of_monos``)."""
     if ctx.depth == 0:
         return ctx.normal_mono_failure(f)
     inner = ctx.inner
@@ -108,25 +440,19 @@ def recursive_normal_mono_failure(ctx, f) -> str | None:
 
 
 def recursive_normal_epi_failure(ctx, f) -> str | None:
-    """Why the ses morphism f is not a normal epi, by the categorical
+    """Why the nested morphism f is not a normal epi, by the categorical
     definition: its beta and gamma legs are normal epis one level down and
     its right square is a pushout, the target's sub being the kernel of the
     cokernel of the pushed-forward sub."""
     inner = ctx.inner
-    if not _recursive_is_normal_epi(inner, f.beta):
+    if not inner.is_normal_epi(f.beta):
         return "beta-not-normal-epi"
-    if not _recursive_is_normal_epi(inner, f.gamma):
+    if not inner.is_normal_epi(f.gamma):
         return "gamma-not-normal-epi"
     pushed = inner.mono_key(inner.kernel(inner.cokernel(inner.compose(f.beta, f.src.sub))))
     if inner.mono_key(f.dst.sub) != pushed:
         return "right-square-not-pushout"
     return None
-
-
-def _recursive_is_normal_epi(ctx, f) -> bool:
-    if ctx.depth == 0:
-        return ctx.is_normal_epi(f)
-    return recursive_normal_epi_failure(ctx, f) is None
 
 
 # ---------------------------------------------------------------------------

@@ -277,9 +277,9 @@ class TestTransferInstances:
     def test_ses_serialization(self, cmon, ses1, N5):
         # the sub of a nested ses renders by its innermost members
         S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
-        assert cmon.render_key(N5, cmon.mono_key(S.sub)) == "{0,D}"
+        assert cmon.render_key(N5, S.marks[-1]) == "{0,D}"
         S2 = make_ses(ses1, S, ses1.subobject_mono(S, down(N5, "C")))
-        assert ses1.render_key(S, ses1.mono_key(S2.sub)) == "{0,C}"
+        assert ses1.render_key(S, S2.marks[-1]) == "{0,C}"
 
 
 class TestSubquotientClosure:

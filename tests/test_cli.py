@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from monlat import census
 from monlat.cli import main
-from monlat.context import CmonContext, cmon_context
+from monlat.context import CmonContext
 from monlat.formats import emit_monoid_text, emit_semilattice_text
 
 
@@ -197,6 +198,22 @@ class TestNonCommutativeInput:
         assert proc.stdout == ""
 
 
+class TestDuplicateLabels:
+    """Two elements with one name would render two subsets alike in the
+    witnesses, so the input is rejected under every command that takes one."""
+
+    @pytest.mark.parametrize(
+        "argv", [("validate",), ("nsub",), ("check", "--property", "hsd")]
+    )
+    def test_exits_two_with_one_line(self, tmp_path, argv):
+        p = tmp_path / "twice.txt"
+        p.write_text("monoid 2\n0 1\n1 1\nlabel 0 a\nlabel 1 a\n")
+        proc = run_module(*argv, str(p))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"{p}: line 5: label 'a' names two elements"]
+        assert proc.stdout == ""
+
+
 class TestUnreadableInput:
     """A path that cannot be read as text is an input error under every
     command that takes an input."""
@@ -272,14 +289,23 @@ class TestInternalError:
 
     def test_exits_three_with_one_line(self, capsys, monkeypatch):
         # make_ses re-checks that every sub leg it is given is a normal mono;
-        # a recognizer that rejects them all breaks that invariant (a fresh
-        # object cache keeps earlier tests' sequences from hiding the check)
+        # a recognizer that rejects them all breaks that invariant
         monkeypatch.setattr(CmonContext, "normal_mono_failure", lambda self, f: "not-injective")
-        monkeypatch.setattr(cmon_context(), "_ses_obj_cache", {})
         code, out, err = run(capsys, "check", "--property", "hsd", "--ses-depth", "1", "N5")
         assert code == 3
         assert out == ""
         assert err == "N5: internal error: sub leg is not a normal mono: not-injective\n"
+
+    def test_census_non_lattice_exits_three(self, capsys, monkeypatch):
+        # the census search re-checks that every pair it emits has a join;
+        # a join search that finds none breaks that invariant (the cache is
+        # cleared so that the search runs; a failed size is not cached)
+        monkeypatch.setattr(census, "least_upper_bound", lambda up, i, j: None)
+        census.lattices_of_size.cache_clear()
+        code, out, err = run(capsys, "enumerate", "--max-size", "2")
+        assert code == 3
+        assert out == ""
+        assert err == "enumerate: internal error: search emitted a non-lattice\n"
 
 
 class TestTowerBytes:

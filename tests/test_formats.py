@@ -66,6 +66,20 @@ class TestMonoidFormat:
             parse_monoid_text("monoid 2\n0 1\n1 0\nlabel 0 e\nlabel 0 f\n")
         assert "duplicate" in str(err.value)
 
+    def test_label_names_are_unique(self):
+        with pytest.raises(ParseError) as err:
+            parse_monoid_text("monoid 2\n0 1\n1 0\nlabel 0 a\nlabel 1 a\n")
+        assert err.value.lineno == 5
+        # a name may not repeat the index that names an unlabelled element
+        with pytest.raises(ParseError) as err:
+            parse_semilattice_text("semilattice 2\ncover 0 1\nlabel 1 0\n")
+        assert err.value.lineno == 3
+
+    def test_subset_names_are_accepted_as_labels(self):
+        # exported lattices name their elements by member sets
+        M = parse_semilattice_text("lattice 2\ncover 0 1\nlabel 0 {0}\nlabel 1 {0,A}\n")
+        assert M.labels == ("{0}", "{0,A}")
+
     def test_partial_labels_fill_with_indices(self):
         M = parse_monoid_text("monoid 2\n0 1\n1 0\nlabel 1 g\n")
         assert M.labels == ("0", "g")

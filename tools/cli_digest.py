@@ -2,12 +2,14 @@
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
-the same lines exactly when every call gives the same bytes and exit code,
-so a change that must keep the CLI output can be checked with
+the same lines exactly when every call gives the same bytes and exit code.
+``tools/cli_digest.tsv`` holds the lines of the committed CLI, so a change
+that must keep the CLI output is checked with
 
-    python3 tools/cli_digest.py --src <other-checkout>/src > before.tsv
-    python3 tools/cli_digest.py > after.tsv
-    diff before.tsv after.tsv
+    python3 tools/cli_digest.py | diff tools/cli_digest.tsv -
+
+and only a change that alters CLI bytes on purpose records the file anew.
+``--src`` digests another checkout's sources instead.
 
 The calls: ``check`` of every property at depths 0-3 on bool2 and chain4
 (``stability`` at depth 0 only) and at depths 0-2 on N5, V4 and L6;
