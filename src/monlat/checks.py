@@ -21,7 +21,7 @@ from .context import (
     ses_context,
 )
 from .monoid import NormalDecomposition
-from .nsub import NSubLattice, enumerate_nsub, is_distributive, is_modular, join_via_uniinter
+from .nsub import enumerate_nsub, is_distributive, is_modular, join_via_uniinter
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,12 @@ def _report(prop, name, depth, witnesses, cases) -> CheckReport:
     return CheckReport(prop, name, depth, not witnesses, tuple(witnesses), cases)
 
 
-def third_iso_check(ctx, Z, name="object", depth=0, lat: NSubLattice | None = None) -> CheckReport:
+def third_iso_check(ctx, Z, name="object", depth=0) -> CheckReport:
     """Third Isomorphism Property at one object: for X <= Y normal in Z, the
     induced map Y/X -> Z/X must be a normal mono (equivalently, Y/X is a
     kernel of Z/X -> Z/Y). The witness note localizes which normality clause
     broke."""
-    lat = lat or enumerate_nsub(ctx, Z)
+    lat = enumerate_nsub(ctx, Z)
     witnesses = []
     cases = 0
     for ix in range(lat.size):
@@ -86,7 +86,7 @@ def third_iso_check(ctx, Z, name="object", depth=0, lat: NSubLattice | None = No
     return _report("hsd", name, depth, witnesses, cases)
 
 
-def second_iso_check(ctx, X, name="object", depth=0, lat: NSubLattice | None = None) -> CheckReport:
+def second_iso_check(ctx, X, name="object", depth=0) -> CheckReport:
     """Second Isomorphism Property at one object.
 
     For each ordered pair (Y, Z) of normal subobjects, the canonical
@@ -103,7 +103,7 @@ def second_iso_check(ctx, X, name="object", depth=0, lat: NSubLattice | None = N
     while the canonical map collapses two classes, and it is the canonical
     map that the exactness of the corresponding grid needs.
     """
-    lat = lat or enumerate_nsub(ctx, X)
+    lat = enumerate_nsub(ctx, X)
     witnesses = []
     cases = 0
     for iy in range(lat.size):
@@ -141,11 +141,11 @@ def second_iso_check(ctx, X, name="object", depth=0, lat: NSubLattice | None = N
     return _report("secondiso", name, depth, witnesses, cases)
 
 
-def dpn_check(ctx, X, name="object", depth=0, lat: NSubLattice | None = None) -> CheckReport:
+def dpn_check(ctx, X, name="object", depth=0) -> CheckReport:
     """Dinversion preserves normal maps, tested on one object: for each
     ordered pair (Y, Z), the composite Z >-> X ->> X/Y is normal exactly when
     its dinverse Y >-> X ->> X/Z is."""
-    lat = lat or enumerate_nsub(ctx, X)
+    lat = enumerate_nsub(ctx, X)
     witnesses = []
     cases = 0
     for iy in range(lat.size):
@@ -166,10 +166,10 @@ def dpn_check(ctx, X, name="object", depth=0, lat: NSubLattice | None = None) ->
     return _report("dpn", name, depth, witnesses, cases)
 
 
-def diexact_check(ctx, X, name="object", depth=0, lat: NSubLattice | None = None) -> CheckReport:
+def diexact_check(ctx, X, name="object", depth=0) -> CheckReport:
     """Local di-exactness: every antinormal composite Y >-> X ->> X/Z through
     this object is a normal map."""
-    lat = lat or enumerate_nsub(ctx, X)
+    lat = enumerate_nsub(ctx, X)
     witnesses = []
     cases = 0
     for iy in range(lat.size):
@@ -301,15 +301,15 @@ def subquotient_closure(ctx, X) -> list:
     return found
 
 
-def modular_check(ctx, X, name="object", depth=0, lat=None) -> CheckReport:
-    lat = lat or enumerate_nsub(ctx, X)
+def modular_check(ctx, X, name="object", depth=0) -> CheckReport:
+    lat = enumerate_nsub(ctx, X)
     ok, witness = is_modular(lat)
     witnesses = () if ok else (CheckWitness((), witness.names, witness.kind),)
     return CheckReport("modular", name, depth, ok, witnesses, lat.size**3)
 
 
-def distributive_check(ctx, X, name="object", depth=0, lat=None) -> CheckReport:
-    lat = lat or enumerate_nsub(ctx, X)
+def distributive_check(ctx, X, name="object", depth=0) -> CheckReport:
+    lat = enumerate_nsub(ctx, X)
     ok, witness = is_distributive(lat)
     witnesses = () if ok else (CheckWitness((), witness.names, witness.kind),)
     return CheckReport("distributive", name, depth, ok, witnesses, lat.size**3)
@@ -319,12 +319,11 @@ def distributive_check(ctx, X, name="object", depth=0, lat=None) -> CheckReport:
 # sweeping over iterated short-exact-sequence objects
 
 
-def objects_at_depth(X, depth: int, name: str, base_ctx=None) -> list[tuple[Any, Any, str]]:
+def objects_at_depth(X, depth: int, name: str) -> list[tuple[Any, Any, str]]:
     """All iterated ses objects over X: at each level, one object per normal
     subobject of each object one level down. Returns (context, object, name)
     triples in deterministic order."""
-    ctx = base_ctx or cmon_context()
-    layer = [(ctx, X, name)]
+    layer = [(cmon_context(), X, name)]
     for _ in range(depth):
         up = ses_context(layer[0][0])
         nxt = []

@@ -8,8 +8,8 @@ sequences one level above ctx, of the same shape, so it can be iterated.
 A sequence of any depth is stored flat, as its innermost monoid and one
 normal member set per level.
 
-Contexts are immutable bundles of pure functions over immutable values; the
-monoid context's dictionary only memoizes results of pure calls.
+Contexts are immutable bundles of pure functions over immutable values and
+keep no caches; results are memoized by the cached functions of ``monoid``.
 """
 
 from __future__ import annotations
@@ -51,12 +51,10 @@ class EpiPullback(NamedTuple):
 
 
 class CmonContext:
-    """The z-exact context of finite commutative monoids."""
+    """The z-exact context of finite commutative monoids. It holds no
+    state: the ``monoid`` functions it calls cache per monoid."""
 
     depth = 0
-
-    def __init__(self):
-        self._nsub_cache: dict[FinMonoid, tuple[MonoidHom, ...]] = {}
 
     def __repr__(self):
         return "CmonContext()"
@@ -163,31 +161,9 @@ class CmonContext:
         return X
 
     def normal_subobject_monos(self, X: FinMonoid) -> tuple[MonoidHom, ...]:
-        """All normal subobjects, as canonical inclusion monos.
-
-        Generated as joins (normal closures of unions) of the normal closures
-        of singletons: every normal submonoid is the join of the closures of
-        its members, so the generation is complete.
-        """
-        cached = self._nsub_cache.get(X)
-        if cached is not None:
-            return cached
-        if not X.commutative:
-            raise mn.NotCommutative("normal subobject enumeration needs a commutative monoid")
-        keys = {frozenset({0})}
-        for x in range(X.size):
-            keys.add(mn.normal_closure(X, frozenset({x})))
-        while True:
-            new = {
-                mn.normal_closure(X, a | b) for a in keys for b in keys
-            } - keys
-            if not new:
-                break
-            keys |= new
-        ordered = sorted(keys, key=lambda k: (len(k), sorted(k)))
-        monos = tuple(mn.inclusion_hom(X, k) for k in ordered)
-        self._nsub_cache[X] = monos
-        return monos
+        """All normal subobjects, as the inclusions of the normal submonoids
+        in ``monoid.normal_submonoids`` order."""
+        return tuple(mn.inclusion_hom(X, k) for k in mn.normal_submonoids(X))
 
     # -- pullbacks
 

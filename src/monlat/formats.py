@@ -41,12 +41,15 @@ def _parse_labels(entries, n):
         if labels[idx] is not None:
             raise ParseError(lineno, f"duplicate label for element {idx}")
         labels[idx] = name
-    # names render subsets in witnesses, so no two elements may share one
-    # (the delimiters stay allowed: exported lattices name elements {0,A})
+    # names render subsets in witnesses, (A;B):note and pentagon[A;B;...],
+    # so no two elements may share one and none may hold a delimiter (braces
+    # and commas stay allowed: exported lattices name elements {0,A})
     taken = {str(i) for i, lab in enumerate(labels) if lab is None}
     for lineno, _, name in entries:
         if name in taken:
             raise ParseError(lineno, f"label {name!r} names two elements")
+        if any(c in name for c in ";[]:"):
+            raise ParseError(lineno, f"label {name!r} contains a witness delimiter")
         taken.add(name)
     return tuple(str(i) if lab is None else lab for i, lab in enumerate(labels))
 

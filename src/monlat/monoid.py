@@ -9,7 +9,7 @@ is pure, so results may be shared between threads and cached freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator
@@ -74,12 +74,13 @@ def table_axiom_failures(table) -> list[AxiomFailure]:
 class FinMonoid:
     """A finite monoid given by its full operation table.
 
-    ``table[i][j]`` is the index of ``i * j``. Labels are display-only and
-    excluded from equality and hashing.
+    ``table[i][j]`` is the index of ``i * j``. Labels only name elements,
+    but they take part in equality and hashing, so every cache keyed by a
+    monoid hands back results carrying that monoid's labels.
     """
 
     table: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
+    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         table = tuple(tuple(row) for row in self.table)
@@ -99,7 +100,7 @@ class FinMonoid:
     def __hash__(self):
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash(self.table)
+            h = hash((self.table, self.labels))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -355,29 +356,44 @@ def cokernel_of_hom(f: MonoidHom) -> MonoidHom:
 def normal_closure(M: FinMonoid, seed: frozenset) -> frozenset[int]:
     """Smallest normal submonoid of a commutative monoid containing the seed.
 
-    Fixpoint of two monotone rules: close under the operation, and pull x in
-    whenever x+k is in the set for some member k. Alternating the two passes
-    converges; the order does not affect the result.
+    With S the submonoid the seed generates, it is {x : x+k in S for some k
+    in S}: the class of 0 under the cokernel congruence of S (see
+    ``cokernel_by_submonoid``), a kernel and so normal, and inside every
+    normal submonoid that contains S.
     """
     if not M.commutative:
         raise NotCommutative("normal closure needs a commutative monoid")
     t = M.table
-    current = set(seed) | {0}
-    while True:
-        changed = False
-        for a in list(current):
-            for b in list(current):
-                if t[a][b] not in current:
-                    current.add(t[a][b])
-                    changed = True
-        for x in range(M.size):
-            if x in current:
-                continue
-            if any(t[x][k] in current for k in current):
-                current.add(x)
-                changed = True
-        if not changed:
-            return frozenset(current)
+    generated = {0}
+    todo = list(seed)
+    while todo:
+        a = todo.pop()
+        if a not in generated:
+            generated.add(a)
+            todo += [t[a][b] for b in generated]
+    return frozenset(
+        x for x in range(M.size) if any(t[x][k] in generated for k in generated)
+    )
+
+
+@lru_cache(maxsize=None)
+def normal_submonoids(M: FinMonoid) -> tuple[frozenset[int], ...]:
+    """Every normal submonoid of a commutative monoid, ordered by size and
+    then by sorted members.
+
+    Every normal submonoid is the join (the normal closure of the union) of
+    the closures of its members, so one pass finds them all: starting from
+    {0}, each singleton closure not found yet is joined with every key
+    found so far.
+    """
+    if not M.commutative:
+        raise NotCommutative("normal subobject enumeration needs a commutative monoid")
+    keys = {frozenset({0})}
+    for x in range(M.size):
+        g = normal_closure(M, frozenset({x}))
+        if g not in keys:
+            keys |= {normal_closure(M, k | g) for k in keys}
+    return tuple(sorted(keys, key=lambda k: (len(k), sorted(k))))
 
 
 def is_normal_epi(f: MonoidHom) -> bool:

@@ -1,19 +1,23 @@
 """The lattice of normal subobjects of an object in any context.
 
 Every object of the context tower shares the lattice of its innermost
-commutative monoid: meets are intersections, joins are normal closures of
-unions. Modularity and distributivity are each decided by one scan of the
-lattice law; a failing lattice then gets the first pentagon or diamond
-sublattice as its witness.
+commutative monoid, built once per monoid from inclusion of its normal
+submonoids. Every lattice here, that one or a semilattice's own, is built
+from up-set bitmasks of its order by one function: joins and meets are
+least upper bounds in the order and in its dual. Modularity and
+distributivity are each decided by one scan of the lattice law; a failing
+lattice then gets the first pentagon or diamond sublattice as its witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations, product
 
 from . import monoid as mn
-from .context import cmon_context, restrict_mono
+from .context import restrict_mono
+from .semilattice import least_upper_bound
 
 
 @dataclass(frozen=True)
@@ -52,30 +56,40 @@ class NSubLattice:
         return self.keys.index(key)
 
 
-def lattice_from_join_table(table, names=None) -> NSubLattice:
-    """Lattice structure of a finite monoidal semilattice given by its joins."""
-    n = len(table)
-    leq = tuple(tuple(table[a][b] == b for b in range(n)) for a in range(n))
-    meet = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            lbs = [c for c in range(n) if leq[c][a] and leq[c][b]]
-            greatest = [m for m in lbs if all(leq[c][m] for c in lbs)]
-            if len(greatest) != 1:
-                raise mn.MonoidError(f"no meet for ({a},{b})")
-            meet[a][b] = greatest[0]
-    bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
-    tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise mn.MonoidError("join table is not a bounded lattice")
+def _bounds(masks) -> tuple[tuple[int, ...], ...]:
+    n = len(masks)
+    table = tuple(tuple(least_upper_bound(masks, a, b) for b in range(n)) for a in range(n))
+    if any(None in row for row in table):
+        raise RuntimeError("order is not a lattice")
+    return table
+
+
+def _lattice_from_order(up, names, keys=()) -> NSubLattice:
+    """The lattice of a finite order given by up-set bitmasks (bit b of
+    ``up[a]`` set when a <= b): joins are least upper bounds, meets least
+    upper bounds in the dual order, and the top and bottom are the elements
+    whose down-set or up-set holds everything. Callers pass lattices, so a
+    missing bound is a broken internal invariant."""
+    n = len(up)
+    down = [sum(1 << a for a in range(n) if up[a] >> b & 1) for b in range(n)]
+    everything = (1 << n) - 1
     return NSubLattice(
-        leq=leq,
-        join=tuple(tuple(row) for row in table),
-        meet=tuple(tuple(row) for row in meet),
-        top=tops[0],
-        bottom=bottoms[0],
-        names=tuple(names) if names is not None else tuple(str(i) for i in range(n)),
+        leq=tuple(tuple(bool(mask >> b & 1) for b in range(n)) for mask in up),
+        join=_bounds(up),
+        meet=_bounds(down),
+        top=down.index(everything),
+        bottom=up.index(everything),
+        names=tuple(names),
+        keys=keys,
     )
+
+
+def lattice_from_join_table(table, names=None) -> NSubLattice:
+    """Lattice structure of a finite monoidal semilattice given by its joins:
+    a <= b when a v b = b."""
+    n = len(table)
+    up = [sum(1 << b for b in range(n) if row[b] == b) for row in table]
+    return _lattice_from_order(up, names if names is not None else map(str, range(n)))
 
 
 def lattice_of_semilattice(L: mn.FinMonoid) -> NSubLattice:
@@ -94,31 +108,13 @@ def join_via_uniinter(ctx, X, y_mono, z_mono):
     return ctx.kernel(ctx.compose(q2, qz))
 
 
-# keyed by the monoid and its labels: monoids compare by table only, and the
-# names are rendered with the labels
-_NSUB_LATTICE_CACHE: dict[tuple, NSubLattice] = {}
-
-
+@lru_cache(maxsize=None)
 def _monoid_lattice(M: mn.FinMonoid) -> NSubLattice:
-    """The lattice of normal submonoids of a commutative monoid, indexed in
-    enumeration order: the meet of two is their intersection and the join
-    the normal closure of their union, the closures the enumeration formed."""
-    cached = _NSUB_LATTICE_CACHE.get((M, M.labels))
-    if cached is not None:
-        return cached
-    keys = tuple(m.image for m in cmon_context().normal_subobject_monos(M))
-    index = {k: i for i, k in enumerate(keys)}
-    lat = NSubLattice(
-        leq=tuple(tuple(a <= b for b in keys) for a in keys),
-        join=tuple(tuple(index[mn.normal_closure(M, a | b)] for b in keys) for a in keys),
-        meet=tuple(tuple(index[a & b] for b in keys) for a in keys),
-        top=len(keys) - 1,
-        bottom=0,
-        names=tuple(M.render_subset(k) for k in keys),
-        keys=keys,
-    )
-    _NSUB_LATTICE_CACHE[M, M.labels] = lat
-    return lat
+    """The lattice of normal submonoids of a commutative monoid under
+    inclusion, indexed in ``monoid.normal_submonoids`` order."""
+    keys = mn.normal_submonoids(M)
+    up = [sum(1 << j for j, b in enumerate(keys) if a <= b) for a in keys]
+    return _lattice_from_order(up, map(M.render_subset, keys), keys)
 
 
 def enumerate_nsub(ctx, X) -> NSubLattice:

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from monlat import cmon_context, ses_context
+from monlat import cmon_context, lattices_of_size, ses_context
 from monlat.monoid import FinMonoid
 from monlat.semilattice import (
     bool2,
@@ -45,8 +45,7 @@ def V4():
     return klein_four()
 
 
-@pytest.fixture(scope="session")
-def commutative_fixtures():
+def named_commutative_monoids():
     """The named commutative fixtures used across the property suites."""
     return {
         "triv": trivial(),
@@ -59,6 +58,11 @@ def commutative_fixtures():
         "L6": six_lattice(),
         "V4": klein_four(),
     }
+
+
+@pytest.fixture(scope="session")
+def commutative_fixtures():
+    return named_commutative_monoids()
 
 
 def elem(M, name):
@@ -86,3 +90,16 @@ def abelian_group(*orders):
             for a in elems
         )
     )
+
+
+def closure_oracle_families():
+    """The commutative monoids the normal-closure oracles run on, by family:
+    the named fixtures, every census lattice up to size 7, and the groups
+    Z2^4, Z2xZ4, Z3^3 and Z6xZ2^2."""
+    families = {
+        "fixtures": list(named_commutative_monoids().values()),
+        "census": [L for n in range(1, 8) for L in lattices_of_size(n)],
+    }
+    for orders in ((2, 2, 2, 2), (2, 4), (3, 3, 3), (6, 2, 2)):
+        families["Z" + "xZ".join(map(str, orders))] = [abelian_group(*orders)]
+    return families

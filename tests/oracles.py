@@ -215,11 +215,10 @@ def nested_hom_from_beta(src: NestedObject, dst: NestedObject, beta) -> NestedHo
 def make_nested(inner, base, sub_mono) -> NestedObject:
     """The nested sequence over ``base`` with the canonical sub that
     ``sub_mono`` names and its cokernel as quotient leg, memoized on the
-    context one level up (with the labels the names are rendered with:
-    monoids compare by table alone)."""
+    context one level up."""
     up = nested_context(inner.depth + 1)
     key = inner.mono_key(sub_mono)
-    memo = (base, key, inner.innermost_object(base).labels)
+    memo = (base, key)
     cached = up.objects.get(memo)
     if cached is not None:
         return cached
@@ -381,12 +380,11 @@ def nested_object(X):
     """The nested sequence of a flat SesObject (a monoid stays itself)."""
     if not isinstance(X, SesObject):
         return X
-    memo = (X, X.monoid.labels)
-    if memo not in _NESTED_OBJECTS:
+    if X not in _NESTED_OBJECTS:
         base = nested_object(SesObject(X.monoid, X.marks[:-1]) if len(X.marks) > 1 else X.monoid)
         inner = nested_context(len(X.marks) - 1)
-        _NESTED_OBJECTS[memo] = make_nested(inner, base, inner.subobject_mono(base, X.marks[-1]))
-    return _NESTED_OBJECTS[memo]
+        _NESTED_OBJECTS[X] = make_nested(inner, base, inner.subobject_mono(base, X.marks[-1]))
+    return _NESTED_OBJECTS[X]
 
 
 _NESTED_OBJECTS: dict = {}
@@ -774,6 +772,60 @@ def normal_submonoids_by_filter(X: FinMonoid) -> set[frozenset[int]]:
     return found
 
 
+@cache
+def fixpoint_normal_closure(M: FinMonoid, seed: frozenset) -> frozenset[int]:
+    """Smallest normal submonoid of a commutative monoid containing the seed,
+    as the fixpoint of two monotone rules: close under the operation, and
+    pull x in whenever x+k is in the set for some member k. Alternating the
+    two passes converges; the order does not affect the result."""
+    t = M.table
+    current = set(seed) | {0}
+    while True:
+        changed = False
+        for a in list(current):
+            for b in list(current):
+                if t[a][b] not in current:
+                    current.add(t[a][b])
+                    changed = True
+        for x in range(M.size):
+            if x in current:
+                continue
+            if any(t[x][k] in current for k in current):
+                current.add(x)
+                changed = True
+        if not changed:
+            return frozenset(current)
+
+
+def normal_submonoids_by_rounds(M: FinMonoid) -> tuple[frozenset[int], ...]:
+    """Every normal submonoid of a commutative monoid: the closures of the
+    singletons, closed under the joins of all pairs round by round until a
+    round adds nothing, ordered by size and then by sorted members."""
+    keys = {frozenset({0})} | {fixpoint_normal_closure(M, frozenset({x})) for x in range(M.size)}
+    while True:
+        new = {fixpoint_normal_closure(M, a | b) for a in keys for b in keys} - keys
+        if not new:
+            return tuple(sorted(keys, key=lambda k: (len(k), sorted(k))))
+        keys |= new
+
+
+def lattice_by_closures(M: FinMonoid) -> NSubLattice:
+    """The lattice of normal submonoids of a commutative monoid from
+    ``normal_submonoids_by_rounds``: inclusion, intersections as meets and
+    fixpoint closures of unions as joins, bottom first and top last."""
+    keys = normal_submonoids_by_rounds(M)
+    index = {k: i for i, k in enumerate(keys)}
+    return NSubLattice(
+        leq=tuple(tuple(a <= b for b in keys) for a in keys),
+        join=tuple(tuple(index[fixpoint_normal_closure(M, a | b)] for b in keys) for a in keys),
+        meet=tuple(tuple(index[a & b] for b in keys) for a in keys),
+        top=len(keys) - 1,
+        bottom=0,
+        names=tuple(M.render_subset(k) for k in keys),
+        keys=keys,
+    )
+
+
 def normal_decomposition(f: MonoidHom) -> NormalDecomposition | NotNormal:
     """Concrete normal decomposition of a hom between commutative monoids.
 
@@ -848,7 +900,7 @@ def second_iso_disagreements(ctx, X, name="object", depth=0) -> list[str]:
     composite f: Y >-> YvZ ->> (YvZ)/Z is a normal map, (iii) f is a normal
     epi."""
     lat = enumerate_nsub(ctx, X)
-    report = second_iso_check(ctx, X, name, depth, lat)
+    report = second_iso_check(ctx, X, name, depth)
     primal_failures = {w.keys for w in report.witnesses if "primal" in w.note}
     out = []
     for iy, iz in product(range(lat.size), repeat=2):

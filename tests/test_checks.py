@@ -101,7 +101,7 @@ class TestSecondIso:
 
         for L in commutative_fixtures.values():
             lat = enumerate_nsub(cmon, L)
-            report = second_iso_check(cmon, L, "L", lat=lat)
+            report = second_iso_check(cmon, L, "L")
             for w in report.witnesses:
                 iy = lat.index_of_key(w.keys[0])
                 iz = lat.index_of_key(w.keys[1])

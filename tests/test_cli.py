@@ -9,6 +9,8 @@ from monlat.cli import main
 from monlat.context import CmonContext
 from monlat.formats import emit_monoid_text, emit_semilattice_text
 
+from conftest import abelian_group
+
 
 @pytest.fixture()
 def l6_file(tmp_path, L6):
@@ -214,6 +216,33 @@ class TestDuplicateLabels:
         assert proc.stdout == ""
 
 
+class TestDelimiterLabels:
+    """A label holding a witness delimiter would make the ``witness=``
+    strings ambiguous, so the input is rejected under every command that
+    takes one; the braces and commas of exported subset names stay allowed."""
+
+    @pytest.mark.parametrize("name", ["a;b", "[a", "a]", "a:b"])
+    @pytest.mark.parametrize(
+        "argv", [("validate",), ("nsub",), ("check", "--property", "hsd")]
+    )
+    def test_exits_two_with_one_line(self, tmp_path, argv, name):
+        p = tmp_path / "delimiter.txt"
+        p.write_text(f"monoid 2\n0 1\n1 1\nlabel 1 {name}\n")
+        proc = run_module(*argv, str(p))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"{p}: line 4: label {name!r} contains a witness delimiter"
+        ]
+        assert proc.stdout == ""
+
+    def test_semilattice_file_rejected(self, capsys, tmp_path):
+        p = tmp_path / "delimiter.txt"
+        p.write_text("semilattice 2\ncover 0 1\nlabel 1 x:y\n")
+        code, out, err = run(capsys, "validate", str(p))
+        assert (code, out) == (2, "")
+        assert err == f"{p}: line 3: label 'x:y' contains a witness delimiter\n"
+
+
 class TestUnreadableInput:
     """A path that cannot be read as text is an input error under every
     command that takes an input."""
@@ -267,6 +296,22 @@ class TestLatticeBytes:
     )
     def test_nsub_export(self, capsys, fixture_name, text):
         assert run(capsys, "nsub", fixture_name) == (0, text, "")
+
+    @pytest.mark.parametrize(
+        "orders, digest",
+        [
+            ((2, 2, 2, 2), "04fa039503a0dbd4013f73c78aed93b9"),
+            ((6, 2, 2), "f10e83aab1bff8e4d8ad4d933b5027f3"),
+        ],
+    )
+    def test_nsub_export_of_groups(self, capsys, tmp_path, orders, digest):
+        # the md5 of the export as printed before the normal submonoids were
+        # enumerated in one pass
+        path = tmp_path / "group.txt"
+        path.write_text(emit_monoid_text(abelian_group(*orders)))
+        code, out, err = run(capsys, "nsub", str(path))
+        assert (code, err) == (0, "")
+        assert hashlib.md5(out.encode()).hexdigest() == digest
 
     def test_hsd_result_lines_at_depth_one(self, capsys):
         code, out, _ = run(capsys, "check", "--property", "hsd", "--ses-depth", "1", "N5")

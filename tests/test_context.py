@@ -7,6 +7,7 @@ from monlat.checks import (
     diexact_check,
     dpn_check,
     objects_at_depth,
+    run_check,
     second_iso_check,
     third_iso_check,
 )
@@ -767,12 +768,22 @@ class TestFlatTower:
         assert not_closed
 
     def test_objects_keep_their_own_labels(self):
-        # monoids compare by table alone: chain3 is equal to the submonoid
-        # {0,C,B} of N5 that an earlier sweep built, and its sweep must still
-        # name subobjects with its own labels
+        # chain3 has the table of the submonoid {0,C,B} of N5 that an
+        # earlier sweep built, and its sweep must still name subobjects with
+        # its own labels
         objects_at_depth(pentagon(), 2, "N5")
         names = {enumerate_nsub(ctx, S).names for ctx, S, _ in objects_at_depth(chain(3), 1, "chain3")}
         assert names == {("{0}", "{0,1}", "{0,1,2}")}
+
+    def test_quotients_keep_their_own_labels(self, cmon):
+        # the depth-2 hsd sweep over N5 builds quotients of N5's submonoid
+        # {0,C,B}, which has chain3's table; a quotient of chain3 must still
+        # carry chain3's labels
+        run_check("hsd", pentagon(), 2, "N5")
+        ses1 = ses_context(cmon)
+        S = make_ses(cmon, chain(3), cmon.subobject_mono(chain(3), frozenset({0, 1})))
+        q = ses1.cokernel(ses1.subobject_mono(S, frozenset({0, 1})))
+        assert q.dst.monoid.labels == ("{0,1}", "{2}")
 
 
 def _lattice_tables(lat):

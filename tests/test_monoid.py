@@ -25,10 +25,11 @@ from monlat.monoid import (
     zero_hom,
 )
 
-from conftest import down
+from conftest import closure_oracle_families, down
 from oracles import (
     NotNormalSubmonoid,
     all_homs,
+    fixpoint_normal_closure,
     normal_decomposition,
     quotient_by_downset,
     syntactic_quotient,
@@ -272,6 +273,18 @@ class TestNormalClosure:
     def test_closure_monotone(self, N5, seed, extra):
         small = frozenset(seed)
         assert normal_closure(N5, small) <= normal_closure(N5, small | frozenset(extra))
+
+    @given(
+        case=st.sampled_from(
+            [M for family in closure_oracle_families().values() for M in family]
+        ).flatmap(
+            lambda M: st.tuples(st.just(M), st.frozensets(st.integers(0, M.size - 1)))
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fixpoint_oracle(self, case):
+        M, seed = case
+        assert normal_closure(M, seed) == fixpoint_normal_closure(M, seed)
 
 
 class TestNormalMonosAndEpis:

@@ -1,6 +1,6 @@
 import pytest
 
-from monlat.monoid import normal_closure
+from monlat.monoid import normal_closure, normal_submonoids
 from monlat.nsub import (
     _sublattice_shape,
     cokersquare_check,
@@ -15,14 +15,19 @@ from monlat.nsub import (
 )
 from monlat.semilattice import covers_of
 
-from conftest import abelian_group, down
+from conftest import abelian_group, closure_oracle_families, down
 from oracles import (
     categorical_lattice,
     find_lattice_isomorphism,
+    fixpoint_normal_closure,
     lattice_axiom_failure,
+    lattice_by_closures,
     lattice_method_disagreements,
     lattices_isomorphic,
+    normal_submonoids_by_rounds,
 )
+
+ORACLE_FAMILIES = closure_oracle_families()
 
 
 class TestEnumerate:
@@ -100,6 +105,36 @@ class TestJoinViaUniinter:
                 for b in monos:
                     j = join_via_uniinter(cmon, L, a, b)
                     assert cmon.mono_key(j) == normal_closure(L, a.image | b.image)
+
+
+class TestClosureOracles:
+    """The closure formula, the one-pass enumeration and the lattice built
+    from up-set bitmasks, against the fixpoint closure, the all-pairs
+    rounds and the closure-table lattice."""
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_enumeration_matches_all_pairs_rounds(self, family):
+        for M in ORACLE_FAMILIES[family]:
+            assert normal_submonoids(M) == normal_submonoids_by_rounds(M)
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_closure_matches_fixpoint_on_pairs(self, family):
+        for M in ORACLE_FAMILIES[family]:
+            for x in range(M.size):
+                for y in range(x, M.size):
+                    seed = frozenset({x, y})
+                    assert normal_closure(M, seed) == fixpoint_normal_closure(M, seed)
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_lattice_matches_closure_tables(self, cmon, family):
+        for M in ORACLE_FAMILIES[family]:
+            lat, ref = enumerate_nsub(cmon, M), lattice_by_closures(M)
+            assert _tables(lat) == _tables(ref)
+            assert lattice_axiom_failure(lat) is None
+
+
+def _tables(lat):
+    return (lat.keys, lat.names, lat.leq, lat.join, lat.meet, lat.top, lat.bottom)
 
 
 class TestModularity:

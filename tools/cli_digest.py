@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 148 CLI calls, one line per call.
+"""Digest the output of a fixed set of 166 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -16,10 +16,12 @@ The calls: ``check`` of every property at depths 0-3 on bool2 and chain4
 ``stability`` on N5, V4 and L6; ``nsub`` on the nine named fixtures;
 ``paper-examples`` at depths 1 and 2; ``enumerate --max-size 8``; ``nsub``,
 ``modular`` and ``distributive`` on Z2^3, Z2xZ4, Z3^3, Z2^4 and Z6xZ2^2;
-and every depth-1 check and ``stability`` on Z2^3 and Z2xZ4. Every call
-runs in a fresh interpreter; the group tables are written to a temporary
-directory that is the calls' working directory, so no path shows in the
-output.
+every depth-1 check and ``stability`` on Z2^3 and Z2xZ4; ``validate`` on
+the nine named fixtures and the five groups; and four input errors (exit
+2): ``nsub`` on a non-commutative monoid file, an unknown fixture, a
+``--ses-depth`` of 4 and ``enumerate --max-size 9``. Every call runs in a
+fresh interpreter; the input files are written to a temporary directory
+that is the calls' working directory, so no path shows in the output.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ GROUPS = {
     "Z2x2x2x2": (2, 2, 2, 2),
     "Z6x2x2": (6, 2, 2),
 }
+# the identity adjoined to the two-element left-zero band: x*y = x for x, y > 0
+NONCOMMUTATIVE = "monoid 3\n0 1 2\n1 1 1\n2 2 2\n"
 
 
 def group_text(orders: tuple[int, ...]) -> str:
@@ -80,6 +84,14 @@ def calls() -> list[tuple[str, ...]]:
         path = f"{group}.txt"
         out += [("check", "--property", prop, "--ses-depth", "1", path) for prop in CHECKS]
         out.append(("check", "--property", "stability", path))
+    out += [("validate", name) for name in FIXTURES]
+    out += [("validate", f"{group}.txt") for group in GROUPS]
+    out += [
+        ("nsub", "noncommutative.txt"),
+        ("nsub", "nosuch"),
+        ("check", "--property", "hsd", "--ses-depth", "4", "bool2"),
+        ("enumerate", "--max-size", "9"),
+    ]
     return out
 
 
@@ -91,6 +103,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         for group, orders in GROUPS.items():
             Path(work, f"{group}.txt").write_text(group_text(orders))
+        Path(work, "noncommutative.txt").write_text(NONCOMMUTATIVE)
         for call in calls():
             proc = subprocess.run(
                 [sys.executable, "-m", "monlat", *call], cwd=work, env=env, capture_output=True
