@@ -6,15 +6,12 @@ from .census import lattices_of_size, lattices_up_to
 from .checks import (
     CheckReport,
     CheckWitness,
-    DiExtensionGrid,
-    build_diextension,
     diexact_check,
     dpn_check,
     objects_at_depth,
     pullback_stability_check,
     run_check,
     second_iso_check,
-    subquotient_closure,
     third_iso_check,
 )
 from .context import (

@@ -12,16 +12,14 @@ from dataclasses import dataclass
 from typing import Any
 
 from .context import (
-    antinormal_composite,
     cmon_context,
-    is_normal_map_in,
     make_ses,
     normal_decomposition_in,
     restrict_mono,
     ses_context,
 )
 from .monoid import NormalDecomposition
-from .nsub import enumerate_nsub, is_distributive, is_modular, join_via_uniinter
+from .nsub import enumerate_nsub, is_distributive, is_modular
 
 
 @dataclass(frozen=True)
@@ -68,6 +66,7 @@ def third_iso_check(ctx, Z, name="object", depth=0) -> CheckReport:
     kernel of Z/X -> Z/Y). The witness note localizes which normality clause
     broke."""
     lat = enumerate_nsub(ctx, Z)
+    q = [ctx.cokernel(m) for m in lat.monos]
     witnesses = []
     cases = 0
     for ix in range(lat.size):
@@ -76,7 +75,7 @@ def third_iso_check(ctx, Z, name="object", depth=0) -> CheckReport:
                 continue
             x, y = lat.monos[ix], lat.monos[iy]
             e = ctx.cokernel(restrict_mono(ctx, x, y))  # Y ->> Y/X
-            g = ctx.factor_through_cokernel(e, ctx.compose(ctx.cokernel(x), y))
+            g = ctx.factor_through_cokernel(e, ctx.compose(q[ix], y))
             cases += 1
             failure = ctx.normal_mono_failure(g)
             if failure is not None:
@@ -104,6 +103,7 @@ def second_iso_check(ctx, X, name="object", depth=0) -> CheckReport:
     map that the exactness of the corresponding grid needs.
     """
     lat = enumerate_nsub(ctx, X)
+    q = [ctx.cokernel(m) for m in lat.monos]
     witnesses = []
     cases = 0
     for iy in range(lat.size):
@@ -121,13 +121,9 @@ def second_iso_check(ctx, X, name="object", depth=0) -> CheckReport:
             u = ctx.factor_through_cokernel(qb, f)  # Y/(Y^Z) -> (YvZ)/Z
             iso = ctx.is_iso(u)
 
-            q_m = ctx.cokernel(m_mono)
-            q_z = ctx.cokernel(z)
-            q_y = ctx.cokernel(y)
-            q_j = ctx.cokernel(j_mono)
-            k1 = ctx.kernel(ctx.factor_through_cokernel(q_m, q_z))
-            k2 = ctx.kernel(ctx.factor_through_cokernel(q_y, q_j))
-            p = ctx.factor_through_cokernel(q_m, q_y)  # X/(Y^Z) ->> X/Y
+            k1 = ctx.kernel(ctx.factor_through_cokernel(q[im], q[iz]))
+            k2 = ctx.kernel(ctx.factor_through_cokernel(q[iy], q[ij]))
+            p = ctx.factor_through_cokernel(q[im], q[iy])  # X/(Y^Z) ->> X/Y
             v = ctx.factor_through_kernel(ctx.compose(p, k1), k2)
             dual = ctx.is_iso(v)
 
@@ -141,20 +137,49 @@ def second_iso_check(ctx, X, name="object", depth=0) -> CheckReport:
     return _report("secondiso", name, depth, witnesses, cases)
 
 
+def _antinormal_failures(ctx, lat) -> list[list[str | None]]:
+    """Which antinormal composites Y >-> X ->> X/Z through the object of
+    ``lat`` are normal maps: entry [y][z] is None when the composite of the
+    y-th subobject with the cokernel of the z-th is normal, else the
+    reason it is not.
+
+    The cokernels are built once per subobject. An entry with Y <= Z is None
+    without a decomposition: Y lies in Z, the kernel of X ->> X/Z, so the
+    composite is the zero map, and a zero map is normal in any context (its
+    kernel and cokernel are identities and the comparison is 0 -> 0).
+    """
+    q = [ctx.cokernel(m) for m in lat.monos]
+    table = []
+    for iy, y in enumerate(lat.monos):
+        row = []
+        for iz, qz in enumerate(q):
+            reason = None
+            if not lat.leq[iy][iz]:
+                dec = normal_decomposition_in(ctx, ctx.compose(qz, y))
+                if not isinstance(dec, NormalDecomposition):
+                    reason = dec.reason
+            row.append(reason)
+        table.append(row)
+    return table
+
+
 def dpn_check(ctx, X, name="object", depth=0) -> CheckReport:
     """Dinversion preserves normal maps, tested on one object: for each
     ordered pair (Y, Z), the composite Z >-> X ->> X/Y is normal exactly when
-    its dinverse Y >-> X ->> X/Z is."""
+    its dinverse Y >-> X ->> X/Z is.
+
+    Both composites are read off one table of antinormal composites
+    (``_antinormal_failures``, shared with ``diexact_check``), so each
+    ordered pair is decided once; a composite Y >-> X ->> X/Z with Y <= Z
+    is the zero map, normal without a decomposition.
+    """
     lat = enumerate_nsub(ctx, X)
+    table = _antinormal_failures(ctx, lat)
     witnesses = []
-    cases = 0
     for iy in range(lat.size):
         for iz in range(lat.size):
-            cases += 1
-            alpha = antinormal_composite(ctx, X, lat.keys[iz], lat.keys[iy])
-            beta = antinormal_composite(ctx, X, lat.keys[iy], lat.keys[iz])
-            na = is_normal_map_in(ctx, alpha)
-            nb = is_normal_map_in(ctx, beta)
+            na = table[iz][iy] is None
+            nb = table[iy][iz] is None
             if na != nb:
                 witnesses.append(
                     CheckWitness(
@@ -163,98 +188,24 @@ def dpn_check(ctx, X, name="object", depth=0) -> CheckReport:
                         "map-normal" if na else "dinverse-normal",
                     )
                 )
-    return _report("dpn", name, depth, witnesses, cases)
+    return _report("dpn", name, depth, witnesses, lat.size**2)
 
 
 def diexact_check(ctx, X, name="object", depth=0) -> CheckReport:
     """Local di-exactness: every antinormal composite Y >-> X ->> X/Z through
-    this object is a normal map."""
+    this object is a normal map. The verdicts come from the table that
+    ``dpn_check`` reads too (``_antinormal_failures``): a pair with Y <= Z
+    holds the zero map, normal without a decomposition, and any other pair's
+    witness note is the reason its decomposition failed."""
     lat = enumerate_nsub(ctx, X)
-    witnesses = []
-    cases = 0
-    for iy in range(lat.size):
-        for iz in range(lat.size):
-            cases += 1
-            f = antinormal_composite(ctx, X, lat.keys[iy], lat.keys[iz])
-            dec = normal_decomposition_in(ctx, f)
-            if not isinstance(dec, NormalDecomposition):
-                witnesses.append(
-                    CheckWitness(
-                        (lat.keys[iy], lat.keys[iz]),
-                        (lat.names[iy], lat.names[iz]),
-                        dec.reason,
-                    )
-                )
-    return _report("diexact", name, depth, witnesses, cases)
-
-
-@dataclass
-class DiExtensionGrid:
-    """A 3x3 commutative grid built from two normal subobjects Y, Z of X:
-
-        Y^Z        Y         Y/(Y^Z)
-        Z          X         X/Z
-        Z/(Y^Z)    X/Y       X/(YvZ)
-
-    with exactness flags per row and column. It is a di-extension exactly
-    when all six flags hold; rows/columns 1 and 2 hold by construction.
-    """
-
-    objects: tuple
-    rows: tuple  # three (mono-like, epi-like) pairs
-    cols: tuple
-    row_exact: tuple[bool, bool, bool]
-    col_exact: tuple[bool, bool, bool]
-
-    @property
-    def is_diextension(self) -> bool:
-        return all(self.row_exact) and all(self.col_exact)
-
-
-def _sequence_exact(ctx, k, q) -> bool:
-    """Is  dom(k) -> mid -> cod(q)  a short exact sequence?"""
-    if not ctx.is_normal_mono(k):
-        return False
-    if not ctx.is_normal_epi(q):
-        return False
-    return ctx.mono_key(ctx.kernel(q)) == ctx.mono_key(k)
-
-
-def build_diextension(ctx, X, y_key, z_key) -> DiExtensionGrid:
-    """The candidate di-extension generated by the antinormal pair (Y, Z)."""
-    y = ctx.subobject_mono(X, y_key)
-    z = ctx.subobject_mono(X, z_key)
-    w_span = ctx.pullback_of_monos(y, z)
-    w_in_y = w_span.to_first
-    w_in_z = w_span.to_second
-    q_y = ctx.cokernel(y)
-    q_z = ctx.cokernel(z)
-    e_y = ctx.cokernel(w_in_y)  # Y ->> Y/W
-    e_z = ctx.cokernel(w_in_z)  # Z ->> Z/W
-    j = join_via_uniinter(ctx, X, y, z)
-    q_j = ctx.cokernel(j)
-
-    g1 = ctx.factor_through_cokernel(e_z, ctx.compose(q_y, z))  # Z/W -> X/Y
-    g2 = ctx.factor_through_cokernel(q_y, q_j)  # X/Y ->> X/(YvZ)
-    h1 = ctx.factor_through_cokernel(e_y, ctx.compose(q_z, y))  # Y/W -> X/Z
-    h2 = ctx.factor_through_cokernel(q_z, q_j)  # X/Z ->> X/(YvZ)
-
-    # the four corner squares must commute
-    assert ctx.hom_equal(ctx.compose(y, w_in_y), ctx.compose(z, w_in_z))
-    assert ctx.hom_equal(ctx.compose(h1, e_y), ctx.compose(q_z, y))
-    assert ctx.hom_equal(ctx.compose(g1, e_z), ctx.compose(q_y, z))
-    assert ctx.hom_equal(ctx.compose(g2, q_y), ctx.compose(h2, q_z))
-
-    objects = (
-        (ctx.dom(w_in_y), ctx.dom(y), ctx.cod(e_y)),
-        (ctx.dom(z), X, ctx.cod(q_z)),
-        (ctx.cod(e_z), ctx.cod(q_y), ctx.cod(q_j)),
-    )
-    rows = ((w_in_y, e_y), (z, q_z), (g1, g2))
-    cols = ((w_in_z, e_z), (y, q_y), (h1, h2))
-    row_exact = tuple(_sequence_exact(ctx, k, q) for k, q in rows)
-    col_exact = tuple(_sequence_exact(ctx, k, q) for k, q in cols)
-    return DiExtensionGrid(objects, rows, cols, row_exact, col_exact)
+    table = _antinormal_failures(ctx, lat)
+    witnesses = [
+        CheckWitness((lat.keys[iy], lat.keys[iz]), (lat.names[iy], lat.names[iz]), reason)
+        for iy, row in enumerate(table)
+        for iz, reason in enumerate(row)
+        if reason is not None
+    ]
+    return _report("diexact", name, depth, witnesses, lat.size**2)
 
 
 def pullback_stability_check(ctx, X, name="object", depth=0) -> CheckReport:
@@ -280,25 +231,6 @@ def pullback_stability_check(ctx, X, name="object", depth=0) -> CheckReport:
                     )
                 )
     return _report("stability", name, depth, witnesses, cases)
-
-
-def subquotient_closure(ctx, X) -> list:
-    """Closure of {X} under normal subobjects and quotients by normal
-    subobjects, deduplicated up to isomorphism, in breadth-first order."""
-    found = [X]
-    queue = [X]
-    while queue:
-        current = queue.pop(0)
-        children = []
-        for m in ctx.normal_subobject_monos(current):
-            children.append(ctx.dom(m))
-        for m in ctx.normal_subobject_monos(current):
-            children.append(ctx.cod(ctx.cokernel(m)))
-        for child in children:
-            if not any(ctx.are_isomorphic(child, seen) for seen in found):
-                found.append(child)
-                queue.append(child)
-    return found
 
 
 def modular_check(ctx, X, name="object", depth=0) -> CheckReport:

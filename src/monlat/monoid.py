@@ -219,6 +219,16 @@ class Subset:
         return self.of.render_subset(self.members)
 
 
+def _monoid_unchecked(table, labels) -> FinMonoid:
+    """Internal constructor for tables that are monoids by construction
+    (restrictions to a submonoid, quotients by a congruence), skipping the
+    O(n^3) axiom scan. Raw or external tables go through FinMonoid()."""
+    M = object.__new__(FinMonoid)
+    object.__setattr__(M, "table", table)
+    object.__setattr__(M, "labels", labels)
+    return M
+
+
 def _hom_unchecked(dom: FinMonoid, cod: FinMonoid, mapping: tuple[int, ...]) -> MonoidHom:
     """Internal constructor for maps that are homomorphisms by construction
     (composites, identities, factorizations of valid homs). Callers must
@@ -254,7 +264,7 @@ def submonoid(M: FinMonoid, members: frozenset) -> FinMonoid:
     pos = {m: i for i, m in enumerate(order)}
     table = tuple(tuple(pos[M.op(a, b)] for b in order) for a in order)
     labels = tuple(M.label(m) for m in order) if M.labels is not None else None
-    return FinMonoid(table, labels)
+    return _monoid_unchecked(table, labels)
 
 @lru_cache(maxsize=None)
 def inclusion_hom(M: FinMonoid, members: frozenset) -> MonoidHom:
@@ -318,7 +328,7 @@ def _quotient_by_classes(M: FinMonoid, classes: list[tuple[int, ...]]):
         tuple(class_of[M.op(a[0], b[0])] for b in classes) for a in classes
     )
     labels = tuple("{" + ",".join(M.label(m) for m in cls) + "}" for cls in classes)
-    Q = FinMonoid(table, labels)
+    Q = _monoid_unchecked(table, labels)
     return Q, _hom_unchecked(M, Q, tuple(class_of))
 
 

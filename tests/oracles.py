@@ -12,12 +12,20 @@ from itertools import permutations, product
 from typing import Any
 
 from monlat.census import _natural_tables, _unpack
-from monlat.checks import diexact_check, second_iso_check, third_iso_check
+from monlat.checks import (
+    CheckReport,
+    CheckWitness,
+    diexact_check,
+    second_iso_check,
+    third_iso_check,
+)
 from monlat.context import (
     SesHom,
     SesObject,
+    antinormal_composite,
     cmon_context,
     generic_pullback_of_monos,
+    is_normal_map_in,
     normal_decomposition_in,
     restrict_mono,
 )
@@ -931,3 +939,68 @@ def diexact_disagreement(ctx, X, name="object", depth=0) -> str | None:
     if diexact == (third and second):
         return None
     return f"{name}: diexact={diexact} third={third} second={second}"
+
+
+# ---------------------------------------------------------------------------
+# dinversion and di-exactness, one antinormal composite per call
+
+
+def antinormal_failures_by_pairs(ctx, X) -> list[list[str | None]]:
+    """The table of ``checks._antinormal_failures`` built pair by pair: each
+    composite Y >-> X ->> X/Z is rebuilt from the subobject keys and
+    decomposed in full, zero maps included."""
+    lat = enumerate_nsub(ctx, X)
+    table = []
+    for iy in range(lat.size):
+        row = []
+        for iz in range(lat.size):
+            dec = normal_decomposition_in(
+                ctx, antinormal_composite(ctx, X, lat.keys[iy], lat.keys[iz])
+            )
+            row.append(None if isinstance(dec, NormalDecomposition) else dec.reason)
+        table.append(row)
+    return table
+
+
+def pairwise_dpn_check(ctx, X, name="object", depth=0) -> CheckReport:
+    """``dpn_check`` deciding both composites of every ordered pair afresh."""
+    lat = enumerate_nsub(ctx, X)
+    witnesses = []
+    cases = 0
+    for iy in range(lat.size):
+        for iz in range(lat.size):
+            cases += 1
+            alpha = antinormal_composite(ctx, X, lat.keys[iz], lat.keys[iy])
+            beta = antinormal_composite(ctx, X, lat.keys[iy], lat.keys[iz])
+            na = is_normal_map_in(ctx, alpha)
+            nb = is_normal_map_in(ctx, beta)
+            if na != nb:
+                witnesses.append(
+                    CheckWitness(
+                        (lat.keys[iy], lat.keys[iz]),
+                        (lat.names[iy], lat.names[iz]),
+                        "map-normal" if na else "dinverse-normal",
+                    )
+                )
+    return CheckReport("dpn", name, depth, not witnesses, tuple(witnesses), cases)
+
+
+def pairwise_diexact_check(ctx, X, name="object", depth=0) -> CheckReport:
+    """``diexact_check`` decomposing every antinormal composite afresh."""
+    lat = enumerate_nsub(ctx, X)
+    witnesses = []
+    cases = 0
+    for iy in range(lat.size):
+        for iz in range(lat.size):
+            cases += 1
+            f = antinormal_composite(ctx, X, lat.keys[iy], lat.keys[iz])
+            dec = normal_decomposition_in(ctx, f)
+            if not isinstance(dec, NormalDecomposition):
+                witnesses.append(
+                    CheckWitness(
+                        (lat.keys[iy], lat.keys[iz]),
+                        (lat.names[iy], lat.names[iz]),
+                        dec.reason,
+                    )
+                )
+    return CheckReport("diexact", name, depth, not witnesses, tuple(witnesses), cases)

@@ -12,7 +12,6 @@ from monlat.checks import (
     dpn_check,
     objects_at_depth,
     pullback_stability_check,
-    subquotient_closure,
     third_iso_check,
 )
 from monlat.context import SesObject, antinormal_composite, cmon_context, make_ses
@@ -33,6 +32,7 @@ from monlat.scenarios import (
 )
 
 from conftest import down
+from lemmas import subquotient_closure
 from oracles import (
     brute_force_lattices,
     categorical_lattice,

@@ -1,14 +1,13 @@
 import pytest
 
 from monlat.checks import (
-    build_diextension,
+    _antinormal_failures,
     diexact_check,
     dpn_check,
     objects_at_depth,
     pullback_stability_check,
     run_check,
     second_iso_check,
-    subquotient_closure,
     third_iso_check,
 )
 from monlat.context import (
@@ -18,9 +17,30 @@ from monlat.context import (
     restrict_mono,
     ses_context,
 )
+from monlat.nsub import enumerate_nsub
 
-from conftest import down
-from oracles import diexact_disagreement, second_iso_disagreements
+from conftest import abelian_group, down, named_commutative_monoids
+from lemmas import build_diextension, subquotient_closure
+from oracles import (
+    antinormal_failures_by_pairs,
+    diexact_disagreement,
+    pairwise_diexact_check,
+    pairwise_dpn_check,
+    second_iso_disagreements,
+)
+
+
+def _antinormal_cases():
+    """(name, monoid, depth) for the antinormal-table oracle: depths 0-2 over
+    the commutative fixtures, Z2^3 and Z2xZ4, and depth 3 over chain4 and
+    bool2."""
+    bases = named_commutative_monoids()
+    bases.update(Z2x2x2=abelian_group(2, 2, 2), Z2x4=abelian_group(2, 4))
+    cases = [(name, M, depth) for name, M in bases.items() for depth in (0, 1, 2)]
+    return cases + [(name, bases[name], 3) for name in ("chain4", "bool2")]
+
+
+ANTINORMAL_CASES = _antinormal_cases()
 
 
 class TestThirdIso:
@@ -178,6 +198,28 @@ class TestDpn:
     def test_passes_on_all_ses_objects_over_klein_four(self, cmon, V4):
         for ctx, S, nm in objects_at_depth(V4, 1, "V4"):
             assert dpn_check(ctx, S, nm, depth=1).passed
+
+
+class TestAntinormalTable:
+    @pytest.mark.parametrize(
+        "name, base, depth",
+        ANTINORMAL_CASES,
+        ids=[f"{name}-d{depth}" for name, _, depth in ANTINORMAL_CASES],
+    )
+    def test_matches_pairwise_reference(self, name, base, depth):
+        # one table serves dpn and diexact; the reference rebuilds every
+        # composite, decomposes zero maps too and decides dpn twice per pair
+        for ctx, X, nm in objects_at_depth(base, depth, name):
+            lat = enumerate_nsub(ctx, X)
+            reference = antinormal_failures_by_pairs(ctx, X)
+            assert _antinormal_failures(ctx, lat) == reference, nm
+            # the zero-map lemma: Y <= Z makes Y >-> X ->> X/Z normal
+            for iy in range(lat.size):
+                for iz in range(lat.size):
+                    if lat.leq[iy][iz]:
+                        assert reference[iy][iz] is None, (nm, iy, iz)
+            assert dpn_check(ctx, X, nm, depth) == pairwise_dpn_check(ctx, X, nm, depth)
+            assert diexact_check(ctx, X, nm, depth) == pairwise_diexact_check(ctx, X, nm, depth)
 
 
 class TestDiexact:

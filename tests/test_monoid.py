@@ -21,11 +21,13 @@ from monlat.monoid import (
     is_normal_submonoid,
     kernel_subset,
     normal_closure,
+    submonoid,
+    table_axiom_failures,
     validate_monoid,
     zero_hom,
 )
 
-from conftest import closure_oracle_families, down
+from conftest import abelian_group, closure_oracle_families, down, named_commutative_monoids
 from oracles import (
     NotNormalSubmonoid,
     all_homs,
@@ -404,6 +406,53 @@ class TestIsomorphism:
         phi = find_isomorphism(M3, FinMonoid(M3.table))
         # re-validate through the checking constructor
         MonoidHom(M3, FinMonoid(M3.table), phi.mapping)
+
+
+def _all_submonoids(M):
+    """Every submonoid of M: grown from {0} one generator at a time."""
+    t = M.table
+
+    def generated(seed):
+        out, todo = {0}, list(seed)
+        while todo:
+            a = todo.pop()
+            if a not in out:
+                out.add(a)
+                todo += [t[a][b] for b in out] + [t[b][a] for b in out]
+        return frozenset(out)
+
+    found = {frozenset({0})}
+    frontier = list(found)
+    while frontier:
+        S = frontier.pop()
+        for x in range(M.size):
+            T = generated(S | {x})
+            if T not in found:
+                found.add(T)
+                frontier.append(T)
+    return found
+
+
+class TestUncheckedTables:
+    def test_subquotients_satisfy_the_axioms(self):
+        # submonoid() and the quotients skip the axiom scan: a restriction
+        # of a monoid table to a submonoid, and a table on the classes of a
+        # congruence, are monoids by construction. Every submonoid and
+        # quotient reached from the fixtures, Z2^4 and Z6xZ2^2 (and from
+        # those, until no new table appears) must pass the scan.
+        queue = list(named_commutative_monoids().values())
+        queue += [abelian_group(2, 2, 2, 2), abelian_group(6, 2, 2)]
+        seen = {M.table for M in queue}
+        bases = len(seen)
+        while queue:
+            M = queue.pop()
+            for S in _all_submonoids(M):
+                for child in (submonoid(M, S), cokernel_by_submonoid(M, S)[0]):
+                    assert table_axiom_failures(child.table) == [], (M, sorted(S))
+                    if child.table not in seen:
+                        seen.add(child.table)
+                        queue.append(child)
+        assert len(seen) > bases
 
 
 class TestSubset:

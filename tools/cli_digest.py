@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 166 CLI calls, one line per call.
+"""Digest the output of a fixed set of 172 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -13,7 +13,8 @@ and only a change that alters CLI bytes on purpose records the file anew.
 
 The calls: ``check`` of every property at depths 0-3 on bool2 and chain4
 (``stability`` at depth 0 only) and at depths 0-2 on N5, V4 and L6;
-``stability`` on N5, V4 and L6; ``nsub`` on the nine named fixtures;
+``dpn`` and ``diexact`` at depth 3 on N5, V4 and L6; ``stability`` on N5,
+V4 and L6; ``nsub`` on the nine named fixtures;
 ``paper-examples`` at depths 1 and 2; ``enumerate --max-size 8``; ``nsub``,
 ``modular`` and ``distributive`` on Z2^3, Z2xZ4, Z3^3, Z2^4 and Z6xZ2^2;
 every depth-1 check and ``stability`` on Z2^3 and Z2xZ4; ``validate`` on
@@ -72,6 +73,8 @@ def calls() -> list[tuple[str, ...]]:
                 if prop == "stability" and name not in ("bool2", "chain4"):
                     continue
                 out.append(("check", "--property", prop, "--ses-depth", str(depth), name))
+    for name in ("N5", "V4", "L6"):
+        out += [("check", "--property", prop, "--ses-depth", "3", name) for prop in ("dpn", "diexact")]
     out += [("check", "--property", "stability", name) for name in ("N5", "V4", "L6")]
     out += [("nsub", name) for name in FIXTURES]
     out += [("paper-examples", "--ses-depth", str(d)) for d in (1, 2)]
