@@ -41,17 +41,12 @@ from .monoid import (
     validate_monoid,
 )
 from .nsub import (
-    GaloisReport,
     LatticeWitness,
     NSubLattice,
-    cokersquare_check,
     enumerate_nsub,
     is_distributive,
     is_modular,
-    join_agreement_check,
-    join_via_uniinter,
     lattice_of_semilattice,
-    phi_psi,
 )
 from .semilattice import (
     CoverGraph,

@@ -1,9 +1,10 @@
 """Per-object verifiers for the homological frameworks.
 
-Each checker sweeps the normal subobjects of one object and returns a
-CheckReport with replayable witnesses. Each verdict comes from one
-characterization of its property; the equivalent characterizations are
-compared against it in the test suite, not here.
+Each checker sweeps the normal subobjects of one object of a context and
+returns a CheckReport at the context's depth, with replayable witnesses.
+Each verdict comes from one characterization of its property; the
+equivalent characterizations are compared against it in the test suite,
+not here.
 """
 
 from __future__ import annotations
@@ -56,11 +57,11 @@ class CheckReport:
         )
 
 
-def _report(prop, name, depth, witnesses, cases) -> CheckReport:
-    return CheckReport(prop, name, depth, not witnesses, tuple(witnesses), cases)
+def _report(prop, ctx, name, witnesses, cases) -> CheckReport:
+    return CheckReport(prop, name, ctx.depth, not witnesses, tuple(witnesses), cases)
 
 
-def third_iso_check(ctx, Z, name="object", depth=0) -> CheckReport:
+def third_iso_check(ctx, Z, name="object") -> CheckReport:
     """Third Isomorphism Property at one object: for X <= Y normal in Z, the
     induced map Y/X -> Z/X must be a normal mono (equivalently, Y/X is a
     kernel of Z/X -> Z/Y). The witness note localizes which normality clause
@@ -82,10 +83,10 @@ def third_iso_check(ctx, Z, name="object", depth=0) -> CheckReport:
                 witnesses.append(
                     CheckWitness((lat.keys[ix], lat.keys[iy]), (lat.names[ix], lat.names[iy]), failure)
                 )
-    return _report("hsd", name, depth, witnesses, cases)
+    return _report("hsd", ctx, name, witnesses, cases)
 
 
-def second_iso_check(ctx, X, name="object", depth=0) -> CheckReport:
+def second_iso_check(ctx, X, name="object") -> CheckReport:
     """Second Isomorphism Property at one object.
 
     For each ordered pair (Y, Z) of normal subobjects, the canonical
@@ -93,8 +94,12 @@ def second_iso_check(ctx, X, name="object", depth=0) -> CheckReport:
     formulations (the composite Y >-> YvZ ->> (YvZ)/Z is a normal map, or
     a normal epi) are not evaluated here. The dual statement (the
     canonical map between the kernels of X/(Y^Z) -> X/Z and of
-    X/Y -> X/(YvZ) is an isomorphism) is evaluated in the same sweep; its
-    failures mirror the primal ones on swapped pairs.
+    X/Y -> X/(YvZ) is an isomorphism) is evaluated in the same sweep.
+    Where the third isomorphism property holds at X, the dual comparison
+    for (Y, Z) is the primal one for (Z, Y), so the dual failures mirror
+    the primal ones on swapped pairs; where it fails they can differ (over
+    the census lattices of sizes 5-7, 27 of the 486 depth-1 objects), so
+    the dual half is not redundant.
 
     The comparisons are the canonical induced maps, never a search for an
     abstract isomorphism: on the hexagon lattice (two 3-chains glued at both
@@ -134,7 +139,7 @@ def second_iso_check(ctx, X, name="object", depth=0) -> CheckReport:
                 witnesses.append(
                     CheckWitness((lat.keys[iy], lat.keys[iz]), (lat.names[iy], lat.names[iz]), note)
                 )
-    return _report("secondiso", name, depth, witnesses, cases)
+    return _report("secondiso", ctx, name, witnesses, cases)
 
 
 def _antinormal_failures(ctx, lat) -> list[list[str | None]]:
@@ -163,7 +168,7 @@ def _antinormal_failures(ctx, lat) -> list[list[str | None]]:
     return table
 
 
-def dpn_check(ctx, X, name="object", depth=0) -> CheckReport:
+def dpn_check(ctx, X, name="object") -> CheckReport:
     """Dinversion preserves normal maps, tested on one object: for each
     ordered pair (Y, Z), the composite Z >-> X ->> X/Y is normal exactly when
     its dinverse Y >-> X ->> X/Z is.
@@ -188,10 +193,10 @@ def dpn_check(ctx, X, name="object", depth=0) -> CheckReport:
                         "map-normal" if na else "dinverse-normal",
                     )
                 )
-    return _report("dpn", name, depth, witnesses, lat.size**2)
+    return _report("dpn", ctx, name, witnesses, lat.size**2)
 
 
-def diexact_check(ctx, X, name="object", depth=0) -> CheckReport:
+def diexact_check(ctx, X, name="object") -> CheckReport:
     """Local di-exactness: every antinormal composite Y >-> X ->> X/Z through
     this object is a normal map. The verdicts come from the table that
     ``dpn_check`` reads too (``_antinormal_failures``): a pair with Y <= Z
@@ -205,10 +210,10 @@ def diexact_check(ctx, X, name="object", depth=0) -> CheckReport:
         for iz, reason in enumerate(row)
         if reason is not None
     ]
-    return _report("diexact", name, depth, witnesses, lat.size**2)
+    return _report("diexact", ctx, name, witnesses, lat.size**2)
 
 
-def pullback_stability_check(ctx, X, name="object", depth=0) -> CheckReport:
+def pullback_stability_check(ctx, X, name="object") -> CheckReport:
     """Pullbacks of normal epis along normal monos are normal epis: tested
     for every quotient of X against every normal subobject of the quotient.
     Requires the concrete commutative-monoid context (finite limits)."""
@@ -230,21 +235,21 @@ def pullback_stability_check(ctx, X, name="object", depth=0) -> CheckReport:
                         "projection-not-normal-epi",
                     )
                 )
-    return _report("stability", name, depth, witnesses, cases)
+    return _report("stability", ctx, name, witnesses, cases)
 
 
-def modular_check(ctx, X, name="object", depth=0) -> CheckReport:
+def modular_check(ctx, X, name="object") -> CheckReport:
     lat = enumerate_nsub(ctx, X)
     ok, witness = is_modular(lat)
     witnesses = () if ok else (CheckWitness((), witness.names, witness.kind),)
-    return CheckReport("modular", name, depth, ok, witnesses, lat.size**3)
+    return _report("modular", ctx, name, witnesses, lat.size**3)
 
 
-def distributive_check(ctx, X, name="object", depth=0) -> CheckReport:
+def distributive_check(ctx, X, name="object") -> CheckReport:
     lat = enumerate_nsub(ctx, X)
     ok, witness = is_distributive(lat)
     witnesses = () if ok else (CheckWitness((), witness.names, witness.kind),)
-    return CheckReport("distributive", name, depth, ok, witnesses, lat.size**3)
+    return _report("distributive", ctx, name, witnesses, lat.size**3)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +288,6 @@ def run_check(prop: str, X, depth: int = 0, name: str = "object") -> list[CheckR
     if prop == "stability":
         if depth != 0:
             raise ValueError("the stability check is defined on the base context only")
-        return [pullback_stability_check(cmon_context(), X, name, 0)]
+        return [pullback_stability_check(cmon_context(), X, name)]
     fn = CHECKS[prop]
-    return [fn(c, obj, nm, depth) for c, obj, nm in objects_at_depth(X, depth, name)]
+    return [fn(c, obj, nm) for c, obj, nm in objects_at_depth(X, depth, name)]

@@ -15,7 +15,7 @@ keep no caches; results are memoized by the cached functions of ``monoid``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, NamedTuple
+from typing import Any, NamedTuple
 
 from . import monoid as mn
 from .monoid import (
@@ -191,14 +191,6 @@ class CmonContext:
         onto_sub = _hom_unchecked(apex, m.dom, tuple(inv[e(y)] for y in order))
         into_total = _hom_unchecked(apex, e.dom, tuple(order))
         return EpiPullback(apex, onto_sub, into_total)
-
-    # -- isomorphisms
-
-    def isomorphisms(self, X: FinMonoid, Y: FinMonoid) -> Iterator[MonoidHom]:
-        return mn.isomorphisms(X, Y)
-
-    def are_isomorphic(self, X: FinMonoid, Y: FinMonoid) -> bool:
-        return mn.are_isomorphic(X, Y)
 
 
 _CMON = CmonContext()
@@ -449,21 +441,6 @@ class SesContext:
     def pullback_of_monos(self, m1: SesHom, m2: SesHom) -> Span:
         return generic_pullback_of_monos(self, m1, m2)
 
-    def pullback_epi_along_mono(self, e: SesHom, m: SesHom) -> EpiPullback:
-        return generic_pullback_epi_along_mono(self, e, m)
-
-    # -- isomorphisms
-
-    def isomorphisms(self, X: SesObject, Y: SesObject) -> Iterator[SesHom]:
-        """Isos of the innermost monoids that carry every mark onto the
-        target's."""
-        for phi in mn.isomorphisms(X.monoid, Y.monoid):
-            if all(_image(phi, K) == L for K, L in zip(X.marks, Y.marks)):
-                yield _hom(X, Y, phi)
-
-    def are_isomorphic(self, X: SesObject, Y: SesObject) -> bool:
-        return next(self.isomorphisms(X, Y), None) is not None
-
 
 _SES_CONTEXTS: list[SesContext] = []
 
@@ -487,14 +464,6 @@ def generic_pullback_of_monos(ctx, m1, m2) -> Span:
     k = ctx.kernel(ctx.compose(q, m1))
     to_second = ctx.factor_through_kernel(ctx.compose(m1, k), m2)
     return Span(ctx.dom(k), k, to_second)
-
-
-def generic_pullback_epi_along_mono(ctx, e, m) -> EpiPullback:
-    """Pullback of a normal epi along a normal mono, via the kernel of the
-    composite with the mono's cokernel."""
-    k = ctx.kernel(ctx.compose(ctx.cokernel(m), e))
-    onto_sub = ctx.factor_through_kernel(ctx.compose(e, k), m)
-    return EpiPullback(ctx.dom(k), onto_sub, k)
 
 
 def restrict_mono(ctx, small, big):

@@ -164,8 +164,8 @@ def emit_monoid_text(M: FinMonoid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_semilattice_text(M: FinMonoid, header: str = "semilattice") -> str:
-    lines = [f"{header} {M.size}"]
+def emit_semilattice_text(M: FinMonoid) -> str:
+    lines = [f"semilattice {M.size}"]
     lines += [f"cover {a} {b}" for a, b in covers_of(order_of(M))]
     lines += _label_lines(M)
     return "\n".join(lines) + "\n"

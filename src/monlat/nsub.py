@@ -16,7 +16,6 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from . import monoid as mn
-from .context import restrict_mono
 from .semilattice import least_upper_bound
 
 
@@ -96,16 +95,6 @@ def lattice_of_semilattice(L: mn.FinMonoid) -> NSubLattice:
     if not L.is_semilattice:
         raise mn.MonoidError("expected a commutative idempotent monoid")
     return lattice_from_join_table(L.table, tuple(L.label(i) for i in range(L.size)))
-
-
-def join_via_uniinter(ctx, X, y_mono, z_mono):
-    """Join of two normal subobjects: the kernel of the cokernel of Y -> X/Z,
-    taken inside X. At the commutative-monoid level this must equal the
-    normal closure of the union of the two member sets."""
-    qz = ctx.cokernel(z_mono)
-    f = ctx.compose(qz, y_mono)
-    q2 = ctx.cokernel(f)
-    return ctx.kernel(ctx.compose(q2, qz))
 
 
 @lru_cache(maxsize=None)
@@ -206,150 +195,3 @@ def is_distributive(lat: NSubLattice) -> tuple[bool, LatticeWitness | None]:
     if not modular:
         return False, pentagon
     return False, _witness(lat, "diamond", _find_sublattice(lat, "diamond"))
-
-
-# ---------------------------------------------------------------------------
-# structural checks on subobject lattices
-
-
-def join_agreement_check(ctx, X, x_mono, y_mono, z_mono) -> bool:
-    """Joins computed inside a normal subobject X' agree (same underlying
-    object of X) with joins of the composites computed in X."""
-    for m in (ctx.compose(x_mono, y_mono), ctx.compose(x_mono, z_mono)):
-        if not ctx.is_normal_mono(m):
-            raise mn.MonoidError("composite subobject is not normal in the ambient object")
-    inner_join = join_via_uniinter(ctx, ctx.dom(x_mono), y_mono, z_mono)
-    outer_join = join_via_uniinter(
-        ctx, X, ctx.compose(x_mono, y_mono), ctx.compose(x_mono, z_mono)
-    )
-    return ctx.mono_key(ctx.compose(x_mono, inner_join)) == ctx.mono_key(outer_join)
-
-
-def cokersquare_check(ctx, Z, w_key, x_key, y_key) -> bool:
-    """For a square of normal subobjects W <= X, W <= Y inside Z:
-
-    the cokernel of the induced map Y/W -> Z/X is Z/(X v Y), and its kernel
-    is (X/W) ^ (Y/W) inside the lattice over Z/W.
-    """
-    w = ctx.subobject_mono(Z, w_key)
-    x = ctx.subobject_mono(Z, x_key)
-    y = ctx.subobject_mono(Z, y_key)
-    w_in_y = restrict_mono(ctx, w, y)
-    e_w = ctx.cokernel(w_in_y)  # Y ->> Y/W
-    q_x = ctx.cokernel(x)
-    u = ctx.factor_through_cokernel(e_w, ctx.compose(q_x, y))  # Y/W -> Z/X
-
-    j = join_via_uniinter(ctx, Z, x, y)
-    q_j = ctx.cokernel(j)
-    canonical = ctx.factor_through_cokernel(q_x, q_j)  # Z/X ->> Z/(XvY)
-    coker_u = ctx.cokernel(u)
-    cokernels_match = ctx.mono_key(ctx.kernel(coker_u)) == ctx.mono_key(
-        ctx.kernel(canonical)
-    )
-
-    q_w = ctx.cokernel(w)
-    emb = ctx.factor_through_cokernel(e_w, ctx.compose(q_w, y))  # Y/W -> Z/W
-    lifted_kernel = ctx.mono_key(ctx.compose(emb, ctx.kernel(u)))
-    x_over_w = ctx.kernel(ctx.factor_through_cokernel(q_w, q_x))
-    y_over_w = ctx.kernel(ctx.factor_through_cokernel(q_w, ctx.cokernel(y)))
-    span = ctx.pullback_of_monos(x_over_w, y_over_w)
-    meet_key = ctx.mono_key(ctx.compose(x_over_w, span.to_first))
-    kernels_match = lifted_kernel == meet_key
-
-    return cokernels_match and kernels_match
-
-
-@dataclass
-class GaloisReport:
-    """Outcome of the correspondence between subobjects of a quotient Y/X and
-    subobjects of Y containing X."""
-
-    phi_after_psi_identity: bool
-    galois_connection: bool
-    phi_preserves_meet: bool
-    psi_preserves_join: bool
-    mutually_inverse: bool
-    quotient_meet_formula: bool
-    quotient_join_formula: bool
-    cases: int
-
-    @property
-    def ok(self) -> bool:
-        return all(
-            (
-                self.phi_after_psi_identity,
-                self.galois_connection,
-                self.phi_preserves_meet,
-                self.psi_preserves_join,
-                self.mutually_inverse,
-                self.quotient_meet_formula,
-                self.quotient_join_formula,
-            )
-        )
-
-
-def phi_psi(ctx, x_mono) -> GaloisReport:
-    """The two transfers along Y ->> Y/X: pull a subobject of the quotient
-    back, or push a subobject above X down by taking the kernel of the
-    induced quotient comparison. Checks the adjunction and, since these
-    contexts are regular with the third isomorphism property available, the
-    mutual-inverse lattice isomorphism with its meet/join formulas."""
-    Y = ctx.cod(x_mono)
-    x_key = ctx.mono_key(x_mono)
-    q = ctx.cokernel(x_mono)
-    Q = ctx.cod(q)
-    lat_y = enumerate_nsub(ctx, Y)
-    lat_q = enumerate_nsub(ctx, Q)
-    x_idx = lat_y.index_of_key(x_key)
-    upper = [i for i in range(lat_y.size) if lat_y.leq[x_idx][i]]
-
-    def phi(t_idx: int) -> int:
-        t = lat_q.monos[t_idx]
-        pulled = ctx.kernel(ctx.compose(ctx.cokernel(t), q))
-        return lat_y.index_of_key(ctx.mono_key(pulled))
-
-    def psi(u_idx: int) -> int:
-        u = lat_y.monos[u_idx]
-        induced = ctx.factor_through_cokernel(q, ctx.cokernel(u))  # Y/X -> Y/U
-        return lat_q.index_of_key(ctx.mono_key(ctx.kernel(induced)))
-
-    phi_of = {t: phi(t) for t in range(lat_q.size)}
-    psi_of = {u: psi(u) for u in upper}
-
-    cases = 0
-    phi_after_psi = all(phi_of[psi_of[u]] == u for u in upper)
-    galois = True
-    for u in upper:
-        for t in range(lat_q.size):
-            cases += 1
-            if lat_q.leq[psi_of[u]][t] != lat_y.leq[u][phi_of[t]]:
-                galois = False
-    phi_meet = all(
-        phi_of[lat_q.meet[t1][t2]] == lat_y.meet[phi_of[t1]][phi_of[t2]]
-        for t1 in range(lat_q.size)
-        for t2 in range(lat_q.size)
-    )
-    psi_join = all(
-        psi_of[lat_y.join[u1][u2]] == lat_q.join[psi_of[u1]][psi_of[u2]]
-        for u1 in upper
-        for u2 in upper
-    )
-    mutually_inverse = phi_after_psi and all(
-        psi_of.get(phi_of[t]) == t for t in range(lat_q.size)
-    ) and sorted(phi_of[t] for t in range(lat_q.size)) == sorted(upper)
-    meet_formula = all(
-        psi_of[lat_y.meet[u1][u2]] == lat_q.meet[psi_of[u1]][psi_of[u2]]
-        for u1 in upper
-        for u2 in upper
-    )
-    return GaloisReport(
-        phi_after_psi_identity=phi_after_psi,
-        galois_connection=galois,
-        phi_preserves_meet=phi_meet,
-        psi_preserves_join=psi_join,
-        mutually_inverse=mutually_inverse,
-        quotient_meet_formula=meet_formula,
-        quotient_join_formula=psi_join,
-        cases=cases,
-    )
-

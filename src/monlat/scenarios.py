@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .checks import diexact_check, dpn_check, third_iso_check
 from .context import antinormal_composite, cmon_context, make_ses, ses_context
-from .monoid import FinMonoid, cokernel_by_submonoid, validate_monoid
+from .monoid import FinMonoid, cokernel_by_submonoid
 from .nsub import enumerate_nsub, is_distributive, is_modular
 from .semilattice import klein_four, pentagon, principal_downset, six_lattice
 
@@ -37,12 +37,12 @@ def _subset_key(L: FinMonoid, *label_names: str) -> frozenset:
     return frozenset(L.element(x) for x in label_names)
 
 
-def scenario_pentagon_dpn(n5_table=None) -> ScenarioResult:
+def scenario_pentagon_dpn() -> ScenarioResult:
     """Dinversion fails to preserve normal maps on the pentagon: with
     Y = the down-set of B and Z = the down-set of D, the composite
     Z >-> X ->> X/Y is an isomorphism while its dinverse collapses B and C."""
     name = "pentagon-dpn"
-    L = pentagon() if n5_table is None else validate_monoid(n5_table, pentagon().labels)
+    L = pentagon()
     ctx = cmon_context()
     down_b = _subset_key(L, "0", "C", "B")
     down_d = _subset_key(L, "0", "D")
@@ -109,7 +109,7 @@ def scenario_pentagon_ses_third_iso(ses_depth: int = 1) -> ScenarioResult:
     inner = cmon_context()
     ctx = ses_context(inner)
     S = make_ses(inner, L, inner.subobject_mono(L, _subset_key(L, "0", "D")))
-    report = third_iso_check(ctx, S, "N5|sub={0,D}", depth=1)
+    report = third_iso_check(ctx, S, "N5|sub={0,D}")
     if report.passed:
         return ScenarioResult(name, False, "step verdict: expected failure, got pass")
     want = (_subset_key(L, "0", "C"), _subset_key(L, "0", "C", "B"))
@@ -141,7 +141,7 @@ def scenario_klein_four_ses_diexact(ses_depth: int = 1) -> ScenarioResult:
     ctx = ses_context(inner)
     g_key = _subset_key(V, "0", "g")
     S = make_ses(inner, V, inner.subobject_mono(V, g_key))
-    report = diexact_check(ctx, S, "V4|sub={0,g}", depth=1)
+    report = diexact_check(ctx, S, "V4|sub={0,g}")
     if report.passed:
         return ScenarioResult(name, False, "step depth-1: expected failure, got pass")
     h_key, k_key = _subset_key(V, "0", "h"), _subset_key(V, "0", "k")
@@ -150,9 +150,9 @@ def scenario_klein_four_ses_diexact(ses_depth: int = 1) -> ScenarioResult:
     return ScenarioResult(name, True, "diamond; depth-1 failure over (V4,G) with subs H,K")
 
 
-def run_reference_scenarios(ses_depth: int = 1, n5_table=None) -> list[ScenarioResult]:
+def run_reference_scenarios(ses_depth: int = 1) -> list[ScenarioResult]:
     return [
-        scenario_pentagon_dpn(n5_table),
+        scenario_pentagon_dpn(),
         scenario_six_lattice_quotient(),
         scenario_pentagon_ses_third_iso(ses_depth),
         scenario_klein_four_ses_diexact(ses_depth),

@@ -53,8 +53,9 @@ from monlat.nsub import (
     enumerate_nsub,
     is_distributive,
     is_modular,
-    join_via_uniinter,
 )
+
+from lemmas import join_via_uniinter
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +901,7 @@ def all_homs(M: FinMonoid, N: FinMonoid) -> list[MonoidHom]:
 # the second isomorphism property and di-exactness, in any context
 
 
-def second_iso_disagreements(ctx, X, name="object", depth=0) -> list[str]:
+def second_iso_disagreements(ctx, X, name="object") -> list[str]:
     """Pairs (Y, Z) of normal subobjects of X where the three formulations
     of the second isomorphism property differ, or where the package's
     ``second_iso_check`` reports otherwise. The formulations: (i) the
@@ -908,7 +909,7 @@ def second_iso_disagreements(ctx, X, name="object", depth=0) -> list[str]:
     composite f: Y >-> YvZ ->> (YvZ)/Z is a normal map, (iii) f is a normal
     epi."""
     lat = enumerate_nsub(ctx, X)
-    report = second_iso_check(ctx, X, name, depth)
+    report = second_iso_check(ctx, X, name)
     primal_failures = {w.keys for w in report.witnesses if "primal" in w.note}
     out = []
     for iy, iz in product(range(lat.size), repeat=2):
@@ -929,13 +930,13 @@ def second_iso_disagreements(ctx, X, name="object", depth=0) -> list[str]:
     return out
 
 
-def diexact_disagreement(ctx, X, name="object", depth=0) -> str | None:
+def diexact_disagreement(ctx, X, name="object") -> str | None:
     """None when ``diexact_check`` agrees with the decomposition
     "di-exact = third isomorphism property + second isomorphism property"
     on X, else a description of the difference."""
-    diexact = diexact_check(ctx, X, name, depth).passed
-    third = third_iso_check(ctx, X, name, depth).passed
-    second = second_iso_check(ctx, X, name, depth).passed
+    diexact = diexact_check(ctx, X, name).passed
+    third = third_iso_check(ctx, X, name).passed
+    second = second_iso_check(ctx, X, name).passed
     if diexact == (third and second):
         return None
     return f"{name}: diexact={diexact} third={third} second={second}"
@@ -962,7 +963,7 @@ def antinormal_failures_by_pairs(ctx, X) -> list[list[str | None]]:
     return table
 
 
-def pairwise_dpn_check(ctx, X, name="object", depth=0) -> CheckReport:
+def pairwise_dpn_check(ctx, X, name="object") -> CheckReport:
     """``dpn_check`` deciding both composites of every ordered pair afresh."""
     lat = enumerate_nsub(ctx, X)
     witnesses = []
@@ -982,10 +983,10 @@ def pairwise_dpn_check(ctx, X, name="object", depth=0) -> CheckReport:
                         "map-normal" if na else "dinverse-normal",
                     )
                 )
-    return CheckReport("dpn", name, depth, not witnesses, tuple(witnesses), cases)
+    return CheckReport("dpn", name, ctx.depth, not witnesses, tuple(witnesses), cases)
 
 
-def pairwise_diexact_check(ctx, X, name="object", depth=0) -> CheckReport:
+def pairwise_diexact_check(ctx, X, name="object") -> CheckReport:
     """``diexact_check`` decomposing every antinormal composite afresh."""
     lat = enumerate_nsub(ctx, X)
     witnesses = []
@@ -1003,4 +1004,4 @@ def pairwise_diexact_check(ctx, X, name="object", depth=0) -> CheckReport:
                         dec.reason,
                     )
                 )
-    return CheckReport("diexact", name, depth, not witnesses, tuple(witnesses), cases)
+    return CheckReport("diexact", name, ctx.depth, not witnesses, tuple(witnesses), cases)

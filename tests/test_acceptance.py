@@ -20,9 +20,7 @@ from monlat.nsub import (
     enumerate_nsub,
     is_distributive,
     is_modular,
-    join_via_uniinter,
     lattice_of_semilattice,
-    phi_psi,
 )
 from monlat.scenarios import (
     scenario_klein_four_ses_diexact,
@@ -32,7 +30,7 @@ from monlat.scenarios import (
 )
 
 from conftest import down
-from lemmas import subquotient_closure
+from lemmas import join_via_uniinter, phi_psi, subquotient_closure
 from oracles import (
     brute_force_lattices,
     categorical_lattice,
@@ -81,7 +79,7 @@ def test_criterion_02_six_lattice_quotient(L6):
 def test_criterion_03_ses_third_iso_failure(N5, cmon, ses1):
     result = scenario_pentagon_ses_third_iso()
     S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
-    report = third_iso_check(ses1, S, "N5|sub={0,D}", depth=1)
+    report = third_iso_check(ses1, S, "N5|sub={0,D}")
     witness = next(
         (w for w in report.witnesses if w.keys == (down(N5, "C"), down(N5, "B"))), None
     )
@@ -98,7 +96,7 @@ def test_criterion_04_klein_four_diexact_story(V4, cmon, ses1):
     result = scenario_klein_four_ses_diexact()
     base = diexact_check(cmon, V4, "V4")
     S = make_ses(cmon, V4, cmon.subobject_mono(V4, frozenset({0, 1})))
-    lifted = diexact_check(ses1, S, "V4|sub={0,g}", depth=1)
+    lifted = diexact_check(ses1, S, "V4|sub={0,g}")
     lat = enumerate_nsub(cmon, V4)
     modular, _ = is_modular(lat)
     distributive, witness = is_distributive(lat)
@@ -120,7 +118,7 @@ def test_criterion_04_klein_four_diexact_story(V4, cmon, ses1):
 def test_criterion_05_separation_chain(N5, V4, cmon, ses1):
     # z-exact > HSD: pentagon at ses depth 1
     S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
-    hsd_gap = not third_iso_check(ses1, S, "S", depth=1).passed
+    hsd_gap = not third_iso_check(ses1, S, "S").passed
     # HSD > DPN: pentagon at depth 0
     dpn_gap = (
         third_iso_check(cmon, N5, "N5").passed and not dpn_check(cmon, N5, "N5").passed
@@ -128,11 +126,11 @@ def test_criterion_05_separation_chain(N5, V4, cmon, ses1):
     # DPN > di-exact: Klein four-group at depth 1, with DPN passing on every
     # ses object over it
     dpn_all = all(
-        dpn_check(ctx, obj, nm, depth=1).passed
+        dpn_check(ctx, obj, nm).passed
         for ctx, obj, nm in objects_at_depth(V4, 1, "V4")
     )
     diexact_gap = any(
-        not diexact_check(ctx, obj, nm, depth=1).passed
+        not diexact_check(ctx, obj, nm).passed
         for ctx, obj, nm in objects_at_depth(V4, 1, "V4")
     )
     ok = hsd_gap and dpn_gap and dpn_all and diexact_gap
@@ -214,25 +212,25 @@ def test_criterion_09_formulation_equivalences(commutative_fixtures):
     disagreements = []
     checked = 0
 
-    def compare(ctx, X, name, depth):
+    def compare(ctx, X, name):
         nonlocal checked
-        disagreements.extend(second_iso_disagreements(ctx, X, name, depth))
-        found = diexact_disagreement(ctx, X, name, depth)
+        disagreements.extend(second_iso_disagreements(ctx, X, name))
+        found = diexact_disagreement(ctx, X, name)
         if found is not None:
             disagreements.append(found)
         checked += 1
 
     for name, L in commutative_fixtures.items():
-        compare(cmon_context(), L, name, 0)
+        compare(cmon_context(), L, name)
         for ctx, S, nm in objects_at_depth(L, 1, name):
-            compare(ctx, S, nm, 1)
+            compare(ctx, S, nm)
     # widen the checked set to every enumerated lattice: size <= 6 at the
     # base level and size <= 5 one ses level up
     for i, L in enumerate(lattices_up_to(6)):
-        compare(cmon_context(), L, f"c{i}", 0)
+        compare(cmon_context(), L, f"c{i}")
     for i, L in enumerate(lattices_up_to(5)):
         for ctx, S, nm in objects_at_depth(L, 1, f"c{i}"):
-            compare(ctx, S, nm, 1)
+            compare(ctx, S, nm)
     _announce(9, not disagreements, f"{checked} objects, disagreements {disagreements[:3]}")
 
 

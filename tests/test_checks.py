@@ -1,5 +1,6 @@
 import pytest
 
+from monlat.census import lattices_of_size
 from monlat.checks import (
     _antinormal_failures,
     diexact_check,
@@ -51,7 +52,7 @@ class TestThirdIso:
 
     def test_fails_at_ses_level_on_pentagon(self, cmon, ses1, N5):
         S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
-        report = third_iso_check(ses1, S, "N5|sub={0,D}", depth=1)
+        report = third_iso_check(ses1, S, "N5|sub={0,D}")
         assert not report.passed
         assert len(report.witnesses) == 1
         w = report.witnesses[0]
@@ -61,13 +62,13 @@ class TestThirdIso:
     def test_degenerate_pairs_pass(self, cmon, ses1, N5):
         # X = Y contributes an identity quotient comparison and never fails
         S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
-        report = third_iso_check(ses1, S, "S", depth=1)
+        report = third_iso_check(ses1, S, "S")
         degenerate = [w for w in report.witnesses if w.keys[0] == w.keys[1]]
         assert not degenerate
 
     def test_witness_replay(self, cmon, ses1, N5):
         S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
-        report = third_iso_check(ses1, S, "S", depth=1)
+        report = third_iso_check(ses1, S, "S")
         for w in report.witnesses:
             x = ses1.subobject_mono(S, w.keys[0])
             y = ses1.subobject_mono(S, w.keys[1])
@@ -92,6 +93,14 @@ class TestThirdIso:
                         if ctx.mono_key(x) <= ctx.mono_key(y):
                             u = restrict_mono(ctx, x, y)
                             assert ctx.normal_mono_failure(u) is None, (nm, x, y)
+
+
+def _second_iso_witness_sets(report):
+    """The (Y, Z) keys of a second_iso_check report whose primal comparison
+    fails, and those whose dual comparison fails."""
+    primal = {w.keys for w in report.witnesses if "primal" in w.note}
+    dual = {w.keys for w in report.witnesses if "dual" in w.note}
+    return primal, dual
 
 
 class TestSecondIso:
@@ -160,18 +169,38 @@ class TestSecondIso:
         # with the third isomorphism property available, the dual kernel
         # comparison for (Y, Z) is the primal comparison for (Z, Y); the
         # witness sets must be swaps of each other
-        report = second_iso_check(cmon, N5, "N5")
-        primal = {w.keys for w in report.witnesses if "primal" in w.note}
-        dual = {w.keys for w in report.witnesses if "dual" in w.note}
+        primal, dual = _second_iso_witness_sets(second_iso_check(cmon, N5, "N5"))
         assert primal and dual
         assert {(b, a) for a, b in primal} == dual
+
+    def test_dual_failures_need_not_mirror_where_third_iso_fails(self):
+        # on the census lattice c6_6 lifted along {0,4}, the third
+        # isomorphism property fails and the dual witnesses are not the
+        # swapped primal ones, so the dual half of the sweep is not redundant
+        objects = objects_at_depth(lattices_of_size(6)[6], 1, "c6_6")
+        ctx, S, nm = next(o for o in objects if o[2] == "c6_6|sub={0,4}")
+        primal, dual = _second_iso_witness_sets(second_iso_check(ctx, S, nm))
+        assert dual != {(b, a) for a, b in primal}
+        assert not third_iso_check(ctx, S, nm).passed
+
+    def test_dual_failures_mirror_primal_wherever_third_iso_holds(self):
+        checked = 0
+        for size in (5, 6):
+            for i, L in enumerate(lattices_of_size(size)):
+                for ctx, S, nm in objects_at_depth(L, 1, f"c{size}_{i}"):
+                    if not third_iso_check(ctx, S, nm).passed:
+                        continue
+                    checked += 1
+                    primal, dual = _second_iso_witness_sets(second_iso_check(ctx, S, nm))
+                    assert dual == {(b, a) for a, b in primal}, nm
+        assert checked
 
     def test_formulations_agree_on_fixtures_and_ses(self, cmon, ses1, commutative_fixtures):
         for name, L in commutative_fixtures.items():
             assert second_iso_disagreements(cmon, L, name) == []
             if L.size <= 5:
                 for ctx, S, nm in objects_at_depth(L, 1, name):
-                    assert second_iso_disagreements(ctx, S, nm, depth=1) == []
+                    assert second_iso_disagreements(ctx, S, nm) == []
 
 
 class TestDpn:
@@ -197,7 +226,7 @@ class TestDpn:
 
     def test_passes_on_all_ses_objects_over_klein_four(self, cmon, V4):
         for ctx, S, nm in objects_at_depth(V4, 1, "V4"):
-            assert dpn_check(ctx, S, nm, depth=1).passed
+            assert dpn_check(ctx, S, nm).passed
 
 
 class TestAntinormalTable:
@@ -218,8 +247,8 @@ class TestAntinormalTable:
                 for iz in range(lat.size):
                     if lat.leq[iy][iz]:
                         assert reference[iy][iz] is None, (nm, iy, iz)
-            assert dpn_check(ctx, X, nm, depth) == pairwise_dpn_check(ctx, X, nm, depth)
-            assert diexact_check(ctx, X, nm, depth) == pairwise_diexact_check(ctx, X, nm, depth)
+            assert dpn_check(ctx, X, nm) == pairwise_dpn_check(ctx, X, nm)
+            assert diexact_check(ctx, X, nm) == pairwise_diexact_check(ctx, X, nm)
 
 
 class TestDiexact:
@@ -243,7 +272,7 @@ class TestDiexact:
     def test_ses_level_cross_check(self, cmon, N5, V4):
         for base, name in ((N5, "N5"), (V4, "V4")):
             for ctx, S, nm in objects_at_depth(base, 1, name):
-                assert diexact_disagreement(ctx, S, nm, depth=1) is None
+                assert diexact_disagreement(ctx, S, nm) is None
 
 
 class TestDiextensionGrid:
@@ -298,7 +327,7 @@ class TestTransferInstances:
             L = commutative_fixtures[name]
             for depth in (1, 2, 3):
                 for ctx, S, nm in objects_at_depth(L, depth, name):
-                    assert third_iso_check(ctx, S, nm, depth).passed
+                    assert third_iso_check(ctx, S, nm).passed
 
     def test_klein_four_subquotients_all_locally_diexact(self, cmon, V4):
         for member in subquotient_closure(cmon, V4):
@@ -312,8 +341,8 @@ class TestTransferInstances:
         assert diexact_check(cmon, M3, "M3").passed
         verdicts = []
         for ctx, S, nm in objects_at_depth(M3, 1, "M3"):
-            assert dpn_check(ctx, S, nm, depth=1).passed
-            verdicts.append(diexact_check(ctx, S, nm, depth=1).passed)
+            assert dpn_check(ctx, S, nm).passed
+            verdicts.append(diexact_check(ctx, S, nm).passed)
         assert verdicts == [True, False, False, False, True]
 
     def test_ses_serialization(self, cmon, ses1, N5):

@@ -18,7 +18,6 @@ from monlat.context import (
     SesObject,
     antinormal_composite,
     cmon_context,
-    generic_pullback_epi_along_mono,
     generic_pullback_of_monos,
     make_ses,
     normal_decomposition_in,
@@ -37,6 +36,7 @@ from monlat.monoid import (
 from monlat.semilattice import bool2, chain, pentagon
 
 from conftest import abelian_group, down
+from lemmas import are_isomorphic, generic_pullback_epi_along_mono, isomorphisms
 from oracles import (
     NestedHom,
     all_homs,
@@ -405,18 +405,18 @@ class TestSesIsomorphisms:
     def test_same_sub_isomorphic(self, cmon, ses1, N5):
         a = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
         b = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
-        assert ses1.are_isomorphic(a, b)
+        assert are_isomorphic(ses1, a, b)
 
     def test_different_sub_sizes_not_isomorphic(self, cmon, ses1, N5):
         a = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
         b = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "B")))
-        assert not ses1.are_isomorphic(a, b)
+        assert not are_isomorphic(ses1, a, b)
 
     def test_sub_carried_by_base_iso_required(self, cmon, ses1, V4):
         # (V4, G) and (V4, H) are isomorphic: an automorphism swaps the atoms
         a = make_ses(cmon, V4, cmon.subobject_mono(V4, frozenset({0, 1})))
         b = make_ses(cmon, V4, cmon.subobject_mono(V4, frozenset({0, 2})))
-        assert ses1.are_isomorphic(a, b)
+        assert are_isomorphic(ses1, a, b)
 
     def test_chain_sub_position_matters(self, cmon, ses1):
         from monlat.semilattice import chain
@@ -424,7 +424,7 @@ class TestSesIsomorphisms:
         C = chain(3)
         a = make_ses(cmon, C, cmon.subobject_mono(C, frozenset({0})))
         b = make_ses(cmon, C, cmon.subobject_mono(C, frozenset({0, 1})))
-        assert not ses1.are_isomorphic(a, b)
+        assert not are_isomorphic(ses1, a, b)
 
 
 class TestNormalityCharacterizations:
@@ -511,7 +511,7 @@ class TestLemmaInstances:
             e = ses1.cokernel(km)
             Q = ses1.cod(e)
             for tm in ses1.normal_subobject_monos(Q):
-                pb = ses1.pullback_epi_along_mono(e, tm)
+                pb = generic_pullback_epi_along_mono(ses1, e, tm)
                 gamma_dom = ses1.kernel(pb.onto_sub)
                 gamma = ses1.factor_through_kernel(
                     ses1.compose(pb.into_total, gamma_dom), ses1.kernel(e)
@@ -641,7 +641,7 @@ class TestThinMorphisms:
         monkeypatch.undo()
         for _, S, _ in objects:
             for _, T, _ in objects:
-                cases += ctx.isomorphisms(S, T)
+                cases += isomorphisms(ctx, S, T)
                 identity = _lift(S, T, identity_hom(X))
                 if identity is not None:
                     cases.append(identity)
@@ -703,7 +703,7 @@ def _recorded_recognizer_calls(monkeypatch, X, depth, name):
     for method in ("normal_mono_failure", "normal_epi_failure"):
         monkeypatch.setattr(SesContext, method, recording(getattr(SesContext, method)))
     for ctx, S, nm in objects_at_depth(X, depth, name):
-        third_iso_check(ctx, S, nm, depth)
+        third_iso_check(ctx, S, nm)
     monkeypatch.undo()
     return calls
 
@@ -742,7 +742,7 @@ class TestFlatTower:
             lat, nlat = enumerate_nsub(ctx, S), enumerate_nsub(nctx, N)
             assert _lattice_tables(lat) == _lattice_tables(nlat)
             for check in checks:
-                assert check(ctx, S, nm, depth) == check(nctx, N, nm, depth)
+                assert check(ctx, S, nm) == check(nctx, N, nm)
         monkeypatch.undo()
         assert {name for _, name, _, _ in built} == {"kernel", "cokernel"}
         for ctx, name, f, result in built:
@@ -755,7 +755,7 @@ class TestFlatTower:
         # closed: there the nested construction has the closure
         built = _recorded_kernels_and_cokernels(monkeypatch)
         for ctx, S, nm in objects_at_depth(commutative_fixtures["N5"], 2, "N5"):
-            third_iso_check(ctx, S, nm, 2)
+            third_iso_check(ctx, S, nm)
         monkeypatch.undo()
         not_closed = 0
         for ctx, name, f, q in built:

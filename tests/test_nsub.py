@@ -3,19 +3,16 @@ import pytest
 from monlat.monoid import normal_closure, normal_submonoids
 from monlat.nsub import (
     _sublattice_shape,
-    cokersquare_check,
     enumerate_nsub,
     is_distributive,
     is_modular,
-    join_agreement_check,
-    join_via_uniinter,
     lattice_from_join_table,
     lattice_of_semilattice,
-    phi_psi,
 )
 from monlat.semilattice import covers_of
 
 from conftest import abelian_group, closure_oracle_families, down
+from lemmas import cokersquare_check, join_agreement_check, join_via_uniinter, phi_psi
 from oracles import (
     categorical_lattice,
     find_lattice_isomorphism,

@@ -18,10 +18,12 @@ class TestReferenceScenarios:
         assert skipped == ["pentagon-ses-third-iso", "klein-four-ses-diexact"]
         assert not all(r.ok for r in results)
 
-    def test_corrupted_pentagon_is_caught_at_the_dpn_step(self):
+    def test_corrupted_pentagon_is_caught_at_the_dpn_step(self, monkeypatch):
         # negative control: swapping C and D in the join table produces a
         # different (isomorphic) pentagon, so the expected witness pair moves
         # and the scenario must flag the divergence instead of passing
+        from monlat import scenarios
+        from monlat.monoid import validate_monoid
         from monlat.semilattice import pentagon
 
         N5 = pentagon()
@@ -30,6 +32,7 @@ class TestReferenceScenarios:
         corrupt = tuple(
             tuple(swap[N5.op(swap[i], swap[j])] for j in range(5)) for i in range(5)
         )
-        result = scenario_pentagon_dpn(corrupt)
+        monkeypatch.setattr(scenarios, "pentagon", lambda: validate_monoid(corrupt, N5.labels))
+        result = scenario_pentagon_dpn()
         assert not result.ok
         assert "dpn" in result.detail
