@@ -31,11 +31,18 @@ class AxiomFailure:
 
 
 class InvalidMonoid(MonoidError):
-    """Raised with the complete list of violated axioms."""
+    """Raised with the complete list of violated axioms. The message names
+    the first few and counts the rest, since a large table can break
+    associativity in O(n^3) ways."""
+
+    SHOWN = 5
 
     def __init__(self, failures):
         self.failures = tuple(failures)
-        super().__init__("; ".join(map(str, self.failures)))
+        message = "; ".join(map(str, self.failures[: self.SHOWN]))
+        if len(self.failures) > self.SHOWN:
+            message += f" ({len(self.failures) - self.SHOWN} more)"
+        super().__init__(message)
 
 
 class NotASubmonoid(MonoidError):

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monlat.census import lattices_of_size
 from monlat.checks import (
+    CHECKS,
     _antinormal_failures,
     diexact_check,
     dpn_check,
@@ -13,6 +16,7 @@ from monlat.checks import (
 )
 from monlat.context import (
     antinormal_composite,
+    cmon_context,
     is_normal_map_in,
     make_ses,
     restrict_mono,
@@ -42,6 +46,20 @@ def _antinormal_cases():
 
 
 ANTINORMAL_CASES = _antinormal_cases()
+
+
+def _sweep_cases():
+    """(name, monoid, depth) for the whole-report oracle: depth 2 over the
+    census lattices of sizes 5 and 6 and Z2^3, depth 3 over the commutative
+    fixtures, and depth 4 over N5 and V4."""
+    bases = named_commutative_monoids()
+    cases = [(f"c{n}_{i}", L, 2) for n in (5, 6) for i, L in enumerate(lattices_of_size(n))]
+    cases.append(("Z2x2x2", abelian_group(2, 2, 2), 2))
+    cases += [(name, M, 3) for name, M in bases.items()]
+    return cases + [(name, bases[name], 4) for name in ("N5", "V4")]
+
+
+SWEEP_CASES = _sweep_cases()
 
 
 class TestThirdIso:
@@ -241,7 +259,13 @@ class TestAntinormalTable:
         for ctx, X, nm in objects_at_depth(base, depth, name):
             lat = enumerate_nsub(ctx, X)
             reference = antinormal_failures_by_pairs(ctx, X)
-            assert _antinormal_failures(ctx, lat) == reference, nm
+            failing = {
+                (iy, iz): reason
+                for iy, row in enumerate(reference)
+                for iz, reason in enumerate(row)
+                if reason is not None
+            }
+            assert _antinormal_failures(ctx, lat) == failing, nm
             # the zero-map lemma: Y <= Z makes Y >-> X ->> X/Z normal
             for iy in range(lat.size):
                 for iz in range(lat.size):
@@ -371,10 +395,61 @@ class TestSubquotientClosure:
         assert sorted(m.size for m in closure) == [1, 2, 3, 5]
 
 
+class TestSweepFromMarkTables:
+    """run_check decides a depth-d sweep from one depth-1 table per mark;
+    each of its reports must equal the checker's own report on the
+    depth-d object that objects_at_depth builds."""
+
+    @pytest.mark.parametrize(
+        "name, base, depth",
+        SWEEP_CASES,
+        ids=[f"{name}-d{depth}" for name, _, depth in SWEEP_CASES],
+    )
+    def test_reports_match_the_checkers(self, name, base, depth):
+        objects = list(objects_at_depth(base, depth, name))
+        for prop, check in CHECKS.items():
+            reference = [check(ctx, X, nm) for ctx, X, nm in objects]
+            assert run_check(prop, base, depth, name) == reference, prop
+
+    @given(
+        case=st.sampled_from(
+            [(f"c{n}_{i}", L) for n in range(1, 8) for i, L in enumerate(lattices_of_size(n))]
+        ).flatmap(
+            lambda case: st.tuples(
+                st.just(case),
+                st.integers(2, 3).flatmap(
+                    lambda depth: st.lists(
+                        st.integers(0, len(enumerate_nsub(cmon_context(), case[1]).keys) - 1),
+                        min_size=depth,
+                        max_size=depth,
+                    )
+                ),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_mark_tuples(self, case):
+        (name, L), marks = case
+        ctx, X, nm = cmon_context(), L, name
+        for k in marks:
+            m = ctx.normal_subobject_monos(X)[k]
+            nm += f"|sub={ctx.render_key(X, ctx.mono_key(m))}"
+            X, ctx = make_ses(ctx, X, m), ses_context(ctx)
+        n = enumerate_nsub(ctx, X).size
+        position = sum(k * n ** (len(marks) - 1 - i) for i, k in enumerate(marks))
+        for prop in ("hsd", "secondiso", "dpn", "diexact"):
+            report = run_check(prop, L, len(marks), name)[position]
+            assert report == CHECKS[prop](ctx, X, nm), prop
+
+
 class TestRunCheck:
     def test_depth_zero(self, N5):
         reports = run_check("dpn", N5, 0, "N5")
         assert len(reports) == 1 and not reports[0].passed
+
+    def test_depth_below_zero_is_the_object_itself(self, N5):
+        assert [nm for _, _, nm in objects_at_depth(N5, -1, "N5")] == ["N5"]
+        assert run_check("hsd", N5, -1, "N5") == run_check("hsd", N5, 0, "N5")
 
     def test_depth_one_fans_out(self, N5):
         reports = run_check("hsd", N5, 1, "N5")

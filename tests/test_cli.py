@@ -58,6 +58,20 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(p))
         assert code == 2 and "NonAssociative" in err
 
+    def test_large_bad_table_gives_a_short_message(self, capsys, tmp_path):
+        # a 60-element table that breaks associativity in O(n^3) ways: the
+        # message names the first few failures and counts the rest
+        n = 60
+        rows = [
+            [j if i == 0 else i if j == 0 else (i - j) % n for j in range(n)] for i in range(n)
+        ]
+        p = tmp_path / "bad.txt"
+        p.write_text(f"monoid {n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+        code, out, err = run(capsys, "validate", str(p))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 2048
+        assert "NonAssociative" in err and " more)" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "no_such_file.txt")
         assert code == 2

@@ -630,7 +630,7 @@ class TestThinMorphisms:
             return is_iso(self, f)
 
         X = commutative_fixtures[fixture]
-        objects = objects_at_depth(X, depth, fixture)
+        objects = list(objects_at_depth(X, depth, fixture))
         ctx = objects[0][0]
         monkeypatch.setattr(SesContext, "is_iso", recording)
         for _, S, _ in objects:
@@ -733,7 +733,7 @@ class TestFlatTower:
         # lattice, the verdicts and witnesses of the four checks, and every
         # kernel and cokernel object the checks build
         X = commutative_fixtures[fixture]
-        flat = objects_at_depth(X, depth, fixture)
+        flat = list(objects_at_depth(X, depth, fixture))
         nested = nested_objects_at_depth(X, depth, fixture)
         assert [(S, nm) for _, S, nm in flat] == [(flat_object(N), nm) for _, N, nm in nested]
         checks = (third_iso_check, second_iso_check, dpn_check, diexact_check)
@@ -771,7 +771,7 @@ class TestFlatTower:
         # chain3 has the table of the submonoid {0,C,B} of N5 that an
         # earlier sweep built, and its sweep must still name subobjects with
         # its own labels
-        objects_at_depth(pentagon(), 2, "N5")
+        list(objects_at_depth(pentagon(), 2, "N5"))
         names = {enumerate_nsub(ctx, S).names for ctx, S, _ in objects_at_depth(chain(3), 1, "chain3")}
         assert names == {("{0}", "{0,1}", "{0,1,2}")}
 
@@ -812,7 +812,7 @@ class TestLevelwiseNormality:
         # gamma clause holds once the beta clause does
         monoids = {"chain2": chain(2), "chain3": chain(3), "bool2": bool2(), "Z4": abelian_group(4)}
         objects = {
-            name: objects_at_depth(M, depth, name) for name, M in monoids.items()
+            name: list(objects_at_depth(M, depth, name)) for name, M in monoids.items()
         }
         ctx = objects["chain2"][0][0]
         nested = nested_context(depth)
@@ -839,7 +839,7 @@ class TestLevelwiseNormality:
         # one depth-3 call of each recognizer, on a normal mono and a normal
         # epi so that every level is visited, makes no subobject, kernel,
         # cokernel or pullback at any ses level
-        ctx, S, _ = objects_at_depth(chain(4), 3, "chain4")[-1]
+        ctx, S, _ = list(objects_at_depth(chain(4), 3, "chain4"))[-1]
         m = ctx.normal_subobject_monos(S)[2]
         q = ctx.cokernel(m)
         calls = Counter()

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from monlat.census import lattices_of_size
 from monlat.formats import (
     ParseError,
     emit_lattice_text,
@@ -9,8 +12,10 @@ from monlat.formats import (
     parse_semilattice_text,
     parse_structure,
 )
+from monlat.monoid import FinMonoid
 from monlat.nsub import enumerate_nsub, lattice_of_semilattice
 
+from conftest import abelian_group, named_commutative_monoids
 from oracles import lattices_isomorphic
 
 
@@ -118,6 +123,45 @@ class TestDispatch:
     def test_unknown_header(self):
         with pytest.raises(ParseError):
             parse_structure("poset 3\n")
+
+
+def _round_trip_monoids():
+    """The named fixtures, every census lattice up to size 7 and the abelian
+    groups of order at most 16 with cyclic factors of order 2-4."""
+    monoids = list(named_commutative_monoids().values())
+    monoids += [L for n in range(1, 8) for L in lattices_of_size(n)]
+    for orders in ((2,), (3,), (4,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (4, 4), (2, 2, 4), (2, 2, 2, 2)):
+        monoids.append(abelian_group(*orders))
+    return monoids
+
+
+class TestRoundTrip:
+    @given(M=st.sampled_from(_round_trip_monoids()))
+    @settings(max_examples=100, deadline=None)
+    def test_monoid_format(self, M):
+        assert parse_structure(emit_monoid_text(M)) == M
+
+    @given(M=st.sampled_from([M for M in _round_trip_monoids() if M.is_semilattice]))
+    @settings(max_examples=100, deadline=None)
+    def test_semilattice_format(self, M):
+        # the format lists elements in its own linear extension of the
+        # order, so a semilattice numbered otherwise comes back renumbered:
+        # with every element labelled, the parse is M with its elements
+        # permuted along their labels, and it round-trips exactly
+        if M.labels is None:
+            M = FinMonoid(M.table, tuple(f"x{i}" for i in range(M.size)))
+        again = parse_structure(emit_semilattice_text(M))
+        assert sorted(again.labels) == sorted(M.labels)
+        old = [M.element(again.label(i)) for i in range(again.size)]
+        for a in range(again.size):
+            for b in range(again.size):
+                assert old[again.op(a, b)] == M.op(old[a], old[b])
+        assert parse_structure(emit_semilattice_text(again)) == again
+
+    def test_fixtures_come_back_exactly(self):
+        for M in named_commutative_monoids().values():
+            if M.is_semilattice:
+                assert parse_structure(emit_semilattice_text(M)) == M
 
 
 class TestLatticeExport:

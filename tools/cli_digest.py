@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 172 CLI calls, one line per call.
+"""Digest the output of a fixed set of 182 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -13,11 +13,12 @@ and only a change that alters CLI bytes on purpose records the file anew.
 
 The calls: ``check`` of every property at depths 0-3 on bool2 and chain4
 (``stability`` at depth 0 only) and at depths 0-2 on N5, V4 and L6;
-``dpn`` and ``diexact`` at depth 3 on N5, V4 and L6; ``stability`` on N5,
-V4 and L6; ``nsub`` on the nine named fixtures;
+``hsd``, ``secondiso``, ``dpn`` and ``diexact`` at depth 3 on N5, V4 and
+L6; ``stability`` on N5, V4 and L6; ``nsub`` on the nine named fixtures;
 ``paper-examples`` at depths 1 and 2; ``enumerate --max-size 8``; ``nsub``,
 ``modular`` and ``distributive`` on Z2^3, Z2xZ4, Z3^3, Z2^4 and Z6xZ2^2;
-every depth-1 check and ``stability`` on Z2^3 and Z2xZ4; ``validate`` on
+every depth-1 check and ``stability`` on Z2^3 and Z2xZ4; ``hsd``,
+``secondiso``, ``dpn`` and ``diexact`` at depth 2 on Z2^3; ``validate`` on
 the nine named fixtures and the five groups; and four input errors (exit
 2): ``nsub`` on a non-commutative monoid file, an unknown fixture, a
 ``--ses-depth`` of 4 and ``enumerate --max-size 9``. Every call runs in a
@@ -39,6 +40,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHECKS = ("hsd", "secondiso", "dpn", "diexact", "modular", "distributive")
+SES_CHECKS = CHECKS[:4]
 FIXTURES = ("triv", "chain2", "chain3", "chain4", "bool2", "N5", "M3", "L6", "V4")
 GROUPS = {
     "Z2x2x2": (2, 2, 2),
@@ -74,7 +76,7 @@ def calls() -> list[tuple[str, ...]]:
                     continue
                 out.append(("check", "--property", prop, "--ses-depth", str(depth), name))
     for name in ("N5", "V4", "L6"):
-        out += [("check", "--property", prop, "--ses-depth", "3", name) for prop in ("dpn", "diexact")]
+        out += [("check", "--property", prop, "--ses-depth", "3", name) for prop in SES_CHECKS]
     out += [("check", "--property", "stability", name) for name in ("N5", "V4", "L6")]
     out += [("nsub", name) for name in FIXTURES]
     out += [("paper-examples", "--ses-depth", str(d)) for d in (1, 2)]
@@ -87,6 +89,7 @@ def calls() -> list[tuple[str, ...]]:
         path = f"{group}.txt"
         out += [("check", "--property", prop, "--ses-depth", "1", path) for prop in CHECKS]
         out.append(("check", "--property", "stability", path))
+    out += [("check", "--property", prop, "--ses-depth", "2", "Z2x2x2.txt") for prop in SES_CHECKS]
     out += [("validate", name) for name in FIXTURES]
     out += [("validate", f"{group}.txt") for group in GROUPS]
     out += [
