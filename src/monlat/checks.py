@@ -2,11 +2,38 @@
 
 Each checker sweeps the normal subobjects of one object of a context and
 returns a CheckReport at the context's depth, with replayable witnesses.
-Each verdict comes from one characterization of its property; the
-equivalent characterizations are compared against it in the test suite,
-not here. Each checker reads one per-pair failure table of its object,
-and a sweep over the depth-d objects (``run_check``) combines one depth-1
-table per mark instead of building them.
+Every verdict is read off the lattice L (join v, meet ^) of normal
+submonoids of the object's innermost commutative monoid M; categorical
+tables that build every map are the reference in the test suite. A pair
+fails at (M, (K1, ..., Kd)) when it fails in the table of M or of some mark
+Ki: every map a checker builds carries the marks level by level, and the
+recognizers test the innermost map and then each level.
+
+At depth 0 the one categorical table is ``_antinormal_failures``, and:
+
+- hsd never fails. For X <= Y normal in M, Y/X -> M/X is injective, as X's
+  congruence on Y is the restriction of its congruence on M, and has a
+  saturated image, as [m]+[y] = [y'] gives m+(y+x) = y'+x' in Y.
+- secondiso's primal entry (Y, Z) is the antinormal entry (Y, Z), as the
+  middle comparison of Y >-> M ->> M/Z runs from Y/(Y^Z) to (YvZ)/Z, and
+  its dual entry the antinormal entry (Z, Y), as by the first lemma the
+  kernel of M/A ->> M/B is B/A.
+
+A normal submonoid of M/A is the image of exactly one of M above A, so each
+mark a checker meets is named by an element of L, and a bijective map is an
+isomorphism (a square a pullback) when the elements naming the marks it
+compares are equal. So a mark K fails the pair when:
+
+- hsd, X <= Y: (Y^K)vX != Y^(KvX), the modular law: Y/X has the mark
+  (Y^K)vX and M/X the mark KvX;
+- dpn and diexact, (Y, Z): (Y^K)vZ != (YvZ)^(KvZ), the marks of Y/(Y^Z)
+  carried into M/Z and of the kernel (YvZ)/Z of the cokernel; the note is
+  'induced map not invertible' where the depth-0 entry passes;
+- secondiso primal: (Y^K)vZ != ((YvZ)^K)vZ, the latter the mark of the
+  cokernel (YvZ)/Z of Z >-> YvZ;
+- secondiso dual: ((Kv(Y^Z))^Z)vY != (KvY)^(YvZ), the marks of the kernel
+  Z/(Y^Z) of M/(Y^Z) ->> M/Z carried into M/Y, and of the kernel (YvZ)/Y
+  of M/Y ->> M/(YvZ).
 """
 
 from __future__ import annotations
@@ -16,13 +43,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any
 
-from .context import (
-    cmon_context,
-    make_ses,
-    normal_decomposition_in,
-    restrict_mono,
-    ses_context,
-)
+from .context import cmon_context, make_ses, normal_decomposition_in, ses_context
 from .monoid import NormalDecomposition
 from .nsub import enumerate_nsub, is_distributive, is_modular
 
@@ -71,66 +92,12 @@ def _pair_witnesses(lat, table) -> list[CheckWitness]:
     ]
 
 
-def _hsd_failures(ctx, lat) -> dict[tuple[int, int], str]:
-    """The failing pairs X <= Y of ``third_iso_check``, with the reason the
-    induced map Y/X -> Z/X is not a normal mono."""
-    q = [ctx.cokernel(m) for m in lat.monos]
-    table = {}
-    for ix in range(lat.size):
-        for iy in range(lat.size):
-            if not lat.leq[ix][iy]:
-                continue
-            x, y = lat.monos[ix], lat.monos[iy]
-            e = ctx.cokernel(restrict_mono(ctx, x, y))  # Y ->> Y/X
-            g = ctx.factor_through_cokernel(e, ctx.compose(q[ix], y))
-            failure = ctx.normal_mono_failure(g)
-            if failure is not None:
-                table[ix, iy] = failure
-    return table
-
-
 def third_iso_check(ctx, Z, name="object") -> CheckReport:
     """Third Isomorphism Property at one object: for X <= Y normal in Z, the
     induced map Y/X -> Z/X must be a normal mono (equivalently, Y/X is a
     kernel of Z/X -> Z/Y). The witness note localizes which normality clause
     broke."""
     return _check("hsd", ctx, Z, name)
-
-
-def _second_iso_failures(ctx, lat) -> dict[tuple[int, int], str]:
-    """The failing ordered pairs of ``second_iso_check``, each noted with
-    the comparisons that are not isomorphisms: primal, dual or both.
-
-    Each map the two comparisons are built from depends on one nested
-    pair A <= B among Y, Z, Y^Z and YvZ, so it is built once per nested
-    pair instead of once per ordered pair: the inclusion A >-> B, the
-    quotient B ->> B/A (``(YvZ)/Z``, ``Y/(Y^Z)``), the map X/A ->> X/B
-    between quotients of the object (``X/(Y^Z) ->> X/Y``) and its kernel
-    B/A >-> X/A. Every nested pair occurs (as Y = B, Z = A), so none is
-    built in vain.
-    """
-    q = [ctx.cokernel(m) for m in lat.monos]
-    nested = [(a, b) for a in range(lat.size) for b in range(lat.size) if lat.leq[a][b]]
-    restrict = {(a, b): restrict_mono(ctx, lat.monos[a], lat.monos[b]) for a, b in nested}
-    quotient = {pair: ctx.cokernel(m) for pair, m in restrict.items()}
-    between = {(a, b): ctx.factor_through_cokernel(q[a], q[b]) for a, b in nested}
-    between_kernel = {pair: ctx.kernel(p) for pair, p in between.items()}
-    table = {}
-    for iy in range(lat.size):
-        for iz in range(lat.size):
-            ij, im = lat.join[iy][iz], lat.meet[iy][iz]
-            f = ctx.compose(quotient[iz, ij], restrict[iy, ij])
-            u = ctx.factor_through_cokernel(quotient[im, iy], f)  # Y/(Y^Z) -> (YvZ)/Z
-            p = between[im, iy]  # X/(Y^Z) ->> X/Y
-            v = ctx.factor_through_kernel(
-                ctx.compose(p, between_kernel[im, iz]), between_kernel[iy, ij]
-            )
-            note = "+".join(
-                tag for tag, iso in (("primal", ctx.is_iso(u)), ("dual", ctx.is_iso(v))) if not iso
-            )
-            if note:
-                table[iy, iz] = note
-    return table
 
 
 def second_iso_check(ctx, X, name="object") -> CheckReport:
@@ -142,11 +109,10 @@ def second_iso_check(ctx, X, name="object") -> CheckReport:
     a normal epi) are not evaluated here. The dual statement (the
     canonical map between the kernels of X/(Y^Z) -> X/Z and of
     X/Y -> X/(YvZ) is an isomorphism) is evaluated in the same sweep.
-    Where the third isomorphism property holds at X, the dual comparison
-    for (Y, Z) is the primal one for (Z, Y), so the dual failures mirror
-    the primal ones on swapped pairs; where it fails they can differ (over
-    the census lattices of sizes 5-7, 27 of the 486 depth-1 objects), so
-    the dual half is not redundant.
+    At depth 0 the dual comparison for (Y, Z) is the primal one for (Z, Y),
+    and both are read off the antinormal table. At a mark K the primal one
+    fails when (Y^K)vZ != ((YvZ)^K)vZ and the dual one when
+    ((Kv(Y^Z))^Z)vY != (KvY)^(YvZ), as the module docstring proves.
 
     The comparisons are the canonical induced maps, never a search for an
     abstract isomorphism: on the hexagon lattice (two 3-chains glued at both
@@ -193,22 +159,14 @@ def _dpn_witnesses(lat, table) -> list[CheckWitness]:
 def dpn_check(ctx, X, name="object") -> CheckReport:
     """Dinversion preserves normal maps, tested on one object: for each
     ordered pair (Y, Z), the composite Z >-> X ->> X/Y is normal exactly when
-    its dinverse Y >-> X ->> X/Z is.
-
-    Both composites are read off one table of antinormal composites
-    (``_antinormal_failures``, shared with ``diexact_check``), so each
-    ordered pair is decided once; a composite Y >-> X ->> X/Z with Y <= Z
-    is the zero map, normal without a decomposition.
-    """
+    its dinverse Y >-> X ->> X/Z is; both are read off diexact's table."""
     return _check("dpn", ctx, X, name)
 
 
 def diexact_check(ctx, X, name="object") -> CheckReport:
     """Local di-exactness: every antinormal composite Y >-> X ->> X/Z through
-    this object is a normal map. The verdicts come from the table that
-    ``dpn_check`` reads too (``_antinormal_failures``): a pair with Y <= Z
-    holds the zero map, normal without a decomposition, and any other pair's
-    witness note is the reason its decomposition failed."""
+    this object is a normal map. A witness note is the reason the
+    composite's decomposition failed."""
     return _check("diexact", ctx, X, name)
 
 
@@ -251,15 +209,61 @@ def _lattice_witnesses(lat, verdict) -> list[CheckWitness]:
 
 
 # ---------------------------------------------------------------------------
-# sweeping over iterated short-exact-sequence objects
+# failure tables: one of the innermost monoid, one per mark
+
+
+def _no_failures(*_) -> dict:
+    """hsd's depth-0 table, and a lattice property's table at a mark."""
+    return {}
+
+
+def _second_iso_base(ctx, lat) -> dict[tuple[int, int], str]:
+    """secondiso's depth-0 table: the antinormal entry (y, z) is its primal
+    entry (y, z) and its dual entry (z, y)."""
+    table = _antinormal_failures(ctx, lat)
+    dual = {(z, y): "dual" for y, z in table}
+    return _either_comparison([dict.fromkeys(table, "primal"), dual])
+
+
+def _hsd_at_mark(lat, k) -> dict[tuple[int, int], str]:
+    """The pairs x <= y with (y^k)vx != y^(kvx)."""
+    J, M = lat.join, lat.meet
+    return {
+        (x, y): "left-square-not-pullback"
+        for x, y in product(range(lat.size), repeat=2)
+        if lat.leq[x][y] and J[M[y][k]][x] != M[y][J[k][x]]
+    }
+
+
+def _second_iso_at_mark(lat, k) -> dict[tuple[int, int], str]:
+    """(y^k)vz != ((yvz)^k)vz fails the primal, ((kv(y^z))^z)vy != (kvy)^(yvz) the dual."""
+    J, M = lat.join, lat.meet
+    pairs = list(product(range(lat.size), repeat=2))
+    return _either_comparison([
+        {(y, z): "primal" for y, z in pairs if J[M[y][k]][z] != J[M[J[y][z]][k]][z]},
+        {(y, z): "dual" for y, z in pairs if J[M[J[k][M[y][z]]][z]][y] != M[J[k][y]][J[y][z]]},
+    ])
+
+
+def _antinormal_at_mark(lat, k) -> dict[tuple[int, int], str]:
+    """The pairs (y, z) with (y^k)vz != (yvz)^(kvz)."""
+    J, M = lat.join, lat.meet
+    return {
+        (y, z): "induced map not invertible"
+        for y, z in product(range(lat.size), repeat=2)
+        if J[M[y][k]][z] != M[J[y][z]][J[k][z]]
+    }
+
+
+# ---------------------------------------------------------------------------
+# combining the tables of an object's innermost monoid and of its marks
 
 
 def _merged(tables, join=lambda old, new: old) -> dict:
     """The pairs failing in any of the tables, in pair order. A pair that
     fails in several gets ``join`` of their failures, by default the first:
-    that serves dpn's and diexact's reasons, since a reason of the
-    innermost map is the same in every table, and a mark's own reason is
-    always 'induced map not invertible'."""
+    that serves dpn's and diexact's reasons, since the depth-0 table comes
+    first and a mark's own reason is always 'induced map not invertible'."""
     merged = {}
     for table in tables:
         for pair, failure in table.items():
@@ -275,9 +279,9 @@ def _either_comparison(tables) -> dict:
 
 
 def _first_failing_level(tables) -> dict:
-    """hsd's note names the first level that fails: a failure of the base
-    map (in every table) or of a mark below the top fails the base map of
-    the whole sequence; a failure of the top mark alone is its left square."""
+    """hsd's note names the first level that fails: a failure of a mark
+    below the top fails the base map of the whole sequence; a failure of the
+    top mark alone is its left square. The depth-0 table is empty."""
     *lower, top = tables
     return _merged([dict.fromkeys(table, "beta-not-normal-mono") for table in lower] + [top])
 
@@ -299,30 +303,38 @@ def _triples(lat) -> int:
     return lat.size**3
 
 
-# How each property is decided: (the failure table of one object, its
-# witnesses, its case count, and how the tables of the depth-1 objects
-# (M, (K1)), ..., (M, (Kd)) combine into the table of (M, (K1, ..., Kd))).
+# How each property is decided: (the failure table of the innermost monoid M,
+# that of one mark, the witnesses, the case count, and how the table of M and
+# those of the marks K1, ..., Kd combine into the table of (M, (K1, ..., Kd))).
 _RULES = {
-    "hsd": (_hsd_failures, _pair_witnesses, _nested_pairs, _first_failing_level),
-    "secondiso": (_second_iso_failures, _pair_witnesses, _ordered_pairs, _either_comparison),
-    "dpn": (_antinormal_failures, _dpn_witnesses, _ordered_pairs, _merged),
-    "diexact": (_antinormal_failures, _pair_witnesses, _ordered_pairs, _merged),
-    "modular": (lambda ctx, lat: is_modular(lat), _lattice_witnesses, _triples, _unmarked),
+    "hsd": (_no_failures, _hsd_at_mark, _pair_witnesses, _nested_pairs, _first_failing_level),
+    "secondiso": (
+        _second_iso_base, _second_iso_at_mark, _pair_witnesses, _ordered_pairs, _either_comparison
+    ),
+    "dpn": (_antinormal_failures, _antinormal_at_mark, _dpn_witnesses, _ordered_pairs, _merged),
+    "diexact": (_antinormal_failures, _antinormal_at_mark, _pair_witnesses, _ordered_pairs, _merged),
+    "modular": (
+        lambda ctx, lat: is_modular(lat), _no_failures, _lattice_witnesses, _triples, _unmarked
+    ),
     "distributive": (
-        lambda ctx, lat: is_distributive(lat), _lattice_witnesses, _triples, _unmarked
+        lambda ctx, lat: is_distributive(lat), _no_failures, _lattice_witnesses, _triples, _unmarked
     ),
 }
 
 
-def _report(prop, depth, name, lat, table) -> CheckReport:
-    _, witnesses, cases, _ = _RULES[prop]
-    found = tuple(witnesses(lat, table))
+def _report(prop, depth, name, lat, tables) -> CheckReport:
+    *_, witnesses, cases, combine = _RULES[prop]
+    found = tuple(witnesses(lat, combine(tables)))
     return CheckReport(prop, name, depth, not found, found, cases(lat))
 
 
 def _check(prop, ctx, X, name) -> CheckReport:
-    lat = enumerate_nsub(ctx, X)
-    return _report(prop, ctx.depth, name, lat, _RULES[prop][0](ctx, lat))
+    cmon = cmon_context()
+    lat = enumerate_nsub(cmon, ctx.innermost_object(X))
+    base, at_mark, *_ = _RULES[prop]
+    marks = [lat.index_of_key(K) for K in X.marks] if ctx.depth else []
+    tables = [base(cmon, lat)] + [at_mark(lat, k) for k in marks]
+    return _report(prop, ctx.depth, name, lat, tables)
 
 
 def objects_at_depth(X, depth: int, name: str) -> Iterator[tuple[Any, Any, str]]:
@@ -359,19 +371,11 @@ def run_check(prop: str, X, depth: int = 0, name: str = "object") -> list[CheckR
     in the order of ``objects_at_depth``.
 
     Depth 0 runs the property's checker on X. At depth d >= 1 the sweep
-    builds no depth-d object: it decides each depth-1 object (M, (K)), one
-    per normal submonoid K of X, once, and reads the report of every
-    object (M, (K1, ..., Kd)) off the tables of its marks. This is exact.
-    Every map a checker builds at (M, (K1, ..., Kd)) has the innermost
-    monoid map it has at each (M, (Ki)), and the same marks at level i: a
-    kernel's marks are N & Ki, a cokernel's are normal_closure(q(Li)) for
-    the marks Li of its target, and composites and factor maps carry them
-    level by level. Both normality recognizers and ``is_iso`` test the
-    innermost map and then one level at a time. So a pair fails at depth d
-    exactly when it fails at (M, (Ki)) for some i, and each rule's combine
-    step (the last entry of its ``_RULES`` tuple) keeps the note that the
-    depth-d checker gives. The checkers themselves, called on the objects
-    of ``objects_at_depth``, are the reference in the tests.
+    builds no object: it reads the depth-0 table of X and the table of each
+    mark K once, by the lattice identities of the module docstring (hsd:
+    (Y^K)vX = Y^(KvX); dpn and diexact: (Y^K)vZ = (YvZ)^(KvZ); secondiso:
+    (Y^K)vZ = ((YvZ)^K)vZ and ((Kv(Y^Z))^Z)vY = (KvY)^(YvZ)), and combines
+    them for every object (M, (K1, ..., Kd)) as the checker on it does.
     """
     cmon = cmon_context()
     if prop == "stability":
@@ -380,14 +384,15 @@ def run_check(prop: str, X, depth: int = 0, name: str = "object") -> list[CheckR
         return [pullback_stability_check(cmon, X, name)]
     if depth <= 0:
         return [CHECKS[prop](cmon, X, name)]
-    failures, _, _, combine = _RULES[prop]
-    ses = ses_context(cmon)
+    base, at_mark, *_ = _RULES[prop]
     lat = enumerate_nsub(cmon, X)
-    tables = [failures(ses, enumerate_nsub(ses, make_ses(cmon, X, m))) for m in lat.monos]
+    for m in lat.monos:  # make_ses checks that (M, (K)) is a short exact sequence
+        make_ses(cmon, X, m)
+    bottom = base(cmon, lat)
+    tables = [at_mark(lat, k) for k in range(lat.size)]
     labels = [f"|sub={label}" for label in lat.names]
-    reports = []
-    for marks in product(range(lat.size), repeat=depth):
-        table = tables[marks[0]] if depth == 1 else combine([tables[k] for k in marks])
-        nm = name + "".join(labels[k] for k in marks)
-        reports.append(_report(prop, depth, nm, lat, table))
-    return reports
+    return [
+        _report(prop, depth, name + "".join(labels[k] for k in marks), lat,
+                [bottom] + [tables[k] for k in marks])
+        for marks in product(range(lat.size), repeat=depth)
+    ]

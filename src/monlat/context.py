@@ -466,12 +466,6 @@ def generic_pullback_of_monos(ctx, m1, m2) -> Span:
     return Span(ctx.dom(k), k, to_second)
 
 
-def restrict_mono(ctx, small, big):
-    """For subobject monos small <= big into the same object, the induced
-    normal mono dom(small) -> dom(big)."""
-    return ctx.factor_through_kernel(small, big)
-
-
 def antinormal_composite(ctx, X, y_key, z_key):
     """The map  Y >-> X ->> X/Z  built from two normal subobjects of X."""
     y = ctx.subobject_mono(X, y_key)

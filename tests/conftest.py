@@ -92,6 +92,42 @@ def abelian_group(*orders):
     )
 
 
+def multiplicative_monoid(n):
+    """(Z_n, *), element i the residue (i + 1) mod n, so the identity 1
+    comes first, each labelled with its residue."""
+    return FinMonoid(
+        tuple(tuple(((a + 1) * (b + 1) % n - 1) % n for b in range(n)) for a in range(n)),
+        tuple(str((i + 1) % n) for i in range(n)),
+    )
+
+
+def truncated_monoid(n):
+    """{0..n} under min(a + b, n)."""
+    return FinMonoid(tuple(tuple(min(a + b, n) for b in range(n + 1)) for a in range(n + 1)))
+
+
+def product_monoid(A, B):
+    """A x B, elements in lexicographic order of their coordinates."""
+    pairs = list(product(range(A.size), range(B.size)))
+    index = {p: i for i, p in enumerate(pairs)}
+    return FinMonoid(
+        tuple(tuple(index[A.op(a, c), B.op(b, d)] for c, d in pairs) for a, b in pairs)
+    )
+
+
+def mixed_monoids():
+    """Commutative monoids that, apart from the two-element chains (Z2, *)
+    and truncated {0, 1}, are neither semilattices nor groups: (Z_n, *) for
+    n = 2..12, {0..n} under truncated addition for n = 1..5, and products
+    of them."""
+    out = {f"Z{n}mul": multiplicative_monoid(n) for n in range(2, 13)}
+    out.update({f"trunc{n}": truncated_monoid(n) for n in range(1, 6)})
+    pairs = (("Z3mul", "Z3mul"), ("Z4mul", "trunc2"), ("trunc2", "trunc3"), ("Z3mul", "Z4mul"))
+    for a, b in pairs:
+        out[f"{a}x{b}"] = product_monoid(out[a], out[b])
+    return out
+
+
 def closure_oracle_families():
     """The commutative monoids the normal-closure oracles run on, by family:
     the named fixtures, every census lattice up to size 7, and the groups

@@ -13,7 +13,7 @@ scenario reaches them.
 from dataclasses import dataclass
 
 from monlat import monoid as mn
-from monlat.context import EpiPullback, SesHom, restrict_mono
+from monlat.context import EpiPullback, SesHom
 from monlat.nsub import enumerate_nsub
 
 
@@ -49,7 +49,7 @@ def cokersquare_check(ctx, Z, w_key, x_key, y_key) -> bool:
     w = ctx.subobject_mono(Z, w_key)
     x = ctx.subobject_mono(Z, x_key)
     y = ctx.subobject_mono(Z, y_key)
-    w_in_y = restrict_mono(ctx, w, y)
+    w_in_y = ctx.factor_through_kernel(w, y)  # W >-> Y
     e_w = ctx.cokernel(w_in_y)  # Y ->> Y/W
     q_x = ctx.cokernel(x)
     u = ctx.factor_through_cokernel(e_w, ctx.compose(q_x, y))  # Y/W -> Z/X

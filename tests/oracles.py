@@ -15,6 +15,8 @@ from monlat.census import _natural_tables, _unpack
 from monlat.checks import (
     CheckReport,
     CheckWitness,
+    _antinormal_failures,
+    _report,
     diexact_check,
     second_iso_check,
     third_iso_check,
@@ -27,7 +29,6 @@ from monlat.context import (
     generic_pullback_of_monos,
     is_normal_map_in,
     normal_decomposition_in,
-    restrict_mono,
 )
 from monlat.monoid import (
     FinMonoid,
@@ -895,6 +896,86 @@ def all_homs(M: FinMonoid, N: FinMonoid) -> list[MonoidHom]:
         return [_hom_unchecked(M, N, (0,))]
     extend(1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the categorical checkers: every map built in the context
+
+
+def restrict_mono(ctx, small, big):
+    """For subobject monos small <= big into the same object, the induced
+    normal mono dom(small) -> dom(big)."""
+    return ctx.factor_through_kernel(small, big)
+
+
+def hsd_failures(ctx, lat) -> dict[tuple[int, int], str]:
+    """The failing pairs X <= Y of ``third_iso_check``, with the reason the
+    induced map Y/X -> Z/X is not a normal mono."""
+    q = [ctx.cokernel(m) for m in lat.monos]
+    table = {}
+    for ix in range(lat.size):
+        for iy in range(lat.size):
+            if not lat.leq[ix][iy]:
+                continue
+            x, y = lat.monos[ix], lat.monos[iy]
+            e = ctx.cokernel(restrict_mono(ctx, x, y))  # Y ->> Y/X
+            g = ctx.factor_through_cokernel(e, ctx.compose(q[ix], y))
+            failure = ctx.normal_mono_failure(g)
+            if failure is not None:
+                table[ix, iy] = failure
+    return table
+
+
+def second_iso_failures(ctx, lat) -> dict[tuple[int, int], str]:
+    """The failing ordered pairs of ``second_iso_check``, each noted with
+    the comparisons that are not isomorphisms: primal, dual or both.
+
+    Each map the two comparisons are built from depends on one nested
+    pair A <= B among Y, Z, Y^Z and YvZ, so it is built once per nested
+    pair: the inclusion A >-> B, the quotient B ->> B/A (``(YvZ)/Z``,
+    ``Y/(Y^Z)``), the map X/A ->> X/B between quotients of the object
+    (``X/(Y^Z) ->> X/Y``) and its kernel B/A >-> X/A.
+    """
+    q = [ctx.cokernel(m) for m in lat.monos]
+    nested = [(a, b) for a in range(lat.size) for b in range(lat.size) if lat.leq[a][b]]
+    restrict = {(a, b): restrict_mono(ctx, lat.monos[a], lat.monos[b]) for a, b in nested}
+    quotient = {pair: ctx.cokernel(m) for pair, m in restrict.items()}
+    between = {(a, b): ctx.factor_through_cokernel(q[a], q[b]) for a, b in nested}
+    between_kernel = {pair: ctx.kernel(p) for pair, p in between.items()}
+    table = {}
+    for iy in range(lat.size):
+        for iz in range(lat.size):
+            ij, im = lat.join[iy][iz], lat.meet[iy][iz]
+            f = ctx.compose(quotient[iz, ij], restrict[iy, ij])
+            u = ctx.factor_through_cokernel(quotient[im, iy], f)  # Y/(Y^Z) -> (YvZ)/Z
+            p = between[im, iy]  # X/(Y^Z) ->> X/Y
+            v = ctx.factor_through_kernel(
+                ctx.compose(p, between_kernel[im, iz]), between_kernel[iy, ij]
+            )
+            note = "+".join(
+                tag for tag, iso in (("primal", ctx.is_iso(u)), ("dual", ctx.is_iso(v))) if not iso
+            )
+            if note:
+                table[iy, iz] = note
+    return table
+
+
+CATEGORICAL_FAILURES = {
+    "hsd": hsd_failures,
+    "secondiso": second_iso_failures,
+    "dpn": _antinormal_failures,
+    "diexact": _antinormal_failures,
+    "modular": lambda ctx, lat: is_modular(lat),
+    "distributive": lambda ctx, lat: is_distributive(lat),
+}
+
+
+def categorical_check(prop, ctx, X, name="object") -> CheckReport:
+    """The report of the checker for ``prop`` on X, its failure table built
+    from the maps themselves in ctx: the flat or the nested context, at any
+    depth. The package reads the same verdicts off lattice identities."""
+    lat = enumerate_nsub(ctx, X)
+    return _report(prop, ctx.depth, name, lat, [CATEGORICAL_FAILURES[prop](ctx, lat)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,23 +17,28 @@ from monlat.checks import (
     third_iso_check,
 )
 from monlat.context import (
+    SesContext,
     antinormal_composite,
     cmon_context,
     is_normal_map_in,
     make_ses,
-    restrict_mono,
     ses_context,
 )
-from monlat.nsub import enumerate_nsub
+from monlat.nsub import enumerate_nsub, is_distributive, is_modular
+from monlat.scenarios import run_reference_scenarios
 
-from conftest import abelian_group, down, named_commutative_monoids
+from conftest import abelian_group, down, mixed_monoids, named_commutative_monoids
 from lemmas import build_diextension, subquotient_closure
 from oracles import (
     antinormal_failures_by_pairs,
+    categorical_check,
     diexact_disagreement,
+    hsd_failures,
     pairwise_diexact_check,
     pairwise_dpn_check,
+    restrict_mono,
     second_iso_disagreements,
+    second_iso_failures,
 )
 
 
@@ -48,15 +55,20 @@ def _antinormal_cases():
 ANTINORMAL_CASES = _antinormal_cases()
 
 
+MIXED_CASES = list(mixed_monoids().items())
+
+
 def _sweep_cases():
     """(name, monoid, depth) for the whole-report oracle: depth 2 over the
     census lattices of sizes 5 and 6 and Z2^3, depth 3 over the commutative
-    fixtures, and depth 4 over N5 and V4."""
+    fixtures, depth 4 over N5 and V4, and depths 1 and 2 over the mixed
+    monoids."""
     bases = named_commutative_monoids()
     cases = [(f"c{n}_{i}", L, 2) for n in (5, 6) for i, L in enumerate(lattices_of_size(n))]
     cases.append(("Z2x2x2", abelian_group(2, 2, 2), 2))
     cases += [(name, M, 3) for name, M in bases.items()]
-    return cases + [(name, bases[name], 4) for name in ("N5", "V4")]
+    cases += [(name, bases[name], 4) for name in ("N5", "V4")]
+    return cases + [(name, M, d) for name, M in MIXED_CASES for d in (1, 2)]
 
 
 SWEEP_CASES = _sweep_cases()
@@ -160,7 +172,6 @@ class TestSecondIso:
         # canonical comparison collapses two classes and misses one; the
         # check must report the failure (it is the canonical map that grid
         # exactness needs)
-        from monlat.context import restrict_mono
         from monlat.monoid import are_isomorphic
         from monlat.nsub import enumerate_nsub
         from monlat.semilattice import CoverGraph, semilattice_from_covers
@@ -396,9 +407,10 @@ class TestSubquotientClosure:
 
 
 class TestSweepFromMarkTables:
-    """run_check decides a depth-d sweep from one depth-1 table per mark;
-    each of its reports must equal the checker's own report on the
-    depth-d object that objects_at_depth builds."""
+    """run_check decides a depth-d sweep from one lattice table per mark;
+    each of its reports must equal the categorical report, which builds
+    every map on the depth-d object that objects_at_depth builds, and the
+    public checker's report on that object."""
 
     @pytest.mark.parametrize(
         "name, base, depth",
@@ -408,8 +420,9 @@ class TestSweepFromMarkTables:
     def test_reports_match_the_checkers(self, name, base, depth):
         objects = list(objects_at_depth(base, depth, name))
         for prop, check in CHECKS.items():
-            reference = [check(ctx, X, nm) for ctx, X, nm in objects]
+            reference = [categorical_check(prop, ctx, X, nm) for ctx, X, nm in objects]
             assert run_check(prop, base, depth, name) == reference, prop
+            assert [check(ctx, X, nm) for ctx, X, nm in objects] == reference, prop
 
     @given(
         case=st.sampled_from(
@@ -439,7 +452,7 @@ class TestSweepFromMarkTables:
         position = sum(k * n ** (len(marks) - 1 - i) for i, k in enumerate(marks))
         for prop in ("hsd", "secondiso", "dpn", "diexact"):
             report = run_check(prop, L, len(marks), name)[position]
-            assert report == CHECKS[prop](ctx, X, nm), prop
+            assert report == categorical_check(prop, ctx, X, nm), prop
 
 
 class TestRunCheck:
@@ -478,3 +491,75 @@ class TestRunCheck:
         # since downC -> up(D) is an iso while downD -> N5/downC has an image
         # that is not down-closed
         assert fields[6] == "witness=({0,C};{0,D}):dinverse-normal"
+
+
+def _characterization_cases():
+    """(name, monoid): the census lattices up to size 7, the commutative
+    fixtures, five abelian groups and the mixed monoids."""
+    cases = [(f"c{n}_{i}", L) for n in range(1, 8) for i, L in enumerate(lattices_of_size(n))]
+    cases += named_commutative_monoids().items()
+    for orders in ((2, 2, 2), (2, 4), (3, 3, 3), (2, 2, 2, 2), (6, 2, 2)):
+        cases.append(("Z" + "xZ".join(map(str, orders)), abelian_group(*orders)))
+    return cases + MIXED_CASES
+
+
+CHARACTERIZATION_CASES = _characterization_cases()
+
+
+class TestLatticeCharacterizations:
+    """At depth 1 the ses verdicts are lattice properties of the input's
+    normal submonoids."""
+
+    def test_hsd_holds_at_depth_one_iff_modular(self, cmon):
+        for name, M in CHARACTERIZATION_CASES:
+            modular, _ = is_modular(enumerate_nsub(cmon, M))
+            assert all(r.passed for r in run_check("hsd", M, 1, name)) == modular, name
+
+    def test_diexact_holds_at_depth_one_iff_diexact_and_distributive(self, cmon):
+        for name, M in CHARACTERIZATION_CASES:
+            distributive, _ = is_distributive(enumerate_nsub(cmon, M))
+            expected = run_check("diexact", M, 0, name)[0].passed and distributive
+            assert all(r.passed for r in run_check("diexact", M, 1, name)) == expected, name
+
+
+class TestMixedMonoids:
+    """The depth-0 lemmas on commutative monoids that are neither
+    semilattices nor groups (their sweeps are in SWEEP_CASES)."""
+
+    @pytest.mark.parametrize("name, M", MIXED_CASES, ids=[name for name, _ in MIXED_CASES])
+    def test_categorical_hsd_table_is_empty_at_depth_zero(self, cmon, name, M):
+        assert hsd_failures(cmon, enumerate_nsub(cmon, M)) == {}
+
+    @pytest.mark.parametrize("name, M", MIXED_CASES, ids=[name for name, _ in MIXED_CASES])
+    def test_categorical_secondiso_table_is_antinormal_and_transpose(self, cmon, name, M):
+        lat = enumerate_nsub(cmon, M)
+        antinormal = _antinormal_failures(cmon, lat)
+        expected = {}
+        for y, z in product(range(lat.size), repeat=2):
+            tags = ["primal"] * ((y, z) in antinormal) + ["dual"] * ((z, y) in antinormal)
+            if tags:
+                expected[y, z] = "+".join(tags)
+        assert second_iso_failures(cmon, lat) == expected
+
+
+SES_OPERATIONS = (
+    "compose", "kernel", "cokernel", "factor_through_kernel", "factor_through_cokernel",
+    "normal_mono_failure", "normal_epi_failure", "is_iso", "is_mono", "is_epi",
+    "subobject_mono", "normal_subobject_monos",
+)
+
+
+class TestNoSesOperations:
+    def test_checks_and_scenarios_build_no_ses_map(self, cmon, monkeypatch, N5, V4):
+        # every ses verdict is read off the lattice of the innermost monoid
+        def refuse(*args):
+            raise AssertionError("a SesContext operation was called")
+
+        for op in SES_OPERATIONS:
+            monkeypatch.setattr(SesContext, op, refuse)
+        for M, name in ((N5, "N5"), (V4, "V4")):
+            n = enumerate_nsub(cmon, M).size
+            for prop in CHECKS:
+                for depth in (1, 2, 3):
+                    assert len(run_check(prop, M, depth, name)) == n**depth
+        assert all(result.ok for result in run_reference_scenarios(2))

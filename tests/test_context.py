@@ -3,14 +3,7 @@ from collections import Counter
 import pytest
 
 from monlat.census import lattices_up_to
-from monlat.checks import (
-    diexact_check,
-    dpn_check,
-    objects_at_depth,
-    run_check,
-    second_iso_check,
-    third_iso_check,
-)
+from monlat.checks import objects_at_depth, run_check
 from monlat.context import (
     SesContext,
     SesHom,
@@ -21,7 +14,6 @@ from monlat.context import (
     generic_pullback_of_monos,
     make_ses,
     normal_decomposition_in,
-    restrict_mono,
     ses_context,
 )
 from monlat.nsub import enumerate_nsub
@@ -40,6 +32,7 @@ from lemmas import are_isomorphic, generic_pullback_epi_along_mono, isomorphisms
 from oracles import (
     NestedHom,
     all_homs,
+    categorical_check,
     flat_hom,
     flat_object,
     nested_context,
@@ -49,6 +42,7 @@ from oracles import (
     normal_submonoids_by_filter,
     recursive_normal_epi_failure,
     recursive_normal_mono_failure,
+    restrict_mono,
 )
 
 
@@ -689,8 +683,8 @@ TOWERS = [(name, d) for name in ("bool2", "chain4") for d in (1, 2, 3)] + [
 
 
 def _recorded_recognizer_calls(monkeypatch, X, depth, name):
-    """Every (context, morphism) on which make_ses and third_iso_check ask
-    a ses-level normality recognizer over the tower of X."""
+    """Every (context, morphism) on which make_ses and the categorical hsd
+    check ask a ses-level normality recognizer over the tower of X."""
     calls = set()
 
     def recording(method):
@@ -703,7 +697,7 @@ def _recorded_recognizer_calls(monkeypatch, X, depth, name):
     for method in ("normal_mono_failure", "normal_epi_failure"):
         monkeypatch.setattr(SesContext, method, recording(getattr(SesContext, method)))
     for ctx, S, nm in objects_at_depth(X, depth, name):
-        third_iso_check(ctx, S, nm)
+        categorical_check("hsd", ctx, S, nm)
     monkeypatch.undo()
     return calls
 
@@ -730,19 +724,18 @@ class TestFlatTower:
     @pytest.mark.parametrize("fixture, depth", TOWERS)
     def test_agrees_with_nested_construction(self, commutative_fixtures, monkeypatch, fixture, depth):
         # object by object: the keys (marks) and names of the sweep, the
-        # lattice, the verdicts and witnesses of the four checks, and every
-        # kernel and cokernel object the checks build
+        # lattice, the verdicts and witnesses of the four categorical
+        # checks, and every kernel and cokernel object they build
         X = commutative_fixtures[fixture]
         flat = list(objects_at_depth(X, depth, fixture))
         nested = nested_objects_at_depth(X, depth, fixture)
         assert [(S, nm) for _, S, nm in flat] == [(flat_object(N), nm) for _, N, nm in nested]
-        checks = (third_iso_check, second_iso_check, dpn_check, diexact_check)
         built = _recorded_kernels_and_cokernels(monkeypatch)
         for (ctx, S, nm), (nctx, N, _) in zip(flat, nested):
             lat, nlat = enumerate_nsub(ctx, S), enumerate_nsub(nctx, N)
             assert _lattice_tables(lat) == _lattice_tables(nlat)
-            for check in checks:
-                assert check(ctx, S, nm) == check(nctx, N, nm)
+            for prop in ("hsd", "secondiso", "dpn", "diexact"):
+                assert categorical_check(prop, ctx, S, nm) == categorical_check(prop, nctx, N, nm)
         monkeypatch.undo()
         assert {name for _, name, _, _ in built} == {"kernel", "cokernel"}
         for ctx, name, f, result in built:
@@ -755,7 +748,7 @@ class TestFlatTower:
         # closed: there the nested construction has the closure
         built = _recorded_kernels_and_cokernels(monkeypatch)
         for ctx, S, nm in objects_at_depth(commutative_fixtures["N5"], 2, "N5"):
-            third_iso_check(ctx, S, nm)
+            categorical_check("hsd", ctx, S, nm)
         monkeypatch.undo()
         not_closed = 0
         for ctx, name, f, q in built:

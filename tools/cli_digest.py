@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 182 CLI calls, one line per call.
+"""Digest the output of a fixed set of 198 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -18,7 +18,9 @@ L6; ``stability`` on N5, V4 and L6; ``nsub`` on the nine named fixtures;
 ``paper-examples`` at depths 1 and 2; ``enumerate --max-size 8``; ``nsub``,
 ``modular`` and ``distributive`` on Z2^3, Z2xZ4, Z3^3, Z2^4 and Z6xZ2^2;
 every depth-1 check and ``stability`` on Z2^3 and Z2xZ4; ``hsd``,
-``secondiso``, ``dpn`` and ``diexact`` at depth 2 on Z2^3; ``validate`` on
+``secondiso``, ``dpn`` and ``diexact`` at depth 2 on Z2^3 and at depths 1
+and 2 on two commutative monoids that are neither semilattices nor groups,
+(Z12, *) and {0..4} under truncated addition; ``validate`` on
 the nine named fixtures and the five groups; and four input errors (exit
 2): ``nsub`` on a non-commutative monoid file, an unknown fixture, a
 ``--ses-depth`` of 4 and ``enumerate --max-size 9``. Every call runs in a
@@ -67,6 +69,27 @@ def group_text(orders: tuple[int, ...]) -> str:
     return f"monoid {len(elems)}\n" + "\n".join(rows) + "\n"
 
 
+def multiplicative_text(n: int) -> str:
+    """The monoid file of (Z_n, *): element i is the residue (i + 1) mod n,
+    so the identity 1 comes first, and each element is labelled with its
+    residue."""
+    rows = [
+        " ".join(str((((a + 1) * (b + 1)) % n - 1) % n) for b in range(n)) for a in range(n)
+    ]
+    labels = [f"label {i} {(i + 1) % n}" for i in range(n)]
+    return f"monoid {n}\n" + "\n".join(rows + labels) + "\n"
+
+
+def truncated_text(n: int) -> str:
+    """The monoid file of {0..n} under min(a + b, n)."""
+    rows = [" ".join(str(min(a + b, n)) for b in range(n + 1)) for a in range(n + 1)]
+    return f"monoid {n + 1}\n" + "\n".join(rows) + "\n"
+
+
+# commutative monoids that are neither semilattices nor groups
+MIXED = {"Z12mul": multiplicative_text(12), "trunc4": truncated_text(4)}
+
+
 def calls() -> list[tuple[str, ...]]:
     out: list[tuple[str, ...]] = []
     for name, top in (("bool2", 3), ("chain4", 3), ("N5", 2), ("V4", 2), ("L6", 2)):
@@ -90,6 +113,9 @@ def calls() -> list[tuple[str, ...]]:
         out += [("check", "--property", prop, "--ses-depth", "1", path) for prop in CHECKS]
         out.append(("check", "--property", "stability", path))
     out += [("check", "--property", prop, "--ses-depth", "2", "Z2x2x2.txt") for prop in SES_CHECKS]
+    for name, depth in product(MIXED, ("1", "2")):
+        path = f"{name}.txt"
+        out += [("check", "--property", prop, "--ses-depth", depth, path) for prop in SES_CHECKS]
     out += [("validate", name) for name in FIXTURES]
     out += [("validate", f"{group}.txt") for group in GROUPS]
     out += [
@@ -109,6 +135,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         for group, orders in GROUPS.items():
             Path(work, f"{group}.txt").write_text(group_text(orders))
+        for name, text in MIXED.items():
+            Path(work, f"{name}.txt").write_text(text)
         Path(work, "noncommutative.txt").write_text(NONCOMMUTATIVE)
         for call in calls():
             proc = subprocess.run(
