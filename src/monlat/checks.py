@@ -123,22 +123,23 @@ def second_iso_check(ctx, X, name="object") -> CheckReport:
     return _check("secondiso", ctx, X, name)
 
 
-def _antinormal_failures(ctx, lat) -> dict[tuple[int, int], str]:
-    """Which antinormal composites Y >-> X ->> X/Z through the object of
-    ``lat`` are not normal maps: the pair (y, z) of indices maps to the
-    reason when the composite of the y-th subobject with the cokernel of
-    the z-th is not normal, and is absent when it is.
+def _antinormal_failures(ctx, X, lat) -> dict[tuple[int, int], str]:
+    """Which antinormal composites Y >-> X ->> X/Z are not normal maps: the
+    pair (y, z) of indices into ``lat``, the lattice of X, maps to the reason
+    when the composite of the y-th subobject with the cokernel of the z-th
+    is not normal, and is absent when it is.
 
     The cokernels are built once per subobject. A pair with Y <= Z is
     absent without a decomposition: Y lies in Z, the kernel of X ->> X/Z, so
     the composite is the zero map, and a zero map is normal in any context
     (its kernel and cokernel are identities and the comparison is 0 -> 0).
     """
-    q = [ctx.cokernel(m) for m in lat.monos]
+    monos = ctx.normal_subobject_monos(X)
+    q = [ctx.cokernel(m) for m in monos]
     table = {}
-    for iy, y in enumerate(lat.monos):
+    for iy, y in enumerate(monos):
         for iz, qz in enumerate(q):
-            if not lat.leq[iy][iz]:
+            if lat.join[iy][iz] != iz:
                 dec = normal_decomposition_in(ctx, ctx.compose(qz, y))
                 if not isinstance(dec, NormalDecomposition):
                     table[iy, iz] = dec.reason
@@ -177,13 +178,13 @@ def pullback_stability_check(ctx, X, name="object") -> CheckReport:
     lat = enumerate_nsub(ctx, X)
     witnesses = []
     cases = 0
-    for ik in range(lat.size):
-        e = ctx.cokernel(lat.monos[ik])
+    for ik, k in enumerate(ctx.normal_subobject_monos(X)):
+        e = ctx.cokernel(k)
         Q = ctx.cod(e)
         qlat = enumerate_nsub(ctx, Q)
-        for it in range(qlat.size):
+        for it, t in enumerate(ctx.normal_subobject_monos(Q)):
             cases += 1
-            pb = ctx.pullback_epi_along_mono(e, qlat.monos[it])
+            pb = ctx.pullback_epi_along_mono(e, t)
             if not ctx.is_normal_epi(pb.onto_sub):
                 witnesses.append(
                     CheckWitness(
@@ -217,10 +218,10 @@ def _no_failures(*_) -> dict:
     return {}
 
 
-def _second_iso_base(ctx, lat) -> dict[tuple[int, int], str]:
+def _second_iso_base(ctx, X, lat) -> dict[tuple[int, int], str]:
     """secondiso's depth-0 table: the antinormal entry (y, z) is its primal
     entry (y, z) and its dual entry (z, y)."""
-    table = _antinormal_failures(ctx, lat)
+    table = _antinormal_failures(ctx, X, lat)
     dual = {(z, y): "dual" for y, z in table}
     return _either_comparison([dict.fromkeys(table, "primal"), dual])
 
@@ -231,7 +232,7 @@ def _hsd_at_mark(lat, k) -> dict[tuple[int, int], str]:
     return {
         (x, y): "left-square-not-pullback"
         for x, y in product(range(lat.size), repeat=2)
-        if lat.leq[x][y] and J[M[y][k]][x] != M[y][J[k][x]]
+        if J[x][y] == y and J[M[y][k]][x] != M[y][J[k][x]]
     }
 
 
@@ -296,7 +297,7 @@ def _ordered_pairs(lat) -> int:
 
 
 def _nested_pairs(lat) -> int:  # the pairs X <= Y
-    return sum(map(sum, lat.leq))
+    return sum(t == y for row in lat.join for y, t in enumerate(row))
 
 
 def _triples(lat) -> int:
@@ -314,27 +315,29 @@ _RULES = {
     "dpn": (_antinormal_failures, _antinormal_at_mark, _dpn_witnesses, _ordered_pairs, _merged),
     "diexact": (_antinormal_failures, _antinormal_at_mark, _pair_witnesses, _ordered_pairs, _merged),
     "modular": (
-        lambda ctx, lat: is_modular(lat), _no_failures, _lattice_witnesses, _triples, _unmarked
+        lambda ctx, X, lat: is_modular(lat), _no_failures, _lattice_witnesses, _triples, _unmarked
     ),
     "distributive": (
-        lambda ctx, lat: is_distributive(lat), _no_failures, _lattice_witnesses, _triples, _unmarked
+        lambda ctx, X, lat: is_distributive(lat),
+        _no_failures, _lattice_witnesses, _triples, _unmarked,
     ),
 }
 
 
-def _report(prop, depth, name, lat, tables) -> CheckReport:
-    *_, witnesses, cases, combine = _RULES[prop]
+def _report(prop, depth, name, lat, tables, cases) -> CheckReport:
+    *_, witnesses, _, combine = _RULES[prop]
     found = tuple(witnesses(lat, combine(tables)))
-    return CheckReport(prop, name, depth, not found, found, cases(lat))
+    return CheckReport(prop, name, depth, not found, found, cases)
 
 
 def _check(prop, ctx, X, name) -> CheckReport:
     cmon = cmon_context()
-    lat = enumerate_nsub(cmon, ctx.innermost_object(X))
-    base, at_mark, *_ = _RULES[prop]
+    M = ctx.innermost_object(X)
+    lat = enumerate_nsub(cmon, M)
+    base, at_mark, _, count_cases, _ = _RULES[prop]
     marks = [lat.index_of_key(K) for K in X.marks] if ctx.depth else []
-    tables = [base(cmon, lat)] + [at_mark(lat, k) for k in marks]
-    return _report(prop, ctx.depth, name, lat, tables)
+    tables = [base(cmon, M, lat)] + [at_mark(lat, k) for k in marks]
+    return _report(prop, ctx.depth, name, lat, tables, count_cases(lat))
 
 
 def objects_at_depth(X, depth: int, name: str) -> Iterator[tuple[Any, Any, str]]:
@@ -384,15 +387,17 @@ def run_check(prop: str, X, depth: int = 0, name: str = "object") -> list[CheckR
         return [pullback_stability_check(cmon, X, name)]
     if depth <= 0:
         return [CHECKS[prop](cmon, X, name)]
-    base, at_mark, *_ = _RULES[prop]
+    base, at_mark, _, count_cases, _ = _RULES[prop]
     lat = enumerate_nsub(cmon, X)
-    for m in lat.monos:  # make_ses checks that (M, (K)) is a short exact sequence
+    # make_ses checks that (M, (K)) is a short exact sequence
+    for m in cmon.normal_subobject_monos(X):
         make_ses(cmon, X, m)
-    bottom = base(cmon, lat)
+    bottom = base(cmon, X, lat)
     tables = [at_mark(lat, k) for k in range(lat.size)]
     labels = [f"|sub={label}" for label in lat.names]
+    cases = count_cases(lat)
     return [
         _report(prop, depth, name + "".join(labels[k] for k in marks), lat,
-                [bottom] + [tables[k] for k in marks])
+                [bottom] + [tables[k] for k in marks], cases)
         for marks in product(range(lat.size), repeat=depth)
     ]

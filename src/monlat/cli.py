@@ -101,7 +101,7 @@ def cmd_enumerate(args) -> int:
         if args.filter == "nondistributive" and distributive:
             continue
         counts[L.size] = counts.get(L.size, 0) + 1
-        covers = ";".join(f"{a}<{b}" for a, b in covers_of(lat.leq)) or "-"
+        covers = ";".join(f"{a}<{b}" for a, b in covers_of(lat.join)) or "-"
         fields = (
             f"size={L.size}",
             f"index={counts[L.size] - 1}",

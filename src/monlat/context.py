@@ -88,9 +88,6 @@ class CmonContext:
     def is_zero_hom(self, f: MonoidHom) -> bool:
         return all(v == 0 for v in f.mapping)
 
-    def size(self, X: FinMonoid) -> int:
-        return X.size
-
     # -- kernels, cokernels, factorizations
 
     def kernel(self, f: MonoidHom) -> MonoidHom:
@@ -336,9 +333,6 @@ class SesContext:
 
     def is_zero_hom(self, f: SesHom) -> bool:
         return not any(f.base.mapping)
-
-    def size(self, X: SesObject) -> int:
-        return X.monoid.size
 
     # -- kernels, cokernels, factorizations
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, islice, product
 from typing import Iterator
 
 
@@ -31,17 +31,19 @@ class AxiomFailure:
 
 
 class InvalidMonoid(MonoidError):
-    """Raised with the complete list of violated axioms. The message names
-    the first few and counts the rest, since a large table can break
-    associativity in O(n^3) ways."""
+    """Raised with the first few violated axioms as ``failures`` and the
+    number of all of them as ``count``, since a large table can break
+    associativity in O(n^3) ways. The message names the few and counts the rest."""
 
     SHOWN = 5
 
     def __init__(self, failures):
-        self.failures = tuple(failures)
-        message = "; ".join(map(str, self.failures[: self.SHOWN]))
-        if len(self.failures) > self.SHOWN:
-            message += f" ({len(self.failures) - self.SHOWN} more)"
+        failures = iter(failures)
+        self.failures = tuple(islice(failures, self.SHOWN))
+        self.count = len(self.failures) + sum(1 for _ in failures)
+        message = "; ".join(map(str, self.failures))
+        if self.count > self.SHOWN:
+            message += f" ({self.count - self.SHOWN} more)"
         super().__init__(message)
 
 
@@ -53,8 +55,8 @@ class NotCommutative(MonoidError):
     pass
 
 
-def table_axiom_failures(table) -> list[AxiomFailure]:
-    """All axiom violations in a square operation table.
+def table_axiom_failures(table) -> Iterator[AxiomFailure]:
+    """All axiom violations in a square operation table, one at a time.
 
     Out-of-range entries are reported alone (the other axioms cannot be
     evaluated soundly on a table that indexes outside itself).
@@ -67,14 +69,14 @@ def table_axiom_failures(table) -> list[AxiomFailure]:
         if not (isinstance(v, int) and 0 <= v < n)
     ]
     if bad:
-        return bad
+        yield from bad
+        return
     for i in range(n):
         if table[0][i] != i or table[i][0] != i:
-            bad.append(AxiomFailure("IdentityViolation", (i,)))
+            yield AxiomFailure("IdentityViolation", (i,))
     for i, j, k in product(range(n), repeat=3):
         if table[table[i][j]][k] != table[i][table[j][k]]:
-            bad.append(AxiomFailure("NonAssociative", (i, j, k)))
-    return bad
+            yield AxiomFailure("NonAssociative", (i, j, k))
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,9 @@ class FinMonoid:
         if n == 0 or any(len(row) != n for row in table):
             raise MonoidError("operation table must be square and nonempty")
         failures = table_axiom_failures(table)
-        if failures:
-            raise InvalidMonoid(failures)
+        first = next(failures, None)
+        if first is not None:
+            raise InvalidMonoid(chain((first,), failures))
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != n:
@@ -148,7 +151,8 @@ class FinMonoid:
 
 
 def validate_monoid(table, labels=None) -> FinMonoid:
-    """Build a FinMonoid, raising InvalidMonoid with every violated axiom."""
+    """Build a FinMonoid, raising InvalidMonoid with the first violated
+    axioms and the number of all of them."""
     return FinMonoid(tuple(tuple(row) for row in table), labels)
 
 

@@ -2,21 +2,23 @@
 
 Every object of the context tower shares the lattice of its innermost
 commutative monoid, built once per monoid from inclusion of its normal
-submonoids. Every lattice here, that one or a semilattice's own, is built
-from up-set bitmasks of its order by one function: joins and meets are
-least upper bounds in the order and in its dual. Modularity and
-distributivity are each decided by one scan of the lattice law; a failing
-lattice then gets the first pentagon or diamond sublattice as its witness.
+submonoids and returned as that one cached value. A lattice is its join
+and meet tables: a <= b when a v b = b. Every lattice here, that one or a
+semilattice's own, is built from up-set bitmasks of its order by one
+function: joins and meets are least upper bounds in the order and in its
+dual. Modularity and distributivity are each decided by one scan of the
+lattice law; a failing lattice then gets the first pentagon or diamond
+sublattice as its witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
 from . import monoid as mn
-from .semilattice import least_upper_bound
+from .semilattice import down_sets, least_upper_bound, up_sets
 
 
 @dataclass(frozen=True)
@@ -29,27 +31,26 @@ class LatticeWitness:
         return f"{self.kind}[{';'.join(self.names)}]"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NSubLattice:
-    """A finite lattice with elements indexed 0..n-1.
+    """A finite lattice with elements indexed 0..n-1, given by its join and
+    meet tables: a <= b when ``join[a][b] == b``.
 
-    When built from an object of a context, ``monos`` and ``keys`` carry the
-    canonical subobject representatives; when built from a raw join table
-    they are empty.
+    A lattice of normal submonoids carries their member sets as ``keys``,
+    the canonical subobject keys of every context; a lattice built from a
+    raw join table has none.
     """
 
-    leq: tuple[tuple[bool, ...], ...]
     join: tuple[tuple[int, ...], ...]
     meet: tuple[tuple[int, ...], ...]
     top: int
     bottom: int
     names: tuple[str, ...]
-    monos: tuple = ()
     keys: tuple = ()
 
     @property
     def size(self) -> int:
-        return len(self.leq)
+        return len(self.join)
 
     def index_of_key(self, key) -> int:
         return self.keys.index(key)
@@ -69,11 +70,9 @@ def _lattice_from_order(up, names, keys=()) -> NSubLattice:
     upper bounds in the dual order, and the top and bottom are the elements
     whose down-set or up-set holds everything. Callers pass lattices, so a
     missing bound is a broken internal invariant."""
-    n = len(up)
-    down = [sum(1 << a for a in range(n) if up[a] >> b & 1) for b in range(n)]
-    everything = (1 << n) - 1
+    down = down_sets(up)
+    everything = (1 << len(up)) - 1
     return NSubLattice(
-        leq=tuple(tuple(bool(mask >> b & 1) for b in range(n)) for mask in up),
         join=_bounds(up),
         meet=_bounds(down),
         top=down.index(everything),
@@ -86,9 +85,8 @@ def _lattice_from_order(up, names, keys=()) -> NSubLattice:
 def lattice_from_join_table(table, names=None) -> NSubLattice:
     """Lattice structure of a finite monoidal semilattice given by its joins:
     a <= b when a v b = b."""
-    n = len(table)
-    up = [sum(1 << b for b in range(n) if row[b] == b) for row in table]
-    return _lattice_from_order(up, names if names is not None else map(str, range(n)))
+    names = names if names is not None else map(str, range(len(table)))
+    return _lattice_from_order(up_sets(table), names)
 
 
 def lattice_of_semilattice(L: mn.FinMonoid) -> NSubLattice:
@@ -107,16 +105,16 @@ def _monoid_lattice(M: mn.FinMonoid) -> NSubLattice:
 
 
 def enumerate_nsub(ctx, X) -> NSubLattice:
-    """The lattice of normal subobjects of X in ctx, with the context's
-    canonical monos attached.
+    """The lattice of normal subobjects of X in ctx.
 
     At every depth of the tower the normal subobjects of X are those of its
     innermost monoid (keyed by their member sets, in the same order), and
     kernels, cokernels and composites act on the innermost maps, so the
-    lattice is the innermost monoid's, shared by every object over it.
+    lattice is the innermost monoid's, one value shared by every object over
+    it. ``ctx.normal_subobject_monos(X)`` lists the subobjects' monos in the
+    lattice's order.
     """
-    monos = ctx.normal_subobject_monos(X)
-    return replace(_monoid_lattice(ctx.innermost_object(X)), monos=monos)
+    return _monoid_lattice(ctx.innermost_object(X))
 
 
 # ---------------------------------------------------------------------------
@@ -124,35 +122,34 @@ def enumerate_nsub(ctx, X) -> NSubLattice:
 
 
 def _first_modular_law_violation(lat) -> tuple[int, int, int] | None:
-    n = lat.size
-    for x, y, z in product(range(n), repeat=3):
-        if lat.leq[z][x] and lat.meet[x][lat.join[y][z]] != lat.join[lat.meet[x][y]][z]:
+    J, M = lat.join, lat.meet
+    for x, y, z in product(range(lat.size), repeat=3):
+        if J[z][x] == x and M[x][J[y][z]] != J[M[x][y]][z]:
             return (x, y, z)
     return None
 
 
 def _first_distributive_law_violation(lat) -> tuple[int, int, int] | None:
-    n = lat.size
-    for x, y, z in product(range(n), repeat=3):
-        if lat.meet[x][lat.join[y][z]] != lat.join[lat.meet[x][y]][lat.meet[x][z]]:
+    J, M = lat.join, lat.meet
+    for x, y, z in product(range(lat.size), repeat=3):
+        if M[x][J[y][z]] != J[M[x][y]][M[x][z]]:
             return (x, y, z)
     return None
 
 
 def _sublattice_shape(lat, combo) -> str | None:
     """Classify a closed 5-subset: 'pentagon', 'diamond', or neither."""
+    J = lat.join
     subset = set(combo)
     for a, b in combinations(combo, 2):
-        if lat.join[a][b] not in subset or lat.meet[a][b] not in subset:
+        if J[a][b] not in subset or lat.meet[a][b] not in subset:
             return None
-    bot = next(x for x in combo if all(lat.leq[x][y] for y in combo))
-    top = next(x for x in combo if all(lat.leq[y][x] for y in combo))
+    bot = next(x for x in combo if all(J[x][y] == y for y in combo))
+    top = next(x for x in combo if all(J[y][x] == x for y in combo))
     mids = [x for x in combo if x not in (bot, top)]
     if len(mids) != 3:
         return None
-    comparable = sum(
-        1 for a, b in combinations(mids, 2) if lat.leq[a][b] or lat.leq[b][a]
-    )
+    comparable = sum(1 for a, b in combinations(mids, 2) if J[a][b] in (a, b))
     if comparable == 1:
         return "pentagon"
     if comparable == 0:

@@ -1,7 +1,10 @@
 """Monoidal semilattices (join-semilattices with a bottom) as commutative
-idempotent monoids: construction from cover graphs with the bitmask
-least-upper-bound search the census shares, principal down-sets, and the
-named fixtures used throughout the test suite.
+idempotent monoids: construction from cover graphs, covers of a join table,
+principal down-sets, and the named fixtures used throughout the test suite.
+
+Every finite order in the package is a list of up-set bitmasks (bit b of
+``up[a]`` set when a <= b); b covers a when ``up[a] & down[b]`` holds just
+a and b, and least upper bounds are the search the census shares.
 """
 
 from __future__ import annotations
@@ -55,19 +58,32 @@ class CoverGraph:
             raise SemilatticeError("label count differs from element count")
 
 
-def _closure(size: int, covers) -> list[list[bool]]:
-    leq = [[i == j for j in range(size)] for i in range(size)]
+def _reachable(size: int, covers) -> list[int]:
+    """Up-set bitmasks of the reflexive-transitive closure of the covers:
+    bit b of the a-th mask set when b is reachable from a."""
+    up = [1 << a for a in range(size)]
     for a, b in covers:
-        leq[a][b] = True
+        up[a] |= 1 << b
     for k in range(size):
         for i in range(size):
-            if leq[i][k]:
-                row_k = leq[k]
-                row_i = leq[i]
-                for j in range(size):
-                    if row_k[j]:
-                        row_i[j] = True
-    return leq
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return up
+
+
+def up_sets(table) -> list[int]:
+    """Up-set bitmasks of the order of a join table: a <= b when a v b = b."""
+    return [sum(1 << b for b, t in enumerate(row) if t == b) for row in table]
+
+
+def down_sets(up) -> list[int]:
+    """The down-set bitmasks of an order given by its up-set bitmasks."""
+    return [sum(1 << a for a, mask in enumerate(up) if mask >> b & 1) for b in range(len(up))]
+
+
+def is_cover(up, down, a: int, b: int) -> bool:
+    """Whether b covers a: the interval from a to b holds exactly a and b."""
+    return (up[a] & down[b]).bit_count() == 2
 
 
 def least_upper_bound(up: list[int], a: int, b: int) -> int | None:
@@ -94,48 +110,36 @@ def semilattice_from_covers(g: CoverGraph) -> FinMonoid:
     lands at index 0 and equal inputs produce identical tables.
     """
     n = g.size
-    leq = _closure(n, g.covers)
+    up = _reachable(n, g.covers)
+    down = down_sets(up)
     for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
-                raise NotAPartialOrder(f"elements {i} and {j} order-equivalent")
-    cover_set = set(g.covers)
-    for a, b in cover_set:
-        if any(c not in (a, b) and leq[a][c] and leq[c][b] for c in range(n)):
+        equivalent = up[i] & down[i] & ~(1 << i)
+        if equivalent:
+            j = (equivalent & -equivalent).bit_length() - 1
+            raise NotAPartialOrder(f"elements {i} and {j} order-equivalent")
+    for a, b in set(g.covers):
+        if not is_cover(up, down, a, b):
             raise NotHasse(a, b)
-    minimal = [i for i in range(n) if not any(leq[j][i] for j in range(n) if j != i)]
+    minimal = [i for i in range(n) if down[i] == 1 << i]
     if len(minimal) != 1:
-        raise NoBottom(f"minimal elements: {sorted(minimal)}")
+        raise NoBottom(f"minimal elements: {minimal}")
 
-    up = [sum(1 << c for c in range(n) if leq[a][c]) for a in range(n)]
-    join = [[0] * n for _ in range(n)]
+    # layered linear extension: emit every element whose strict down-set is
+    # already numbered, one layer at a time, ordered by original index
+    new_index = [0] * n
+    placed = 0
+    while placed != (1 << n) - 1:
+        layer = [i for i in range(n) if not placed >> i & 1 and down[i] & ~placed == 1 << i]
+        for i in layer:
+            new_index[i] = placed.bit_count()
+            placed |= 1 << i
+    table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
             t = least_upper_bound(up, a, b)
             if t is None:
                 raise NoJoin(a, b)
-            join[a][b] = t
-
-    # layered linear extension: emit every element whose strict down-set is
-    # already numbered, one layer at a time, ordered by original index
-    new_index: list[int | None] = [None] * n
-    placed = 0
-    while placed < n:
-        layer = [
-            i
-            for i in range(n)
-            if new_index[i] is None
-            and all(new_index[j] is not None for j in range(n) if j != i and leq[j][i])
-        ]
-        if not layer:
-            raise NotAPartialOrder("no linear extension exists")
-        for i in sorted(layer):
-            new_index[i] = placed
-            placed += 1
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            table[new_index[a]][new_index[b]] = new_index[join[a][b]]
+            table[new_index[a]][new_index[b]] = new_index[t]
     labels = None
     if g.labels is not None:
         labels = [""] * n
@@ -150,24 +154,13 @@ def require_semilattice(L: FinMonoid) -> None:
         raise SemilatticeError("expected a commutative idempotent monoid")
 
 
-def order_of(L: FinMonoid) -> list[list[bool]]:
-    """The semilattice order as a relation matrix: a <= b when a v b = b."""
-    require_semilattice(L)
-    return [[L.op(a, b) == b for b in range(L.size)] for a in range(L.size)]
-
-
-def covers_of(leq) -> list[tuple[int, int]]:
-    """Cover pairs (a, b), a covered by b, of a finite order given by its
-    relation matrix (``leq[a][b]`` when a <= b), in sorted order."""
-    n = len(leq)
-    return [
-        (a, b)
-        for a in range(n)
-        for b in range(n)
-        if a != b
-        and leq[a][b]
-        and not any(c not in (a, b) and leq[a][c] and leq[c][b] for c in range(n))
-    ]
+def covers_of(table) -> list[tuple[int, int]]:
+    """Cover pairs (a, b), a covered by b, of the order of a join table, in
+    sorted order."""
+    up = up_sets(table)
+    down = down_sets(up)
+    n = len(up)
+    return [(a, b) for a in range(n) for b in range(n) if is_cover(up, down, a, b)]
 
 
 def principal_downset(L: FinMonoid, a: int) -> Subset:

@@ -115,16 +115,17 @@ def phi_psi(ctx, x_mono) -> GaloisReport:
     Q = ctx.cod(q)
     lat_y = enumerate_nsub(ctx, Y)
     lat_q = enumerate_nsub(ctx, Q)
+    monos_y, monos_q = ctx.normal_subobject_monos(Y), ctx.normal_subobject_monos(Q)
     x_idx = lat_y.index_of_key(x_key)
-    upper = [i for i in range(lat_y.size) if lat_y.leq[x_idx][i]]
+    upper = [i for i in range(lat_y.size) if lat_y.join[x_idx][i] == i]
 
     def phi(t_idx: int) -> int:
-        t = lat_q.monos[t_idx]
+        t = monos_q[t_idx]
         pulled = ctx.kernel(ctx.compose(ctx.cokernel(t), q))
         return lat_y.index_of_key(ctx.mono_key(pulled))
 
     def psi(u_idx: int) -> int:
-        u = lat_y.monos[u_idx]
+        u = monos_y[u_idx]
         induced = ctx.factor_through_cokernel(q, ctx.cokernel(u))  # Y/X -> Y/U
         return lat_q.index_of_key(ctx.mono_key(ctx.kernel(induced)))
 
@@ -137,7 +138,7 @@ def phi_psi(ctx, x_mono) -> GaloisReport:
     for u in upper:
         for t in range(lat_q.size):
             cases += 1
-            if lat_q.leq[psi_of[u]][t] != lat_y.leq[u][phi_of[t]]:
+            if (lat_q.join[psi_of[u]][t] == t) != (lat_y.join[u][phi_of[t]] == phi_of[t]):
                 galois = False
     phi_meet = all(
         phi_of[lat_q.meet[t1][t2]] == lat_y.meet[phi_of[t1]][phi_of[t2]]

@@ -13,6 +13,7 @@ from typing import Any
 
 from monlat.census import _natural_tables, _unpack
 from monlat.checks import (
+    _RULES,
     CheckReport,
     CheckWitness,
     _antinormal_failures,
@@ -47,7 +48,16 @@ from monlat.monoid import (
     is_normal_submonoid,
     kernel_subset,
 )
-from monlat.semilattice import principal_downset, require_semilattice
+from monlat.semilattice import (
+    CoverGraph,
+    NoBottom,
+    NoJoin,
+    NotAPartialOrder,
+    NotHasse,
+    least_upper_bound,
+    principal_downset,
+    require_semilattice,
+)
 from monlat.nsub import (
     NSubLattice,
     _find_sublattice,
@@ -92,15 +102,108 @@ def categorical_lattice(ctx, X) -> NSubLattice:
     if len(tops) != 1 or len(bottoms) != 1:
         raise RuntimeError("subobject order is not bounded")
     return NSubLattice(
-        leq=leq,
         join=tuple(tuple(row) for row in join),
         meet=tuple(tuple(row) for row in meet),
         top=tops[0],
         bottom=bottoms[0],
         names=tuple(ctx.render_key(X, k) for k in keys),
-        monos=tuple(monos),
         keys=tuple(keys),
     )
+
+
+# ---------------------------------------------------------------------------
+# finite orders as relation matrices: the cover-graph construction and the
+# covers of an order by betweenness, the reference for the package's
+# bitmask orders
+
+
+def _closure(size: int, covers) -> list[list[bool]]:
+    leq = [[i == j for j in range(size)] for i in range(size)]
+    for a, b in covers:
+        leq[a][b] = True
+    for k in range(size):
+        for i in range(size):
+            if leq[i][k]:
+                row_k = leq[k]
+                row_i = leq[i]
+                for j in range(size):
+                    if row_k[j]:
+                        row_i[j] = True
+    return leq
+
+
+def matrix_semilattice_from_covers(g: CoverGraph) -> FinMonoid:
+    """``semilattice.semilattice_from_covers`` on a relation matrix: the
+    least-upper-bound table of a cover graph, as a commutative monoid.
+
+    Elements are renumbered by a deterministic linear extension (layered
+    sweep from the bottom, ties broken by original index), so the bottom
+    lands at index 0 and equal inputs produce identical tables.
+    """
+    n = g.size
+    leq = _closure(n, g.covers)
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                raise NotAPartialOrder(f"elements {i} and {j} order-equivalent")
+    cover_set = set(g.covers)
+    for a, b in cover_set:
+        if any(c not in (a, b) and leq[a][c] and leq[c][b] for c in range(n)):
+            raise NotHasse(a, b)
+    minimal = [i for i in range(n) if not any(leq[j][i] for j in range(n) if j != i)]
+    if len(minimal) != 1:
+        raise NoBottom(f"minimal elements: {sorted(minimal)}")
+
+    up = [sum(1 << c for c in range(n) if leq[a][c]) for a in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            t = least_upper_bound(up, a, b)
+            if t is None:
+                raise NoJoin(a, b)
+            join[a][b] = t
+
+    # layered linear extension: emit every element whose strict down-set is
+    # already numbered, one layer at a time, ordered by original index
+    new_index: list[int | None] = [None] * n
+    placed = 0
+    while placed < n:
+        layer = [
+            i
+            for i in range(n)
+            if new_index[i] is None
+            and all(new_index[j] is not None for j in range(n) if j != i and leq[j][i])
+        ]
+        if not layer:
+            raise NotAPartialOrder("no linear extension exists")
+        for i in sorted(layer):
+            new_index[i] = placed
+            placed += 1
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[new_index[a]][new_index[b]] = new_index[join[a][b]]
+    labels = None
+    if g.labels is not None:
+        labels = [""] * n
+        for old, new in enumerate(new_index):
+            labels[new] = g.labels[old]
+        labels = tuple(labels)
+    return FinMonoid(tuple(tuple(row) for row in table), labels)
+
+
+def matrix_covers_of(leq) -> list[tuple[int, int]]:
+    """Cover pairs (a, b), a covered by b, of a finite order given by its
+    relation matrix (``leq[a][b]`` when a <= b), in sorted order."""
+    n = len(leq)
+    return [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b
+        and leq[a][b]
+        and not any(c not in (a, b) and leq[a][c] and leq[c][b] for c in range(n))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +578,7 @@ def first_interval_failure(lat) -> tuple[int, int] | None:
     n = lat.size
 
     def interval(lo, hi):
-        return [t for t in range(n) if lat.leq[lo][t] and lat.leq[t][hi]]
+        return [t for t in range(n) if lat.join[lo][t] == t and lat.join[t][hi] == hi]
 
     for x, y in product(range(n), repeat=2):
         lo, hi = lat.meet[x][y], lat.join[x][y]
@@ -529,12 +632,25 @@ def lattice_method_disagreements(lat) -> list[str]:
     return found
 
 
-def lattice_axiom_failure(lat) -> str | None:
-    """The first way the order, join, meet, top or bottom of a lattice
-    structure is wrong, by an O(n^3) scan of its tables; None when it is a
-    lattice."""
+def inclusion_order(keys) -> list[list[bool]]:
+    """The order of a lattice of normal submonoids: inclusion of its keys."""
+    return [[a <= b for b in keys] for a in keys]
+
+
+def table_order(table) -> list[list[bool]]:
+    """The order of a semilattice read off its own table: a <= b when
+    a v b = b."""
+    return [[t == b for b, t in enumerate(row)] for row in table]
+
+
+def lattice_axiom_failure(lat, leq) -> str | None:
+    """The first way the order ``leq``, or the join, meet, top or bottom of
+    a lattice structure in it, is wrong, by an O(n^3) scan of its tables;
+    None when it is a lattice. The order comes from outside the tables under
+    test: ``inclusion_order`` of the keys, or the ``table_order`` of the
+    semilattice the lattice was built from."""
     n = lat.size
-    leq, join, meet = lat.leq, lat.join, lat.meet
+    join, meet = lat.join, lat.meet
     for i in range(n):
         if not leq[i][i]:
             return "order not reflexive"
@@ -826,7 +942,6 @@ def lattice_by_closures(M: FinMonoid) -> NSubLattice:
     keys = normal_submonoids_by_rounds(M)
     index = {k: i for i, k in enumerate(keys)}
     return NSubLattice(
-        leq=tuple(tuple(a <= b for b in keys) for a in keys),
         join=tuple(tuple(index[fixpoint_normal_closure(M, a | b)] for b in keys) for a in keys),
         meet=tuple(tuple(index[a & b] for b in keys) for a in keys),
         top=len(keys) - 1,
@@ -908,16 +1023,17 @@ def restrict_mono(ctx, small, big):
     return ctx.factor_through_kernel(small, big)
 
 
-def hsd_failures(ctx, lat) -> dict[tuple[int, int], str]:
-    """The failing pairs X <= Y of ``third_iso_check``, with the reason the
-    induced map Y/X -> Z/X is not a normal mono."""
-    q = [ctx.cokernel(m) for m in lat.monos]
+def hsd_failures(ctx, Z, lat) -> dict[tuple[int, int], str]:
+    """The failing pairs X <= Y of ``third_iso_check`` on Z, with the reason
+    the induced map Y/X -> Z/X is not a normal mono."""
+    monos = ctx.normal_subobject_monos(Z)
+    q = [ctx.cokernel(m) for m in monos]
     table = {}
     for ix in range(lat.size):
         for iy in range(lat.size):
-            if not lat.leq[ix][iy]:
+            if lat.join[ix][iy] != iy:
                 continue
-            x, y = lat.monos[ix], lat.monos[iy]
+            x, y = monos[ix], monos[iy]
             e = ctx.cokernel(restrict_mono(ctx, x, y))  # Y ->> Y/X
             g = ctx.factor_through_cokernel(e, ctx.compose(q[ix], y))
             failure = ctx.normal_mono_failure(g)
@@ -926,7 +1042,7 @@ def hsd_failures(ctx, lat) -> dict[tuple[int, int], str]:
     return table
 
 
-def second_iso_failures(ctx, lat) -> dict[tuple[int, int], str]:
+def second_iso_failures(ctx, X, lat) -> dict[tuple[int, int], str]:
     """The failing ordered pairs of ``second_iso_check``, each noted with
     the comparisons that are not isomorphisms: primal, dual or both.
 
@@ -936,9 +1052,10 @@ def second_iso_failures(ctx, lat) -> dict[tuple[int, int], str]:
     ``Y/(Y^Z)``), the map X/A ->> X/B between quotients of the object
     (``X/(Y^Z) ->> X/Y``) and its kernel B/A >-> X/A.
     """
-    q = [ctx.cokernel(m) for m in lat.monos]
-    nested = [(a, b) for a in range(lat.size) for b in range(lat.size) if lat.leq[a][b]]
-    restrict = {(a, b): restrict_mono(ctx, lat.monos[a], lat.monos[b]) for a, b in nested}
+    monos = ctx.normal_subobject_monos(X)
+    q = [ctx.cokernel(m) for m in monos]
+    nested = [(a, b) for a in range(lat.size) for b in range(lat.size) if lat.join[a][b] == b]
+    restrict = {(a, b): restrict_mono(ctx, monos[a], monos[b]) for a, b in nested}
     quotient = {pair: ctx.cokernel(m) for pair, m in restrict.items()}
     between = {(a, b): ctx.factor_through_cokernel(q[a], q[b]) for a, b in nested}
     between_kernel = {pair: ctx.kernel(p) for pair, p in between.items()}
@@ -965,8 +1082,8 @@ CATEGORICAL_FAILURES = {
     "secondiso": second_iso_failures,
     "dpn": _antinormal_failures,
     "diexact": _antinormal_failures,
-    "modular": lambda ctx, lat: is_modular(lat),
-    "distributive": lambda ctx, lat: is_distributive(lat),
+    "modular": lambda ctx, X, lat: is_modular(lat),
+    "distributive": lambda ctx, X, lat: is_distributive(lat),
 }
 
 
@@ -975,7 +1092,8 @@ def categorical_check(prop, ctx, X, name="object") -> CheckReport:
     from the maps themselves in ctx: the flat or the nested context, at any
     depth. The package reads the same verdicts off lattice identities."""
     lat = enumerate_nsub(ctx, X)
-    return _report(prop, ctx.depth, name, lat, [CATEGORICAL_FAILURES[prop](ctx, lat)])
+    cases = _RULES[prop][3](lat)
+    return _report(prop, ctx.depth, name, lat, [CATEGORICAL_FAILURES[prop](ctx, X, lat)], cases)
 
 
 # ---------------------------------------------------------------------------
@@ -990,12 +1108,13 @@ def second_iso_disagreements(ctx, X, name="object") -> list[str]:
     composite f: Y >-> YvZ ->> (YvZ)/Z is a normal map, (iii) f is a normal
     epi."""
     lat = enumerate_nsub(ctx, X)
+    monos = ctx.normal_subobject_monos(X)
     report = second_iso_check(ctx, X, name)
     primal_failures = {w.keys for w in report.witnesses if "primal" in w.note}
     out = []
     for iy, iz in product(range(lat.size), repeat=2):
-        y, z = lat.monos[iy], lat.monos[iz]
-        j_mono, m_mono = lat.monos[lat.join[iy][iz]], lat.monos[lat.meet[iy][iz]]
+        y, z = monos[iy], monos[iz]
+        j_mono, m_mono = monos[lat.join[iy][iz]], monos[lat.meet[iy][iz]]
         qa = ctx.cokernel(restrict_mono(ctx, z, j_mono))  # YvZ ->> (YvZ)/Z
         qb = ctx.cokernel(restrict_mono(ctx, m_mono, y))  # Y ->> Y/(Y^Z)
         f = ctx.compose(qa, restrict_mono(ctx, y, j_mono))

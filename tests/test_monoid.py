@@ -82,6 +82,21 @@ class TestValidation:
             validate_monoid(((0, 1), (1, 9)))
         assert str(err.value.failures[0]) == "OutOfRange(1,1)"
 
+    def test_large_bad_table_keeps_the_shown_failures_and_counts_the_rest(self):
+        # 0 is an identity and i*j = i-j mod 60 otherwise: associativity
+        # breaks in O(n^3) ways, of which the error keeps only the first few
+        n = 60
+        t = [[j if i == 0 else i if j == 0 else (i - j) % n for j in range(n)] for i in range(n)]
+        count = sum(t[0][i] != i or t[i][0] != i for i in range(n))
+        count += sum(
+            t[t[i][j]][k] != t[i][t[j][k]] for i in range(n) for j in range(n) for k in range(n)
+        )
+        with pytest.raises(InvalidMonoid) as err:
+            validate_monoid(t)
+        assert len(err.value.failures) <= InvalidMonoid.SHOWN
+        assert err.value.count == count
+        assert str(err.value).endswith(f" ({count - InvalidMonoid.SHOWN} more)")
+
 
 class TestHoms:
     def test_hom_law_enforced(self, N5):
@@ -448,7 +463,7 @@ class TestUncheckedTables:
             M = queue.pop()
             for S in _all_submonoids(M):
                 for child in (submonoid(M, S), cokernel_by_submonoid(M, S)[0]):
-                    assert table_axiom_failures(child.table) == [], (M, sorted(S))
+                    assert list(table_axiom_failures(child.table)) == [], (M, sorted(S))
                     if child.table not in seen:
                         seen.add(child.table)
                         queue.append(child)

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
-from monlat.monoid import are_isomorphic, cokernel_by_submonoid
+from monlat.census import lattices_up_to
+from monlat.monoid import FinMonoid, MonoidError, are_isomorphic, cokernel_by_submonoid
+from monlat.nsub import enumerate_nsub
 from monlat.semilattice import (
     CoverGraph,
     NoBottom,
@@ -9,7 +13,6 @@ from monlat.semilattice import (
     NotHasse,
     chain,
     covers_of,
-    order_of,
     pentagon,
     principal_downset,
     semilattice_from_covers,
@@ -17,7 +20,15 @@ from monlat.semilattice import (
 )
 
 from conftest import down
-from oracles import all_normal_subobjects_semilattice, principal_upset, quotient_by_downset
+from oracles import (
+    all_normal_subobjects_semilattice,
+    inclusion_order,
+    matrix_covers_of,
+    matrix_semilattice_from_covers,
+    principal_upset,
+    quotient_by_downset,
+    table_order,
+)
 
 
 def generic_quotient_partition(L, k) -> set[frozenset[int]]:
@@ -146,9 +157,80 @@ class TestLatticeStructure:
 
     def test_covers_roundtrip(self, L6):
         got = semilattice_from_covers(
-            CoverGraph(L6.size, tuple(covers_of(order_of(L6))), L6.labels)
+            CoverGraph(L6.size, tuple(covers_of(L6.table)), L6.labels)
         )
         assert got.table == L6.table and got.labels == L6.labels
+
+
+def _outcome(build, graph):
+    """The table and labels a cover-graph builder gives, or the class and
+    message of the error it raises."""
+    try:
+        M = build(graph)
+    except MonoidError as exc:
+        return type(exc), str(exc)
+    return M.table, M.labels
+
+
+def _shuffled_and_mutated_census_graphs(max_size, seed):
+    """Cover graphs of every census lattice up to max_size with the elements
+    renumbered and the covers reordered at random, each followed by four
+    mutations of it: a cover dropped, a cover reversed, a random pair added
+    and the composite of two covers added."""
+    rng = random.Random(seed)
+    for L in lattices_up_to(max_size):
+        n = L.size
+        covers = matrix_covers_of(table_order(L.table))
+        labels = tuple(f"x{i}" for i in range(n))
+        for _ in range(2):
+            perm = rng.sample(range(n), n)
+            pairs = [(perm[a], perm[b]) for a, b in covers]
+            rng.shuffle(pairs)
+            yield CoverGraph(n, tuple(pairs), labels)
+            if not pairs:
+                continue
+            i = rng.randrange(len(pairs))
+            a, b = pairs[i]
+            yield CoverGraph(n, tuple(pairs[:i] + pairs[i + 1 :]), labels)
+            yield CoverGraph(n, tuple(pairs[:i] + [(b, a)] + pairs[i + 1 :]), labels)
+            extra = rng.choice([(x, y) for x in range(n) for y in range(n) if x != y])
+            yield CoverGraph(n, tuple(pairs + [extra]), labels)
+            chains = [(x, z) for x, y in pairs for y2, z in pairs if y == y2]
+            if chains:
+                yield CoverGraph(n, tuple(pairs + [rng.choice(chains)]), labels)
+
+
+class TestBitmaskOrderMatchesMatrixReference:
+    """The bitmask order construction against the relation-matrix one it
+    replaced (``oracles.matrix_semilattice_from_covers``): the same table
+    and labels, or the same error class and message."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_cover_list_up_to_four_elements(self, n):
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        labels = tuple("pqrs"[:n])
+        for mask in range(1 << len(pairs)):
+            covers = tuple(pair for i, pair in enumerate(pairs) if mask >> i & 1)
+            g = CoverGraph(n, covers, labels)
+            expected = _outcome(matrix_semilattice_from_covers, g)
+            assert _outcome(semilattice_from_covers, g) == expected, covers
+
+    def test_shuffled_and_mutated_census_graphs(self):
+        kinds = set()
+        for g in _shuffled_and_mutated_census_graphs(7, seed=13):
+            expected = _outcome(matrix_semilattice_from_covers, g)
+            assert _outcome(semilattice_from_covers, g) == expected, g
+            kinds.add(expected[0] if isinstance(expected[0], type) else FinMonoid)
+        assert kinds == {FinMonoid, NotAPartialOrder, NotHasse, NoBottom, NoJoin}
+
+    def test_covers_of_census_lattices_match_betweenness(self):
+        for L in lattices_up_to(8):
+            assert covers_of(L.table) == matrix_covers_of(table_order(L.table)), L.table
+
+    def test_covers_of_fixture_lattices_match_betweenness(self, cmon, commutative_fixtures):
+        for name, L in commutative_fixtures.items():
+            lat = enumerate_nsub(cmon, L)
+            assert covers_of(lat.join) == matrix_covers_of(inclusion_order(lat.keys)), name
 
 
 class TestNormalSubobjectsFastPath:

@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 198 CLI calls, one line per call.
+"""Digest the output of a fixed set of 209 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -21,9 +21,14 @@ every depth-1 check and ``stability`` on Z2^3 and Z2xZ4; ``hsd``,
 ``secondiso``, ``dpn`` and ``diexact`` at depth 2 on Z2^3 and at depths 1
 and 2 on two commutative monoids that are neither semilattices nor groups,
 (Z12, *) and {0..4} under truncated addition; ``validate`` on
-the nine named fixtures and the five groups; and four input errors (exit
-2): ``nsub`` on a non-commutative monoid file, an unknown fixture, a
-``--ses-depth`` of 4 and ``enumerate --max-size 9``. Every call runs in a
+the nine named fixtures and the five groups; ``validate``, ``nsub`` and
+``check --property dpn --ses-depth 1`` on cover files of L6 and of a
+7-element lattice with their elements and covers shuffled, and
+``validate`` on N5's ``nsub`` export; four input errors (exit 2): ``nsub``
+on a non-commutative monoid file, an unknown fixture, a ``--ses-depth`` of
+4 and ``enumerate --max-size 9``; and ``validate`` on four malformed cover
+files (exit 2): a non-Hasse cover, two minimal elements, a pair with two
+minimal upper bounds and a 2-cycle. Every call runs in a
 fresh interpreter; the input files are written to a temporary directory
 that is the calls' working directory, so no path shows in the output.
 """
@@ -53,6 +58,21 @@ GROUPS = {
 }
 # the identity adjoined to the two-element left-zero band: x*y = x for x, y > 0
 NONCOMMUTATIVE = "monoid 3\n0 1 2\n1 1 1\n2 2 2\n"
+# cover files: L6 and the 7-element lattice 0<1, 0<3, 1<2, 1<4, 2<6, 3<4,
+# 3<5, 4<6, 5<6 renumbered, with their covers in no particular order; N5's
+# ``nsub`` export; and one malformed file per way a cover graph can fail
+COVER_FILES = {
+    "L6shuffled": "semilattice 6\ncover 3 0\ncover 4 2\ncover 1 5\ncover 0 2\ncover 5 0\n"
+    "cover 1 3\ncover 5 4\nlabel 0 C\nlabel 1 0\nlabel 2 A\nlabel 3 E\nlabel 4 B\nlabel 5 D\n",
+    "c7shuffled": "semilattice 7\ncover 2 5\ncover 1 3\ncover 4 6\ncover 0 3\ncover 6 5\n"
+    "cover 2 1\ncover 4 2\ncover 5 3\ncover 6 0\n",
+    "N5nsub": "lattice 5\ncover 0 1\ncover 0 2\ncover 1 3\ncover 2 4\ncover 3 4\n"
+    "label 0 {0}\nlabel 1 {0,C}\nlabel 2 {0,D}\nlabel 3 {0,C,B}\nlabel 4 {0,C,D,B,A}\n",
+    "nothasse": "semilattice 3\ncover 0 1\ncover 1 2\ncover 0 2\n",
+    "nobottom": "semilattice 3\ncover 0 2\ncover 1 2\n",
+    "nojoin": "semilattice 5\ncover 0 1\ncover 0 2\ncover 1 3\ncover 2 3\ncover 1 4\ncover 2 4\n",
+    "cycle": "semilattice 2\ncover 0 1\ncover 1 0\n",
+}
 
 
 def group_text(orders: tuple[int, ...]) -> str:
@@ -118,12 +138,18 @@ def calls() -> list[tuple[str, ...]]:
         out += [("check", "--property", prop, "--ses-depth", depth, path) for prop in SES_CHECKS]
     out += [("validate", name) for name in FIXTURES]
     out += [("validate", f"{group}.txt") for group in GROUPS]
+    for name in ("L6shuffled", "c7shuffled"):
+        path = f"{name}.txt"
+        out += [("validate", path), ("nsub", path)]
+        out.append(("check", "--property", "dpn", "--ses-depth", "1", path))
+    out.append(("validate", "N5nsub.txt"))
     out += [
         ("nsub", "noncommutative.txt"),
         ("nsub", "nosuch"),
         ("check", "--property", "hsd", "--ses-depth", "4", "bool2"),
         ("enumerate", "--max-size", "9"),
     ]
+    out += [("validate", f"{name}.txt") for name in ("nothasse", "nobottom", "nojoin", "cycle")]
     return out
 
 
@@ -135,7 +161,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         for group, orders in GROUPS.items():
             Path(work, f"{group}.txt").write_text(group_text(orders))
-        for name, text in MIXED.items():
+        for name, text in {**MIXED, **COVER_FILES}.items():
             Path(work, f"{name}.txt").write_text(text)
         Path(work, "noncommutative.txt").write_text(NONCOMMUTATIVE)
         for call in calls():
