@@ -32,7 +32,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .monoid import FinMonoid
-from .semilattice import least_upper_bound
 
 
 def _entry_bits(n: int) -> int:
@@ -61,12 +60,12 @@ def _extension_feasible(down: list[int], up: list[int]) -> bool:
 
 
 def _packed_join_table(up: list[int], bits: int) -> int:
-    n = len(up)
     packed = 0
-    for i in range(n):
-        for j in range(n):
-            t = least_upper_bound(up, i, j)
-            if t is None:
+    for ui in up:
+        for uj in up:
+            ubs = ui & uj
+            t = (ubs & -ubs).bit_length() - 1
+            if up[t] & ubs != ubs:
                 raise RuntimeError("search emitted a non-lattice")
             packed = packed << bits | t
     return packed

@@ -3,14 +3,15 @@
 Subcommands: validate, nsub, check, enumerate, paper-examples. Exit codes:
 0 all pass, 1 property failures found, 2 input errors, 3 a broken internal
 invariant (one ``<input>: internal error: <message>`` line on stderr; the
-command name stands for the input of enumerate and paper-examples).
-Reports are deterministic: identical inputs and flags produce
-byte-identical output.
+command name stands for the input of enumerate and paper-examples), 141 a
+stdout closed by its reader. Reports are deterministic: identical inputs
+and flags produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -25,10 +26,11 @@ from .formats import (
     parse_structure,
 )
 from .monoid import FinMonoid, MonoidError, NotCommutative
-from .nsub import enumerate_nsub, is_distributive, is_modular, lattice_of_semilattice
+from .nsub import enumerate_nsub, lattice_of_semilattice, lattice_verdicts
 from .scenarios import run_reference_scenarios
 from .semilattice import covers_of, fixture
 
+CLOSED_PIPE = 141  # 128 + SIGPIPE
 PROPERTIES = ("hsd", "secondiso", "dpn", "diexact", "modular", "distributive", "stability")
 
 
@@ -94,8 +96,7 @@ def cmd_enumerate(args) -> int:
     counts: dict[int, int] = {}
     for L in lattices_up_to(args.max_size):
         lat = lattice_of_semilattice(L)
-        modular, _ = is_modular(lat)
-        distributive, _ = is_distributive(lat)
+        modular, distributive = lattice_verdicts(lat)
         if args.filter == "nonmodular" and modular:
             continue
         if args.filter == "nondistributive" and distributive:
@@ -167,6 +168,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout; let the exit flush go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_PIPE
+
+
+def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     depth = getattr(args, "ses_depth", 0)
     if not 0 <= depth <= 3:

@@ -6,19 +6,19 @@ submonoids and returned as that one cached value. A lattice is its join
 and meet tables: a <= b when a v b = b. Every lattice here, that one or a
 semilattice's own, is built from up-set bitmasks of its order by one
 function: joins and meets are least upper bounds in the order and in its
-dual. Modularity and distributivity are each decided by one scan of the
-lattice law; a failing lattice then gets the first pentagon or diamond
-sublattice as its witness.
+dual. Modularity and distributivity are decided in O(n²) from heights and
+join-irreducibles; a failing lattice then gets its first pentagon or
+diamond sublattice as the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from . import monoid as mn
-from .semilattice import down_sets, least_upper_bound, up_sets
+from .semilattice import down_sets, is_cover, least_upper_bound, up_sets
 
 
 @dataclass(frozen=True)
@@ -118,23 +118,27 @@ def enumerate_nsub(ctx, X) -> NSubLattice:
 
 
 # ---------------------------------------------------------------------------
-# modularity and distributivity: the law scan decides, a sublattice witnesses
+# modularity and distributivity: two O(n²) tests decide, a sublattice witnesses
 
 
-def _first_modular_law_violation(lat) -> tuple[int, int, int] | None:
-    J, M = lat.join, lat.meet
-    for x, y, z in product(range(lat.size), repeat=3):
-        if J[z][x] == x and M[x][J[y][z]] != J[M[x][y]][z]:
-            return (x, y, z)
-    return None
-
-
-def _first_distributive_law_violation(lat) -> tuple[int, int, int] | None:
-    J, M = lat.join, lat.meet
-    for x, y, z in product(range(lat.size), repeat=3):
-        if M[x][J[y][z]] != J[M[x][y]][M[x][z]]:
-            return (x, y, z)
-    return None
+def lattice_verdicts(lat) -> tuple[bool, bool]:
+    """Whether the lattice is modular: the height h(x), the longest chain
+    from the bottom, has h(x) + h(y) = h(x v y) + h(x ^ y) for all x, y
+    (Birkhoff; h is strictly monotone, so a pentagon breaks it). Whether it
+    is distributive: modular, and x -> {join-irreducibles <= x} (injective,
+    keeps meets) keeps joins. Join-irreducibles have one lower cover."""
+    up = up_sets(lat.join)
+    down = down_sets(up)
+    lower = [[y for y in range(lat.size) if is_cover(up, down, y, x)] for x in range(lat.size)]
+    height = [0] * lat.size
+    for x in sorted(range(lat.size), key=lambda x: down[x].bit_count()):
+        height[x] = max((height[y] + 1 for y in lower[x]), default=0)
+    for hx, Jx, Mx in zip(height, lat.join, lat.meet):
+        if any(hx + hy != height[j] + height[m] for hy, j, m in zip(height, Jx, Mx)):
+            return False, False
+    irreducible = sum(1 << x for x, covers in enumerate(lower) if len(covers) == 1)
+    ji = [mask & irreducible for mask in down]
+    return True, all(ji[t] == a | b for a, Jx in zip(ji, lat.join) for b, t in zip(ji, Jx))
 
 
 def _sublattice_shape(lat, combo) -> str | None:
@@ -147,48 +151,34 @@ def _sublattice_shape(lat, combo) -> str | None:
     bot = next(x for x in combo if all(J[x][y] == y for y in combo))
     top = next(x for x in combo if all(J[y][x] == x for y in combo))
     mids = [x for x in combo if x not in (bot, top)]
-    if len(mids) != 3:
-        return None
     comparable = sum(1 for a, b in combinations(mids, 2) if J[a][b] in (a, b))
-    if comparable == 1:
-        return "pentagon"
-    if comparable == 0:
-        return "diamond"
-    return None
+    return {0: "diamond", 1: "pentagon"}.get(comparable)
 
 
-def _find_sublattice(lat, shape: str) -> tuple[int, ...] | None:
-    """The lexicographically first 5-subset forming the given sublattice."""
+def _find_sublattice(lat, kind: str) -> LatticeWitness | None:
+    """The lexicographically first 5-subset forming the given sublattice. A
+    failing verdict finds none only on tables that are not a lattice."""
     for combo in combinations(range(lat.size), 5):
-        if _sublattice_shape(lat, combo) == shape:
-            return combo
+        if _sublattice_shape(lat, combo) == kind:
+            return LatticeWitness(kind, combo, tuple(lat.names[e] for e in combo))
     return None
-
-
-def _witness(lat, kind, elements) -> LatticeWitness | None:
-    # a law can fail without the sublattice only on tables that are not a lattice
-    if elements is None:
-        return None
-    return LatticeWitness(kind, tuple(elements), tuple(lat.names[e] for e in elements))
 
 
 def is_modular(lat: NSubLattice) -> tuple[bool, LatticeWitness | None]:
-    """Modularity by the modular-law scan. By Dedekind's theorem a lattice
-    fails the law exactly when it has a pentagon sublattice, so only a
-    failing lattice is searched, for its first pentagon as the witness."""
-    if _first_modular_law_violation(lat) is None:
+    """Modularity by the height identity. By Dedekind's theorem a lattice
+    that is not modular has a pentagon sublattice, so only a failing lattice
+    is searched, for its first pentagon as the witness."""
+    if lattice_verdicts(lat)[0]:
         return True, None
-    return False, _witness(lat, "pentagon", _find_sublattice(lat, "pentagon"))
+    return False, _find_sublattice(lat, "pentagon")
 
 
 def is_distributive(lat: NSubLattice) -> tuple[bool, LatticeWitness | None]:
-    """Distributivity by the distributive-law scan. A failing lattice has a
+    """Distributivity by the join-irreducible test. A failing lattice has a
     pentagon or, by Birkhoff's theorem, a diamond sublattice: a non-modular
     one gets its first pentagon as the witness, a modular one its first
     diamond."""
-    if _first_distributive_law_violation(lat) is None:
+    modular, distributive = lattice_verdicts(lat)
+    if distributive:
         return True, None
-    modular, pentagon = is_modular(lat)
-    if not modular:
-        return False, pentagon
-    return False, _witness(lat, "diamond", _find_sublattice(lat, "diamond"))
+    return False, _find_sublattice(lat, "diamond" if modular else "pentagon")

@@ -4,7 +4,7 @@ principal down-sets, and the named fixtures used throughout the test suite.
 
 Every finite order in the package is a list of up-set bitmasks (bit b of
 ``up[a]`` set when a <= b); b covers a when ``up[a] & down[b]`` holds just
-a and b, and least upper bounds are the search the census shares.
+a and b, and a least upper bound is a common upper bound below the others.
 """
 
 from __future__ import annotations

@@ -570,6 +570,24 @@ def recursive_normal_epi_failure(ctx, f) -> str | None:
 # modularity and distributivity
 
 
+def first_modular_law_violation(lat) -> tuple[int, int, int] | None:
+    """First triple with z <= x where x ^ (y v z) != (x ^ y) v z."""
+    J, M = lat.join, lat.meet
+    for x, y, z in product(range(lat.size), repeat=3):
+        if J[z][x] == x and M[x][J[y][z]] != J[M[x][y]][z]:
+            return (x, y, z)
+    return None
+
+
+def first_distributive_law_violation(lat) -> tuple[int, int, int] | None:
+    """First triple where x ^ (y v z) != (x ^ y) v (x ^ z)."""
+    J, M = lat.join, lat.meet
+    for x, y, z in product(range(lat.size), repeat=3):
+        if M[x][J[y][z]] != J[M[x][y]][M[x][z]]:
+            return (x, y, z)
+    return None
+
+
 def first_interval_failure(lat) -> tuple[int, int] | None:
     """First pair (x, y) where t -> t v y fails to be an order isomorphism
     from [x^y, x] onto [y, xvy] with inverse u -> u ^ x (the interval
@@ -604,18 +622,25 @@ def distributive_by_sublattice(lat) -> bool:
 
 def lattice_method_disagreements(lat) -> list[str]:
     """How the verdicts of ``is_modular`` and ``is_distributive`` differ from
-    the sublattice and interval oracles, and any failing verdict that lacks
-    a witness; empty when they agree."""
+    the sublattice, interval and law-scan oracles, and any failing verdict
+    that lacks a witness; empty when they agree."""
     modular, modular_witness = is_modular(lat)
     distributive, distributive_witness = is_distributive(lat)
     oracles = (
         ("pentagon search", "is_modular", modular, modular_by_sublattice(lat)),
         ("interval test", "is_modular", modular, first_interval_failure(lat) is None),
+        ("modular-law scan", "is_modular", modular, first_modular_law_violation(lat) is None),
         (
             "modular and diamond-free",
             "is_distributive",
             distributive,
             distributive_by_sublattice(lat),
+        ),
+        (
+            "distributive-law scan",
+            "is_distributive",
+            distributive,
+            first_distributive_law_violation(lat) is None,
         ),
     )
     found = [

@@ -1,11 +1,12 @@
 import hashlib
+import os
 import subprocess
 import sys
 
 import pytest
 
-from monlat import census
-from monlat.cli import main
+from monlat import census, nsub
+from monlat.cli import CLOSED_PIPE, main
 from monlat.context import CmonContext
 from monlat.formats import emit_monoid_text, emit_semilattice_text
 
@@ -357,11 +358,13 @@ class TestInternalError:
 
     def test_census_non_lattice_exits_three(self, capsys, monkeypatch):
         # the census search re-checks that every pair it emits has a join;
-        # a join search that finds none breaks that invariant (the cache is
-        # cleared so that the search runs; a failed size is not cached)
-        monkeypatch.setattr(census, "least_upper_bound", lambda up, i, j: None)
+        # a search that no longer prunes emits the six-element order in which
+        # two atoms have two minimal upper bounds, and that breaks the
+        # invariant (the cache is cleared so that the search runs; a failed
+        # size is not cached)
+        monkeypatch.setattr(census, "_extension_feasible", lambda down, up: True)
         census.lattices_of_size.cache_clear()
-        code, out, err = run(capsys, "enumerate", "--max-size", "2")
+        code, out, err = run(capsys, "enumerate", "--max-size", "6")
         assert code == 3
         assert out == ""
         assert err == "enumerate: internal error: search emitted a non-lattice\n"
@@ -420,6 +423,17 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--max-size", "12")
         assert code == 2
 
+    def test_max_size_eight_searches_no_witness(self, capsys, monkeypatch):
+        # enumerate prints verdicts, not witnesses, so it never searches for
+        # a pentagon or diamond; the md5 pins its full output
+        def refuse(lat, kind):
+            raise AssertionError(f"{kind} search")
+
+        monkeypatch.setattr(nsub, "_find_sublattice", refuse)
+        code, out, err = run(capsys, "enumerate", "--max-size", "8")
+        assert (code, err) == (0, "")
+        assert hashlib.md5(out.encode()).hexdigest() == "c13ba006574665f1a8c90b1d584be4a1"
+
     def test_tsv_rows_and_determinism(self, capsys):
         _, out1, _ = run(capsys, "--format", "tsv", "enumerate", "--max-size", "5")
         _, out2, _ = run(capsys, "--format", "tsv", "enumerate", "--max-size", "5")
@@ -433,6 +447,27 @@ class TestModuleEntryPoint:
         proc = run_module("check", "--property", "dpn", "N5")
         assert proc.returncode == 1
         assert proc.stdout.startswith("RESULT\tobject=N5")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_without_traceback(self, unbuffered):
+        # stdout is a pipe whose read end is closed before the process
+        # starts, so the first write (unbuffered) or the flush at the end
+        # (buffered) fails with EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "monlat", "check", "--property", "modular", "V4"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (CLOSED_PIPE, "")
 
 
 class TestReferenceScenarios:

@@ -8,14 +8,23 @@ from monlat.nsub import (
     is_modular,
     lattice_from_join_table,
     lattice_of_semilattice,
+    lattice_verdicts,
 )
 from monlat.semilattice import covers_of
 
-from conftest import abelian_group, closure_oracle_families, down
+from conftest import (
+    abelian_group,
+    closure_oracle_families,
+    down,
+    named_commutative_monoids,
+    product_monoid,
+)
 from lemmas import cokersquare_check, join_agreement_check, join_via_uniinter, phi_psi
 from oracles import (
     categorical_lattice,
     find_lattice_isomorphism,
+    first_distributive_law_violation,
+    first_modular_law_violation,
     fixpoint_normal_closure,
     inclusion_order,
     lattice_axiom_failure,
@@ -27,6 +36,14 @@ from oracles import (
 )
 
 ORACLE_FAMILIES = closure_oracle_families()
+NSUB_POOL = {
+    **named_commutative_monoids(),
+    "Z2x2x2": abelian_group(2, 2, 2),
+    "Z2xZ4": abelian_group(2, 4),
+    "Z3x3x3": abelian_group(3, 3, 3),
+    "Z2x2x2x2": abelian_group(2, 2, 2, 2),
+    "Z6xZ2x2": abelian_group(6, 2, 2),
+}
 
 
 class TestEnumerate:
@@ -203,6 +220,48 @@ class TestDistributivity:
             lat = lattice_of_semilattice(L)
             if is_distributive(lat)[0]:
                 assert is_modular(lat)[0]
+
+
+def _law_scan_verdicts(lat):
+    return (
+        first_modular_law_violation(lat) is None,
+        first_distributive_law_violation(lat) is None,
+    )
+
+
+class TestVerdictsMatchLawScans:
+    """The height and join-irreducible tests of ``lattice_verdicts`` against
+    the modular- and distributive-law scans over all triples."""
+
+    def test_census_through_eight(self):
+        from monlat.census import lattices_up_to
+
+        lats = [lattice_of_semilattice(L) for L in lattices_up_to(8)]
+        assert len(lats) == 300
+        for lat in lats:
+            assert lattice_verdicts(lat) == _law_scan_verdicts(lat)
+        # every combination of verdicts occurs: (modular, distributive)
+        assert {lattice_verdicts(lat) for lat in lats} == {
+            (False, False), (True, False), (True, True)
+        }
+
+    @pytest.mark.parametrize("name", NSUB_POOL)
+    def test_nsub_lattices(self, cmon, name):
+        lat = enumerate_nsub(cmon, NSUB_POOL[name])
+        assert lattice_verdicts(lat) == _law_scan_verdicts(lat)
+
+    def test_products_of_census_pairs(self):
+        from itertools import combinations_with_replacement
+
+        from monlat.census import lattices_up_to
+
+        small = lattices_up_to(5)
+        seen = set()
+        for A, B in combinations_with_replacement(small, 2):
+            lat = lattice_of_semilattice(product_monoid(A, B))
+            seen.add(verdicts := lattice_verdicts(lat))
+            assert verdicts == _law_scan_verdicts(lat), (A.table, B.table)
+        assert seen == {(False, False), (True, False), (True, True)}
 
 
 class TestJoinAgreement:
