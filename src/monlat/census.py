@@ -2,164 +2,164 @@
 lattices) up to isomorphism.
 
 Everything rests on natural labellings: element 0 is the bottom and every
-element's label is larger than the labels of the elements below it.
+element's label is larger than the labels of the elements below it. A join
+table is n*n bytes, row-major, so byte order is lexicographic table order.
 
 The generator builds every natural labelling of every lattice exactly once,
-appending one element at a time above a down-closed set of the elements
-placed so far. A pair that acquires two incomparable minimal upper bounds can
-never be repaired later, which gives an exact pruning rule, and the rule is
-one mask test per pair: under a natural labelling a set of upper bounds has
-a least element exactly when its lowest-labelled member lies below all the
-others. Meets need no rule of their own. In a finite order with a bottom in
-which every pair with an upper bound has a least one, the lower bounds of a
-pair are joined pairwise below both members of the pair, so their join is
-the pair's meet.
+appending one element k at a time above a down-closed set of the elements
+placed so far, and fills the join table as it goes: a pair's join is the
+first element placed above both. Until then entry p holds the code n + p,
+past the labels (so n is at most 15), and placing k is one ``translate``
+that turns the codes of the pairs below k into k. A pair with a join
+outside k's down-set would get two incomparable minimal upper bounds, which
+no later element repairs. So k may go above a down-set only if every pair
+in it that has a join has it inside, and that exact pruning rule is one
+``itemgetter`` per placement. The top needs no test: its down-set holds
+every join, and the pairs still without a join get the top itself.
+Meets need no rule of their own. In a finite order with a bottom in which
+every pair with an upper bound has a least one, the lower bounds of a pair
+are joined pairwise below both members of the pair, so their join is the
+pair's meet.
 
 A lattice is presented by its canonical join table: the lexicographically
 minimal table over all its natural labellings. Those labellings are exactly
 what the generator emits for its isomorphism class, so after sorting the
 emitted tables the first table of each class is the class's canonical table.
-Accepting it marks all of its natural relabellings (its linear extensions)
-as seen, and every later table already marked is skipped: deduplication
-needs no isomorphism search. Tables are packed into one int each, row-major
-with the first entry most significant and a fixed width per entry, so
-integer order is lexicographic table order; only the representatives are
-unpacked and validated as monoids.
+Accepting it marks all of its natural relabellings as seen, and every later
+table already marked is skipped: deduplication needs no isomorphism search.
+The natural labellings are the linear extensions of the order, and swapping
+adjacent labels i and i+1 of incomparable elements reaches all of them:
+where two extensions first differ, the element x the second puts there
+comes later in the first, and each element between is neither below x (the
+second puts x before it) nor above x (the first puts it before x), so x
+moves forward past incomparable neighbours until the two agree one place
+further. A swap is one ``itemgetter`` that exchanges rows and columns i and
+i+1 and one ``translate`` that exchanges the labels. Each representative is
+checked to be a lattice, which makes it a monoid, so it skips the O(n^3)
+axiom scan.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
-from .monoid import FinMonoid
-
-
-def _entry_bits(n: int) -> int:
-    return max(1, (n - 1).bit_length())
+from .monoid import FinMonoid, _monoid_unchecked
 
 
-def _extension_feasible(down: list[int], up: list[int]) -> bool:
-    """Exact feasibility after appending one element, checking only what the
-    new element can break: the least upper bound of each pair of elements
-    below it."""
-    new = len(down) - 1
-    strict = down[new] ^ (1 << new)
-    left = strict
-    while left:
-        bi = left & -left
-        left ^= bi
-        ui = up[bi.bit_length() - 1]
-        right = left
-        while right:
-            bj = right & -right
-            right ^= bj
-            ubs = ui & up[bj.bit_length() - 1]
-            if up[(ubs & -ubs).bit_length() - 1] & ubs != ubs:
-                return False
-    return True
+def _feasible(join: bytes, pairs, allowed: frozenset) -> bool:
+    """Whether the next element may go above a down-set: ``pairs`` reads the
+    entries of the pairs in it, and ``allowed`` holds its members and the
+    codes of pairs without a join."""
+    return allowed.issuperset(pairs(join))
 
 
-def _packed_join_table(up: list[int], bits: int) -> int:
-    packed = 0
-    for ui in up:
-        for uj in up:
-            ubs = ui & uj
-            t = (ubs & -ubs).bit_length() - 1
-            if up[t] & ubs != ubs:
-                raise RuntimeError("search emitted a non-lattice")
-            packed = packed << bits | t
-    return packed
-
-
-def _unpack(packed: int, n: int) -> tuple[tuple[int, ...], ...]:
-    bits = _entry_bits(n)
-    mask = (1 << bits) - 1
-    flat = [packed >> (bits * (n * n - 1 - k)) & mask for k in range(n * n)]
-    return tuple(tuple(flat[a * n : (a + 1) * n]) for a in range(n))
-
-
-def _natural_tables(n: int) -> list[int]:
-    """Packed join tables of every naturally labelled lattice of size n.
+def _natural_tables(n: int) -> list[bytes]:
+    """Join tables of every naturally labelled lattice of size n.
 
     ``ideals`` holds the down-closed subsets (containing 0) of the elements
     placed so far; the new element k goes above one of them, and the ideals
     of the extended order are the old ones plus I | {k} for each old I that
     contains k's strict down-set. The last element must be the top.
     """
-    bits = _entry_bits(n)
-    found: list[int] = []
+    if n == 1:
+        return [b"\0"]
+    codes = range(n, n + n * n)
+    places: dict[int, bytes] = {}
+    tests: dict[int, tuple] = {}
 
-    def extend(down: list[int], up: list[int], ideals: list[int]):
-        k = len(down)
-        if k == n:
-            found.append(_packed_join_table(up, bits))
+    def place(down: int) -> bytes:
+        """The translation that makes the top element of ``down`` the join of
+        every pair in ``down`` that has none yet."""
+        if down not in places:
+            members = [a for a in range(n) if down >> a & 1]
+            pairs = bytes(n + a * n + b for a in members for b in members)
+            places[down] = bytes.maketrans(pairs, bytes([members[-1]]) * len(pairs))
+        return places[down]
+
+    def test(mask: int) -> tuple:
+        # entry (0, 0) twice makes itemgetter return a tuple even without pairs
+        if mask not in tests:
+            members = [a for a in range(n) if mask >> a & 1]
+            pairs = [a * n + b for a in members for b in members if 0 < a < b]
+            tests[mask] = (itemgetter(0, 0, *pairs), frozenset(codes).union(members))
+        return tests[mask]
+
+    found: list[bytes] = []
+    top = place((1 << n) - 1)
+
+    def extend(join: bytes, k: int, ideals: list[int]):
+        if k == n - 1:
+            found.append(join.translate(top))
             return
         bit = 1 << k
-        for mask in ideals if k + 1 < n else (bit - 1,):
-            down.append(mask | bit)
-            up.append(bit)
-            for j in range(k):
-                if mask >> j & 1:
-                    up[j] |= bit
-            if _extension_feasible(down, up):
-                extend(down, up, ideals + [i | bit for i in ideals if i & mask == mask])
-            for j in range(k):
-                if mask >> j & 1:
-                    up[j] ^= bit
-            up.pop()
-            down.pop()
+        for mask in ideals:
+            if _feasible(join, *test(mask)):
+                grown = ideals + [i | bit for i in ideals if i & mask == mask]
+                extend(join.translate(place(mask | bit)), k + 1, grown)
 
-    extend([1], [1], [1])
+    extend(bytes(codes).translate(place(1)), 1, [1])
     return found
 
 
-def _relabellings(table, bits: int) -> set[int]:
-    """Packed tables of every natural labelling of a naturally labelled
-    lattice, one per linear extension of its order."""
-    n = len(table)
-    down = [sum(1 << a for a in range(n) if table[a][b] == b) for b in range(n)]
-    order: list[int] = []
-    pos = [0] * n
-    out: set[int] = set()
-
-    def extend(placed: int):
-        if len(order) == n:
-            packed = 0
-            for a in order:
-                row = table[a]
-                for b in order:
-                    packed = packed << bits | pos[row[b]]
-            out.add(packed)
-            return
-        for i in range(n):
-            if down[i] & ~placed == 1 << i:
-                pos[i] = len(order)
-                order.append(i)
-                extend(placed | 1 << i)
-                order.pop()
-
-    extend(0)
+def _swaps(n: int) -> list[tuple[int, int, itemgetter, bytes]]:
+    """For each i < n - 2: the entry (i, i+1), the label i+1, and the
+    row-and-column exchange and label translation that swap i and i+1. The
+    top, n - 1, is comparable to everything, so it never swaps."""
+    out = []
+    for i in range(n - 2):
+        swap = list(range(n))
+        swap[i], swap[i + 1] = i + 1, i
+        where = itemgetter(*(swap[a] * n + swap[b] for a in range(n) for b in range(n)))
+        out.append((i * n + i + 1, i + 1, where, bytes.maketrans(bytes(swap), bytes(range(n)))))
     return out
+
+
+def _relabellings(table: bytes, swaps) -> set[bytes]:
+    """Tables of every natural labelling of a naturally labelled lattice,
+    reached from ``table`` by swapping adjacent incomparable labels."""
+    seen = {table}
+    todo = [table]
+    while todo:
+        t = todo.pop()
+        for entry, above, where, labels in swaps:
+            # i and i+1 are comparable exactly when their join is i+1
+            if t[entry] != above:
+                u = bytes(where(t)).translate(labels)
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+    return seen
+
+
+def _lattice(table: bytes, n: int) -> FinMonoid:
+    """The monoid of a join table, after one mask test per entry: the
+    up-set of a join is the intersection of the up-sets of the pair."""
+    rows = tuple(tuple(table[a * n : (a + 1) * n]) for a in range(n))
+    up = [sum(1 << b for b in range(n) if rows[a][b] == b) for a in range(n)]
+    for a, row in enumerate(rows):
+        if any(up[t] != up[a] & up[b] for b, t in enumerate(row)):
+            raise RuntimeError("search emitted a non-lattice")
+    return _monoid_unchecked(rows, None)
 
 
 @lru_cache(maxsize=None)
 def lattices_of_size(n: int) -> tuple[FinMonoid, ...]:
     """All lattices with n elements up to isomorphism, canonical tables,
-    sorted lexicographically."""
-    bits = _entry_bits(n)
-    seen: set[int] = set()
+    sorted lexicographically; none for n < 1."""
+    if n < 1:
+        return ()
+    if n > 15:
+        raise ValueError("the census stores an entry or its code in one byte: n <= 15")
+    swaps = _swaps(n)
+    seen: set[bytes] = set()
     reps = []
-    for packed in sorted(_natural_tables(n)):
-        if packed in seen:
-            continue
-        M = FinMonoid(_unpack(packed, n))
-        reps.append(M)
-        seen |= _relabellings(M.table, bits)
+    for table in sorted(_natural_tables(n)):
+        if table not in seen:
+            seen |= _relabellings(table, swaps)
+            reps.append(_lattice(table, n))
     return tuple(reps)
 
 
 def lattices_up_to(max_size: int) -> list[FinMonoid]:
-    out: list[FinMonoid] = []
-    for n in range(1, max_size + 1):
-        out.extend(lattices_of_size(n))
-    return out
+    return [L for n in range(1, max_size + 1) for L in lattices_of_size(n)]

@@ -11,7 +11,7 @@ from functools import cache, cached_property
 from itertools import permutations, product
 from typing import Any
 
-from monlat.census import _natural_tables, _unpack
+from monlat.census import _natural_tables
 from monlat.checks import (
     _RULES,
     CheckReport,
@@ -818,14 +818,19 @@ def canonical_join_table(table) -> tuple[tuple[int, ...], ...]:
     return best
 
 
+def _rows(table: bytes) -> tuple[tuple[int, ...], ...]:
+    n = round(len(table) ** 0.5)
+    return tuple(tuple(table[a * n : (a + 1) * n]) for a in range(n))
+
+
 def census_oracle(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """The canonical join tables of the lattices of size n, sorted: the
     census generator's labelled tables deduplicated by a backtracking
     isomorphism search (behind a cheap invariant) and each class then
     canonicalized by trying every linear extension."""
     classes: dict[tuple, list[FinMonoid]] = {}
-    for packed in _natural_tables(n):
-        table = _unpack(packed, n)
+    for flat in _natural_tables(n):
+        table = _rows(flat)
         M = FinMonoid(table)
         # cheap isomorphism invariant before the backtracking test
         profile = tuple(
@@ -843,6 +848,32 @@ def census_oracle(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return sorted(
         canonical_join_table(M.table) for bucket in classes.values() for M in bucket
     )
+
+
+def relabellings_by_extensions(table: bytes) -> set[bytes]:
+    """Join tables of every natural labelling of a naturally labelled
+    lattice, as bytes: one per linear extension of its order, found by
+    placing, at each step, any element whose down-set is already placed."""
+    rows = _rows(table)
+    n = len(rows)
+    down = [sum(1 << a for a in range(n) if rows[a][b] == b) for b in range(n)]
+    order: list[int] = []
+    pos = [0] * n
+    out: set[bytes] = set()
+
+    def extend(placed: int):
+        if len(order) == n:
+            out.add(bytes(pos[rows[a][b]] for a in order for b in order))
+            return
+        for i in range(n):
+            if down[i] & ~placed == 1 << i:
+                pos[i] = len(order)
+                order.append(i)
+                extend(placed | 1 << i)
+                order.pop()
+
+    extend(0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -357,12 +357,12 @@ class TestInternalError:
         assert err == "N5: internal error: sub leg is not a normal mono: not-injective\n"
 
     def test_census_non_lattice_exits_three(self, capsys, monkeypatch):
-        # the census search re-checks that every pair it emits has a join;
-        # a search that no longer prunes emits the six-element order in which
-        # two atoms have two minimal upper bounds, and that breaks the
-        # invariant (the cache is cleared so that the search runs; a failed
-        # size is not cached)
-        monkeypatch.setattr(census, "_extension_feasible", lambda down, up: True)
+        # the census re-checks that every pair of each table it returns has
+        # a least upper bound; a search that no longer prunes emits the
+        # six-element order in which two atoms have two minimal upper bounds,
+        # and that breaks the invariant (the cache is cleared so that the
+        # search runs; a failed size is not cached)
+        monkeypatch.setattr(census, "_feasible", lambda join, pairs, allowed: True)
         census.lattices_of_size.cache_clear()
         code, out, err = run(capsys, "enumerate", "--max-size", "6")
         assert code == 3

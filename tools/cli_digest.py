@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 209 CLI calls, one line per call.
+"""Digest the output of a fixed set of 212 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -15,7 +15,9 @@ The calls: ``check`` of every property at depths 0-3 on bool2 and chain4
 (``stability`` at depth 0 only) and at depths 0-2 on N5, V4 and L6;
 ``hsd``, ``secondiso``, ``dpn`` and ``diexact`` at depth 3 on N5, V4 and
 L6; ``stability`` on N5, V4 and L6; ``nsub`` on the nine named fixtures;
-``paper-examples`` at depths 1 and 2; ``enumerate --max-size 8``; ``nsub``,
+``paper-examples`` at depths 1 and 2; ``enumerate --max-size 8``, also
+with ``--filter nonmodular``, with ``--filter nondistributive`` and with
+``--format tsv``; ``nsub``,
 ``modular`` and ``distributive`` on Z2^3, Z2xZ4, Z3^3, Z2^4 and Z6xZ2^2;
 every depth-1 check and ``stability`` on Z2^3 and Z2xZ4; ``hsd``,
 ``secondiso``, ``dpn`` and ``diexact`` at depth 2 on Z2^3 and at depths 1
@@ -124,6 +126,8 @@ def calls() -> list[tuple[str, ...]]:
     out += [("nsub", name) for name in FIXTURES]
     out += [("paper-examples", "--ses-depth", str(d)) for d in (1, 2)]
     out.append(("enumerate", "--max-size", "8"))
+    out += [("enumerate", "--max-size", "8", "--filter", f) for f in ("nonmodular", "nondistributive")]
+    out.append(("--format", "tsv", "enumerate", "--max-size", "8"))
     for group in GROUPS:
         path = f"{group}.txt"
         out.append(("nsub", path))
