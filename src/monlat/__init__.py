@@ -21,9 +21,7 @@ from .context import (
     SesObject,
     antinormal_composite,
     cmon_context,
-    is_normal_map_in,
     make_ses,
-    normal_decomposition_in,
     ses_context,
 )
 from .monoid import (
@@ -31,8 +29,6 @@ from .monoid import (
     InvalidMonoid,
     MonoidError,
     MonoidHom,
-    NormalDecomposition,
-    NotNormal,
     Subset,
     cokernel_by_submonoid,
     is_normal_submonoid,

@@ -23,8 +23,6 @@ from .monoid import (
     FinMonoid,
     MonoidError,
     MonoidHom,
-    NormalDecomposition,
-    NotNormal,
     _hom_unchecked,
 )
 
@@ -465,28 +463,3 @@ def antinormal_composite(ctx, X, y_key, z_key):
     y = ctx.subobject_mono(X, y_key)
     qz = ctx.cokernel(ctx.subobject_mono(X, z_key))
     return ctx.compose(qz, y)
-
-
-def normal_decomposition_in(ctx, f) -> NormalDecomposition | NotNormal:
-    """Canonical normal decomposition in any context.
-
-    The middle comparison u runs from the cokernel of ker(f) to the kernel of
-    coker(f); the map is normal exactly when u is an isomorphism.
-    """
-    k = ctx.kernel(f)
-    e = ctx.cokernel(k)
-    p = ctx.cokernel(f)
-    m = ctx.kernel(p)
-    u1 = ctx.factor_through_cokernel(e, f)
-    u = ctx.factor_through_kernel(u1, m)
-    if ctx.is_iso(u):
-        return NormalDecomposition(ctx.compose(u, e), m)
-    if not ctx.is_mono(u):
-        return NotNormal("induced map not injective")
-    if not ctx.is_epi(u):
-        return NotNormal("induced map not surjective")
-    return NotNormal("induced map not invertible")
-
-
-def is_normal_map_in(ctx, f) -> bool:
-    return isinstance(normal_decomposition_in(ctx, f), NormalDecomposition)

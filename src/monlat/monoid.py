@@ -434,21 +434,6 @@ def is_normal_epi(f: MonoidHom) -> bool:
     return len(set(seen.values())) == len(seen)
 
 
-@dataclass(frozen=True)
-class NormalDecomposition:
-    """A normal-epi-then-normal-mono factorization; mono after epi equals the map."""
-
-    epi: object
-    mono: object
-
-
-@dataclass(frozen=True)
-class NotNormal:
-    """Returned (not raised) when a map admits no normal decomposition."""
-
-    reason: str
-
-
 def _iso_backtrack(M: FinMonoid, N: FinMonoid) -> Iterator[tuple[int, ...]]:
     """Identity-preserving bijections M -> N consistent with both tables,
     by backtracking with partial-table pruning."""

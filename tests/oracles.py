@@ -16,7 +16,6 @@ from monlat.checks import (
     _RULES,
     CheckReport,
     CheckWitness,
-    _antinormal_failures,
     _report,
     diexact_check,
     second_iso_check,
@@ -28,15 +27,11 @@ from monlat.context import (
     antinormal_composite,
     cmon_context,
     generic_pullback_of_monos,
-    is_normal_map_in,
-    normal_decomposition_in,
 )
 from monlat.monoid import (
     FinMonoid,
     MonoidHom,
-    NormalDecomposition,
     MonoidError,
-    NotNormal,
     Subset,
     _hom_unchecked,
     _quotient_by_classes,
@@ -1007,6 +1002,46 @@ def lattice_by_closures(M: FinMonoid) -> NSubLattice:
     )
 
 
+@dataclass(frozen=True)
+class NormalDecomposition:
+    """A normal-epi-then-normal-mono factorization; mono after epi equals the map."""
+
+    epi: object
+    mono: object
+
+
+@dataclass(frozen=True)
+class NotNormal:
+    """Returned (not raised) when a map admits no normal decomposition."""
+
+    reason: str
+
+
+def normal_decomposition_in(ctx, f) -> NormalDecomposition | NotNormal:
+    """Canonical normal decomposition in any context.
+
+    The middle comparison u runs from the cokernel of ker(f) to the kernel of
+    coker(f); the map is normal exactly when u is an isomorphism.
+    """
+    k = ctx.kernel(f)
+    e = ctx.cokernel(k)
+    p = ctx.cokernel(f)
+    m = ctx.kernel(p)
+    u1 = ctx.factor_through_cokernel(e, f)
+    u = ctx.factor_through_kernel(u1, m)
+    if ctx.is_iso(u):
+        return NormalDecomposition(ctx.compose(u, e), m)
+    if not ctx.is_mono(u):
+        return NotNormal("induced map not injective")
+    if not ctx.is_epi(u):
+        return NotNormal("induced map not surjective")
+    return NotNormal("induced map not invertible")
+
+
+def is_normal_map_in(ctx, f) -> bool:
+    return isinstance(normal_decomposition_in(ctx, f), NormalDecomposition)
+
+
 def normal_decomposition(f: MonoidHom) -> NormalDecomposition | NotNormal:
     """Concrete normal decomposition of a hom between commutative monoids.
 
@@ -1133,11 +1168,30 @@ def second_iso_failures(ctx, X, lat) -> dict[tuple[int, int], str]:
     return table
 
 
+def categorical_antinormal_failures(ctx, X, lat) -> dict[tuple[int, int], str]:
+    """The antinormal table of X at any depth, each composite
+    Y >-> X ->> X/Z decomposed in ctx, with the cokernels built once per
+    subobject. A pair with Y <= Z is absent without a
+    decomposition: Y lies in Z, the kernel of X ->> X/Z, so the composite is
+    the zero map, and a zero map is normal in any context (its kernel and
+    cokernel are identities and the comparison is 0 -> 0)."""
+    monos = ctx.normal_subobject_monos(X)
+    q = [ctx.cokernel(m) for m in monos]
+    table = {}
+    for iy, y in enumerate(monos):
+        for iz, qz in enumerate(q):
+            if lat.join[iy][iz] != iz:
+                dec = normal_decomposition_in(ctx, ctx.compose(qz, y))
+                if not isinstance(dec, NormalDecomposition):
+                    table[iy, iz] = dec.reason
+    return table
+
+
 CATEGORICAL_FAILURES = {
     "hsd": hsd_failures,
     "secondiso": second_iso_failures,
-    "dpn": _antinormal_failures,
-    "diexact": _antinormal_failures,
+    "dpn": categorical_antinormal_failures,
+    "diexact": categorical_antinormal_failures,
     "modular": lambda ctx, X, lat: is_modular(lat),
     "distributive": lambda ctx, X, lat: is_distributive(lat),
 }
@@ -1203,9 +1257,9 @@ def diexact_disagreement(ctx, X, name="object") -> str | None:
 
 
 def antinormal_failures_by_pairs(ctx, X) -> list[list[str | None]]:
-    """The table of ``checks._antinormal_failures`` built pair by pair: each
-    composite Y >-> X ->> X/Z is rebuilt from the subobject keys and
-    decomposed in full, zero maps included."""
+    """The antinormal table of X built pair by pair: each composite
+    Y >-> X ->> X/Z is rebuilt from the subobject keys and decomposed in
+    full, zero maps included."""
     lat = enumerate_nsub(ctx, X)
     table = []
     for iy in range(lat.size):

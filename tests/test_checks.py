@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -17,23 +18,33 @@ from monlat.checks import (
     third_iso_check,
 )
 from monlat.context import (
+    CmonContext,
     SesContext,
     antinormal_composite,
     cmon_context,
-    is_normal_map_in,
     make_ses,
     ses_context,
 )
+from monlat.monoid import cokernel_by_submonoid, normal_submonoids
 from monlat.nsub import enumerate_nsub, is_distributive, is_modular
 from monlat.scenarios import run_reference_scenarios
 
-from conftest import abelian_group, down, mixed_monoids, named_commutative_monoids
+from conftest import (
+    abelian_group,
+    down,
+    mixed_monoids,
+    named_commutative_monoids,
+    product_monoid,
+    truncated_monoid,
+)
 from lemmas import build_diextension, subquotient_closure
 from oracles import (
     antinormal_failures_by_pairs,
+    categorical_antinormal_failures,
     categorical_check,
     diexact_disagreement,
     hsd_failures,
+    is_normal_map_in,
     pairwise_diexact_check,
     pairwise_dpn_check,
     restrict_mono,
@@ -42,20 +53,51 @@ from oracles import (
 )
 
 
+MIXED_CASES = list(mixed_monoids().items())
+
+
+CENSUS_CASES = [(f"c{n}_{i}", L) for n in range(1, 8) for i, L in enumerate(lattices_of_size(n))]
+
+
 def _antinormal_cases():
     """(name, monoid, depth) for the antinormal-table oracle: depths 0-2 over
-    the commutative fixtures, Z2^3 and Z2xZ4, and depth 3 over chain4 and
-    bool2."""
+    the commutative fixtures, Z2^3 and Z2xZ4, depth 3 over chain4 and bool2,
+    and depth 0 over the census lattices up to size 7 and the mixed
+    monoids."""
     bases = named_commutative_monoids()
     bases.update(Z2x2x2=abelian_group(2, 2, 2), Z2x4=abelian_group(2, 4))
     cases = [(name, M, depth) for name, M in bases.items() for depth in (0, 1, 2)]
-    return cases + [(name, bases[name], 3) for name in ("chain4", "bool2")]
+    cases += [(name, bases[name], 3) for name in ("chain4", "bool2")]
+    return cases + [(name, M, 0) for name, M in CENSUS_CASES + MIXED_CASES]
 
 
 ANTINORMAL_CASES = _antinormal_cases()
 
 
-MIXED_CASES = list(mixed_monoids().items())
+# the factors of the drawn products: census lattices of size <= 4 and the
+# mixed monoids of size <= 6, so a product has at most 36 elements
+SMALL_FACTORS = [L for _, L in CENSUS_CASES if L.size <= 4] + [
+    M for _, M in MIXED_CASES if M.size <= 6
+]
+
+
+@st.composite
+def products_and_quotients(draw):
+    """A product of two small factors, or its quotient by a normal submonoid."""
+    M = product_monoid(draw(st.sampled_from(SMALL_FACTORS)), draw(st.sampled_from(SMALL_FACTORS)))
+    if draw(st.booleans()):
+        M = cokernel_by_submonoid(M, draw(st.sampled_from(normal_submonoids(M))))[0]
+    return M
+
+
+def _failing_pairs(reference) -> dict[tuple[int, int], str]:
+    """The failing entries of an ``antinormal_failures_by_pairs`` table."""
+    return {
+        (iy, iz): reason
+        for iy, row in enumerate(reference)
+        for iz, reason in enumerate(row)
+        if reason is not None
+    }
 
 
 def _sweep_cases():
@@ -64,7 +106,7 @@ def _sweep_cases():
     fixtures, depth 4 over N5 and V4, and depths 1 and 2 over the mixed
     monoids."""
     bases = named_commutative_monoids()
-    cases = [(f"c{n}_{i}", L, 2) for n in (5, 6) for i, L in enumerate(lattices_of_size(n))]
+    cases = [(name, L, 2) for name, L in CENSUS_CASES if L.size in (5, 6)]
     cases.append(("Z2x2x2", abelian_group(2, 2, 2), 2))
     cases += [(name, M, 3) for name, M in bases.items()]
     cases += [(name, bases[name], 4) for name in ("N5", "V4")]
@@ -271,13 +313,11 @@ class TestAntinormalTable:
         for ctx, X, nm in objects_at_depth(base, depth, name):
             lat = enumerate_nsub(ctx, X)
             reference = antinormal_failures_by_pairs(ctx, X)
-            failing = {
-                (iy, iz): reason
-                for iy, row in enumerate(reference)
-                for iz, reason in enumerate(row)
-                if reason is not None
-            }
-            assert _antinormal_failures(ctx, X, lat) == failing, nm
+            failing = _failing_pairs(reference)
+            if ctx.depth:
+                assert categorical_antinormal_failures(ctx, X, lat) == failing, nm
+            else:
+                assert _antinormal_failures(X, lat) == failing, nm
             # the zero-map lemma: Y <= Z makes Y >-> X ->> X/Z normal
             for iy in range(lat.size):
                 for iz in range(lat.size):
@@ -285,6 +325,21 @@ class TestAntinormalTable:
                         assert reference[iy][iz] is None, (nm, iy, iz)
             assert dpn_check(ctx, X, nm) == pairwise_dpn_check(ctx, X, nm)
             assert diexact_check(ctx, X, nm) == pairwise_diexact_check(ctx, X, nm)
+
+    def test_census_meets_both_reasons(self, cmon):
+        reasons = Counter(
+            reason
+            for _, L in CENSUS_CASES
+            for reason in _antinormal_failures(L, enumerate_nsub(cmon, L)).values()
+        )
+        assert reasons == {"induced map not injective": 114, "induced map not surjective": 96}
+
+    @given(M=products_and_quotients())
+    @settings(max_examples=60, deadline=None)
+    def test_class_counts_on_products_and_quotients(self, M):
+        cmon = cmon_context()
+        reference = _failing_pairs(antinormal_failures_by_pairs(cmon, M))
+        assert _antinormal_failures(M, enumerate_nsub(cmon, M)) == reference
 
 
 class TestDiexact:
@@ -426,9 +481,7 @@ class TestSweepFromMarkTables:
             assert [check(ctx, X, nm) for ctx, X, nm in objects] == reference, prop
 
     @given(
-        case=st.sampled_from(
-            [(f"c{n}_{i}", L) for n in range(1, 8) for i, L in enumerate(lattices_of_size(n))]
-        ).flatmap(
+        case=st.sampled_from(CENSUS_CASES).flatmap(
             lambda case: st.tuples(
                 st.just(case),
                 st.integers(2, 3).flatmap(
@@ -534,7 +587,7 @@ class TestMixedMonoids:
     @pytest.mark.parametrize("name, M", MIXED_CASES, ids=[name for name, _ in MIXED_CASES])
     def test_categorical_secondiso_table_is_antinormal_and_transpose(self, cmon, name, M):
         lat = enumerate_nsub(cmon, M)
-        antinormal = _antinormal_failures(cmon, M, lat)
+        antinormal = _antinormal_failures(M, lat)
         expected = {}
         for y, z in product(range(lat.size), repeat=2):
             tags = ["primal"] * ((y, z) in antinormal) + ["dual"] * ((z, y) in antinormal)
@@ -547,6 +600,10 @@ SES_OPERATIONS = (
     "compose", "kernel", "cokernel", "factor_through_kernel", "factor_through_cokernel",
     "normal_mono_failure", "normal_epi_failure", "is_iso", "is_mono", "is_epi",
     "subobject_mono", "normal_subobject_monos",
+)
+
+CMON_MAP_OPERATIONS = (
+    "compose", "factor_through_kernel", "factor_through_cokernel", "is_iso", "is_mono", "is_epi",
 )
 
 
@@ -564,3 +621,17 @@ class TestNoSesOperations:
                 for depth in (1, 2, 3):
                     assert len(run_check(prop, M, depth, name)) == n**depth
         assert all(result.ok for result in run_reference_scenarios(2))
+
+    def test_checks_build_no_monoid_map(self, cmon, monkeypatch, N5, V4, L6):
+        # the depth-0 antinormal table counts cokernel classes: no check
+        # composes, factors or decomposes a map of monoids
+        def refuse(*args):
+            raise AssertionError("a CmonContext map operation was called")
+
+        for op in CMON_MAP_OPERATIONS:
+            monkeypatch.setattr(CmonContext, op, refuse)
+        for M, name in ((N5, "N5"), (V4, "V4"), (L6, "L6"), (truncated_monoid(4), "trunc4")):
+            n = enumerate_nsub(cmon, M).size
+            for prop in ("hsd", "secondiso", "dpn", "diexact"):
+                for depth in (0, 1, 2):
+                    assert len(run_check(prop, M, depth, name)) == n**depth

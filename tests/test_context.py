@@ -13,15 +13,12 @@ from monlat.context import (
     cmon_context,
     generic_pullback_of_monos,
     make_ses,
-    normal_decomposition_in,
     ses_context,
 )
 from monlat.nsub import enumerate_nsub
 from monlat.monoid import (
     MonoidError,
     MonoidHom,
-    NormalDecomposition,
-    NotNormal,
     identity_hom,
     inclusion_hom,
 )
@@ -31,6 +28,8 @@ from conftest import abelian_group, down
 from lemmas import are_isomorphic, generic_pullback_epi_along_mono, isomorphisms
 from oracles import (
     NestedHom,
+    NormalDecomposition,
+    NotNormal,
     all_homs,
     categorical_check,
     flat_hom,
@@ -39,6 +38,7 @@ from oracles import (
     nested_hom,
     nested_objects_at_depth,
     normal_decomposition,
+    normal_decomposition_in,
     normal_submonoids_by_filter,
     recursive_normal_epi_failure,
     recursive_normal_mono_failure,

@@ -6,10 +6,8 @@ from monlat.monoid import (
     FinMonoid,
     InvalidMonoid,
     MonoidHom,
-    NormalDecomposition,
     NotASubmonoid,
     NotCommutative,
-    NotNormal,
     Subset,
     are_isomorphic,
     cokernel_by_submonoid,
@@ -29,6 +27,8 @@ from monlat.monoid import (
 
 from conftest import abelian_group, closure_oracle_families, down, named_commutative_monoids
 from oracles import (
+    NormalDecomposition,
+    NotNormal,
     NotNormalSubmonoid,
     all_homs,
     fixpoint_normal_closure,

@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 212 CLI calls, one line per call.
+"""Digest the output of a fixed set of 224 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -26,7 +26,9 @@ and 2 on two commutative monoids that are neither semilattices nor groups,
 the nine named fixtures and the five groups; ``validate``, ``nsub`` and
 ``check --property dpn --ses-depth 1`` on cover files of L6 and of a
 7-element lattice with their elements and covers shuffled, and
-``validate`` on N5's ``nsub`` export; four input errors (exit 2): ``nsub``
+``validate`` on N5's ``nsub`` export; ``secondiso``, ``dpn`` and
+``diexact`` at depths 0 and 1 on cover files of two 8-element census
+lattices; four input errors (exit 2): ``nsub``
 on a non-commutative monoid file, an unknown fixture, a ``--ses-depth`` of
 4 and ``enumerate --max-size 9``; and ``validate`` on four malformed cover
 files (exit 2): a non-Hasse cover, two minimal elements, a pair with two
@@ -75,6 +77,19 @@ COVER_FILES = {
     "nojoin": "semilattice 5\ncover 0 1\ncover 0 2\ncover 1 3\ncover 2 3\ncover 1 4\ncover 2 4\n",
     "cycle": "semilattice 2\ncover 0 1\ncover 1 0\n",
 }
+# two 8-element census lattices as cover files: on c8_153 diexact's first
+# witness is "induced map not injective", on c8_22 dpn's is "map-normal" and
+# secondiso's "primal"
+CENSUS_FILES = {
+    "c8_153": "0<1 0<3 1<2 1<4 2<5 3<4 3<6 4<5 5<7 6<7",
+    "c8_22": "0<1 1<2 1<5 2<3 2<6 3<4 4<7 5<6 6<7",
+}
+
+
+def cover_text(covers: str) -> str:
+    """The cover file of an 8-element lattice from its ``a<b`` covers."""
+    lines = ["semilattice 8"] + [f"cover {c.replace('<', ' ')}" for c in covers.split()]
+    return "\n".join(lines) + "\n"
 
 
 def group_text(orders: tuple[int, ...]) -> str:
@@ -146,6 +161,12 @@ def calls() -> list[tuple[str, ...]]:
         path = f"{name}.txt"
         out += [("validate", path), ("nsub", path)]
         out.append(("check", "--property", "dpn", "--ses-depth", "1", path))
+    for name, depth in product(CENSUS_FILES, ("0", "1")):
+        path = f"{name}.txt"
+        out += [
+            ("check", "--property", prop, "--ses-depth", depth, path)
+            for prop in ("secondiso", "dpn", "diexact")
+        ]
     out.append(("validate", "N5nsub.txt"))
     out += [
         ("nsub", "noncommutative.txt"),
@@ -167,6 +188,8 @@ def main(argv=None) -> int:
             Path(work, f"{group}.txt").write_text(group_text(orders))
         for name, text in {**MIXED, **COVER_FILES}.items():
             Path(work, f"{name}.txt").write_text(text)
+        for name, covers in CENSUS_FILES.items():
+            Path(work, f"{name}.txt").write_text(cover_text(covers))
         Path(work, "noncommutative.txt").write_text(NONCOMMUTATIVE)
         for call in calls():
             proc = subprocess.run(
