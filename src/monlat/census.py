@@ -45,6 +45,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .monoid import FinMonoid, _monoid_unchecked
+from .semilattice import up_sets
 
 
 def _feasible(join: bytes, pairs, allowed: frozenset) -> bool:
@@ -136,7 +137,7 @@ def _lattice(table: bytes, n: int) -> FinMonoid:
     """The monoid of a join table, after one mask test per entry: the
     up-set of a join is the intersection of the up-sets of the pair."""
     rows = tuple(tuple(table[a * n : (a + 1) * n]) for a in range(n))
-    up = [sum(1 << b for b in range(n) if rows[a][b] == b) for a in range(n)]
+    up = up_sets(rows)
     for a, row in enumerate(rows):
         if any(up[t] != up[a] & up[b] for b, t in enumerate(row)):
             raise RuntimeError("search emitted a non-lattice")

@@ -11,6 +11,7 @@ and flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from .formats import (
 from .monoid import FinMonoid, MonoidError, NotCommutative
 from .nsub import enumerate_nsub, lattice_of_semilattice, lattice_verdicts
 from .scenarios import run_reference_scenarios
-from .semilattice import covers_of, fixture
+from .semilattice import fixture
 
 CLOSED_PIPE = 141  # 128 + SIGPIPE
 PROPERTIES = ("hsd", "secondiso", "dpn", "diexact", "modular", "distributive", "stability")
@@ -102,7 +103,7 @@ def cmd_enumerate(args) -> int:
         if args.filter == "nondistributive" and distributive:
             continue
         counts[L.size] = counts.get(L.size, 0) + 1
-        covers = ";".join(f"{a}<{b}" for a, b in covers_of(lat.join)) or "-"
+        covers = ";".join(f"{a}<{b}" for a, b in lat.covers) or "-"
         fields = (
             f"size={L.size}",
             f"index={counts[L.size] - 1}",
@@ -168,6 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # objects made before the call, by import above all, outlive it: frozen,
+    # they are not rescanned by each collection the call triggers, so a call
+    # does not pay for where the collector's counts stood when import ended
+    gc.freeze()
     try:
         code = _main(argv)
         sys.stdout.flush()
@@ -175,6 +180,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader closed stdout; let the exit flush go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return CLOSED_PIPE
+    finally:
+        gc.unfreeze()
 
 
 def _main(argv) -> int:

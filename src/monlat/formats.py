@@ -13,8 +13,8 @@ Semilattice files:  `semilattice <n>` (or `lattice <n>`, so exported
 from __future__ import annotations
 
 from .monoid import FinMonoid, InvalidMonoid, MonoidError, validate_monoid
-from .nsub import NSubLattice
-from .semilattice import CoverGraph, covers_of, semilattice_from_covers
+from .nsub import NSubLattice, lattice_of_semilattice
+from .semilattice import CoverGraph, semilattice_from_covers
 
 
 class ParseError(Exception):
@@ -166,7 +166,7 @@ def emit_monoid_text(M: FinMonoid) -> str:
 
 def emit_semilattice_text(M: FinMonoid) -> str:
     lines = [f"semilattice {M.size}"]
-    lines += [f"cover {a} {b}" for a, b in covers_of(M.table)]
+    lines += [f"cover {a} {b}" for a, b in lattice_of_semilattice(M).covers]
     lines += _label_lines(M)
     return "\n".join(lines) + "\n"
 
@@ -174,6 +174,6 @@ def emit_semilattice_text(M: FinMonoid) -> str:
 def emit_lattice_text(lat: NSubLattice) -> str:
     """Subobject-lattice export in the semilattice format, re-parseable."""
     lines = [f"lattice {lat.size}"]
-    lines += [f"cover {a} {b}" for a, b in covers_of(lat.join)]
+    lines += [f"cover {a} {b}" for a, b in lat.covers]
     lines += [f"label {i} {lat.names[i]}" for i in range(lat.size)]
     return "\n".join(lines) + "\n"

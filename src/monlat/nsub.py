@@ -5,20 +5,21 @@ commutative monoid, built once per monoid from inclusion of its normal
 submonoids and returned as that one cached value. A lattice is its join
 and meet tables: a <= b when a v b = b. Every lattice here, that one or a
 semilattice's own, is built from up-set bitmasks of its order by one
-function: joins and meets are least upper bounds in the order and in its
-dual. Modularity and distributivity are decided in O(n²) from heights and
-join-irreducibles; a failing lattice then gets its first pentagon or
-diamond sublattice as the witness.
+function: the up-set of a v b is the intersection of those of a and b, the
+down-set of a ^ b that of their down-sets, so each bound is one lookup
+keyed by a mask. Modularity and distributivity are decided in O(n²) from
+the lattice's masks and covers, by heights and join-irreducibles; a failing
+lattice then gets its first pentagon or diamond sublattice as the witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import monoid as mn
-from .semilattice import down_sets, is_cover, least_upper_bound, up_sets
+from .semilattice import down_sets, is_cover, up_sets
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,9 @@ class NSubLattice:
 
     A lattice of normal submonoids carries their member sets as ``keys``,
     the canonical subobject keys of every context; a lattice built from a
-    raw join table has none.
+    raw join table has none. ``up`` and ``down`` are the up- and down-set
+    bitmasks of the order (bit b of ``up[a]`` set when a <= b); they are
+    read off the join table when not given, and take no part in equality.
     """
 
     join: tuple[tuple[int, ...], ...]
@@ -47,39 +50,50 @@ class NSubLattice:
     bottom: int
     names: tuple[str, ...]
     keys: tuple = ()
+    up: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    down: tuple[int, ...] = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "up", self.up or tuple(up_sets(self.join)))
+        object.__setattr__(self, "down", self.down or tuple(down_sets(self.up)))
 
     @property
     def size(self) -> int:
         return len(self.join)
 
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Cover pairs (a, b), a covered by b, in sorted order."""
+        up, down, n = self.up, self.down, self.size
+        return tuple((a, b) for a in range(n) for b in range(n) if is_cover(up, down, a, b))
+
     def index_of_key(self, key) -> int:
         return self.keys.index(key)
 
 
-def _bounds(masks) -> tuple[tuple[int, ...], ...]:
-    n = len(masks)
-    table = tuple(tuple(least_upper_bound(masks, a, b) for b in range(n)) for a in range(n))
-    if any(None in row for row in table):
-        raise RuntimeError("order is not a lattice")
-    return table
+def _mask_table(masks, at) -> tuple[tuple[int, ...], ...]:
+    """Entry (a, b) is the element ``at[masks[a] & masks[b]]``; each row is
+    one C-level pass."""
+    return tuple(tuple(map(at.__getitem__, map(m.__and__, masks))) for m in masks)
 
 
 def _lattice_from_order(up, names, keys=()) -> NSubLattice:
     """The lattice of a finite order given by up-set bitmasks (bit b of
-    ``up[a]`` set when a <= b): joins are least upper bounds, meets least
-    upper bounds in the dual order, and the top and bottom are the elements
-    whose down-set or up-set holds everything. Callers pass lattices, so a
-    missing bound is a broken internal invariant."""
+    ``up[a]`` set when a <= b). The join of a and b is the element whose
+    up-set is ``up[a] & up[b]``, the meet the one whose down-set is
+    ``down[a] & down[b]``, and the top and bottom those whose down-set or
+    up-set holds everything. Callers pass lattices, so a mask that is no
+    element's is a broken internal invariant."""
     down = down_sets(up)
     everything = (1 << len(up)) - 1
-    return NSubLattice(
-        join=_bounds(up),
-        meet=_bounds(down),
-        top=down.index(everything),
-        bottom=up.index(everything),
-        names=tuple(names),
-        keys=keys,
-    )
+    above = {mask: x for x, mask in enumerate(up)}
+    below = {mask: x for x, mask in enumerate(down)}
+    try:
+        join, meet = _mask_table(up, above), _mask_table(down, below)
+        top, bottom = below[everything], above[everything]
+    except KeyError:
+        raise RuntimeError("order is not a lattice") from None
+    return NSubLattice(join, meet, top, bottom, tuple(names), keys, tuple(up), tuple(down))
 
 
 def lattice_from_join_table(table, names=None) -> NSubLattice:
@@ -127,17 +141,17 @@ def lattice_verdicts(lat) -> tuple[bool, bool]:
     (Birkhoff; h is strictly monotone, so a pentagon breaks it). Whether it
     is distributive: modular, and x -> {join-irreducibles <= x} (injective,
     keeps meets) keeps joins. Join-irreducibles have one lower cover."""
-    up = up_sets(lat.join)
-    down = down_sets(up)
-    lower = [[y for y in range(lat.size) if is_cover(up, down, y, x)] for x in range(lat.size)]
+    lower = [[] for _ in range(lat.size)]
+    for y, x in lat.covers:
+        lower[x].append(y)
     height = [0] * lat.size
-    for x in sorted(range(lat.size), key=lambda x: down[x].bit_count()):
+    for x in sorted(range(lat.size), key=lambda x: lat.down[x].bit_count()):
         height[x] = max((height[y] + 1 for y in lower[x]), default=0)
     for hx, Jx, Mx in zip(height, lat.join, lat.meet):
         if any(hx + hy != height[j] + height[m] for hy, j, m in zip(height, Jx, Mx)):
             return False, False
     irreducible = sum(1 << x for x, covers in enumerate(lower) if len(covers) == 1)
-    ji = [mask & irreducible for mask in down]
+    ji = [mask & irreducible for mask in lat.down]
     return True, all(ji[t] == a | b for a, Jx in zip(ji, lat.join) for b, t in zip(ji, Jx))
 
 

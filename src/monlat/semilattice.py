@@ -1,10 +1,11 @@
 """Monoidal semilattices (join-semilattices with a bottom) as commutative
-idempotent monoids: construction from cover graphs, covers of a join table,
-principal down-sets, and the named fixtures used throughout the test suite.
+idempotent monoids: construction from cover graphs, principal down-sets,
+and the named fixtures used throughout the test suite.
 
 Every finite order in the package is a list of up-set bitmasks (bit b of
 ``up[a]`` set when a <= b); b covers a when ``up[a] & down[b]`` holds just
-a and b, and a least upper bound is a common upper bound below the others.
+a and b, and a and b have a join exactly when ``up[a] & up[b]`` is the
+up-set of an element, which is then their join.
 """
 
 from __future__ import annotations
@@ -86,22 +87,6 @@ def is_cover(up, down, a: int, b: int) -> bool:
     return (up[a] & down[b]).bit_count() == 2
 
 
-def least_upper_bound(up: list[int], a: int, b: int) -> int | None:
-    """The least common upper bound of a and b, or None, in an order given
-    by up-set bitmasks (bit t of ``up[a]`` set when a <= t): the first t,
-    scanning the common upper bounds from low labels, whose up-set holds
-    them all. On a natural labelling that is the first one or none."""
-    ubs = up[a] & up[b]
-    rest = ubs
-    while rest:
-        low = rest & -rest
-        t = low.bit_length() - 1
-        if up[t] & ubs == ubs:
-            return t
-        rest ^= low
-    return None
-
-
 def semilattice_from_covers(g: CoverGraph) -> FinMonoid:
     """Least-upper-bound table of a cover graph, as a commutative monoid.
 
@@ -133,10 +118,11 @@ def semilattice_from_covers(g: CoverGraph) -> FinMonoid:
         for i in layer:
             new_index[i] = placed.bit_count()
             placed |= 1 << i
+    above = {mask: t for t, mask in enumerate(up)}
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            t = least_upper_bound(up, a, b)
+            t = above.get(up[a] & up[b])
             if t is None:
                 raise NoJoin(a, b)
             table[new_index[a]][new_index[b]] = new_index[t]
@@ -152,15 +138,6 @@ def semilattice_from_covers(g: CoverGraph) -> FinMonoid:
 def require_semilattice(L: FinMonoid) -> None:
     if not L.is_semilattice:
         raise SemilatticeError("expected a commutative idempotent monoid")
-
-
-def covers_of(table) -> list[tuple[int, int]]:
-    """Cover pairs (a, b), a covered by b, of the order of a join table, in
-    sorted order."""
-    up = up_sets(table)
-    down = down_sets(up)
-    n = len(up)
-    return [(a, b) for a in range(n) for b in range(n) if is_cover(up, down, a, b)]
 
 
 def principal_downset(L: FinMonoid, a: int) -> Subset:

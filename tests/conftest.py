@@ -1,9 +1,10 @@
 from itertools import product
 
 import pytest
+from hypothesis import strategies as st
 
 from monlat import cmon_context, lattices_of_size, ses_context
-from monlat.monoid import FinMonoid
+from monlat.monoid import FinMonoid, cokernel_by_submonoid, normal_submonoids
 from monlat.semilattice import (
     bool2,
     chain,
@@ -126,6 +127,22 @@ def mixed_monoids():
     for a, b in pairs:
         out[f"{a}x{b}"] = product_monoid(out[a], out[b])
     return out
+
+
+# the factors of the drawn products: census lattices of size <= 4 and the
+# mixed monoids of size <= 6, so a product has at most 36 elements
+SMALL_FACTORS = [L for n in range(1, 5) for L in lattices_of_size(n)] + [
+    M for M in mixed_monoids().values() if M.size <= 6
+]
+
+
+@st.composite
+def products_and_quotients(draw):
+    """A product of two small factors, or its quotient by a normal submonoid."""
+    M = product_monoid(draw(st.sampled_from(SMALL_FACTORS)), draw(st.sampled_from(SMALL_FACTORS)))
+    if draw(st.booleans()):
+        M = cokernel_by_submonoid(M, draw(st.sampled_from(normal_submonoids(M))))[0]
+    return M
 
 
 def closure_oracle_families():

@@ -49,7 +49,6 @@ from monlat.semilattice import (
     NoJoin,
     NotAPartialOrder,
     NotHasse,
-    least_upper_bound,
     principal_downset,
     require_semilattice,
 )
@@ -149,14 +148,15 @@ def matrix_semilattice_from_covers(g: CoverGraph) -> FinMonoid:
     if len(minimal) != 1:
         raise NoBottom(f"minimal elements: {sorted(minimal)}")
 
-    up = [sum(1 << c for c in range(n) if leq[a][c]) for a in range(n)]
+    # the join of a and b: the common upper bound below all the others
     join = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            t = least_upper_bound(up, a, b)
-            if t is None:
+            ubs = [c for c in range(n) if leq[a][c] and leq[b][c]]
+            least = [t for t in ubs if all(leq[t][c] for c in ubs)]
+            if not least:
                 raise NoJoin(a, b)
-            join[a][b] = t
+            join[a][b] = least[0]
 
     # layered linear extension: emit every element whose strict down-set is
     # already numbered, one layer at a time, ordered by original index

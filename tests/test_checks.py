@@ -25,7 +25,6 @@ from monlat.context import (
     make_ses,
     ses_context,
 )
-from monlat.monoid import cokernel_by_submonoid, normal_submonoids
 from monlat.nsub import enumerate_nsub, is_distributive, is_modular
 from monlat.scenarios import run_reference_scenarios
 
@@ -34,7 +33,7 @@ from conftest import (
     down,
     mixed_monoids,
     named_commutative_monoids,
-    product_monoid,
+    products_and_quotients,
     truncated_monoid,
 )
 from lemmas import build_diextension, subquotient_closure
@@ -72,22 +71,6 @@ def _antinormal_cases():
 
 
 ANTINORMAL_CASES = _antinormal_cases()
-
-
-# the factors of the drawn products: census lattices of size <= 4 and the
-# mixed monoids of size <= 6, so a product has at most 36 elements
-SMALL_FACTORS = [L for _, L in CENSUS_CASES if L.size <= 4] + [
-    M for _, M in MIXED_CASES if M.size <= 6
-]
-
-
-@st.composite
-def products_and_quotients(draw):
-    """A product of two small factors, or its quotient by a normal submonoid."""
-    M = product_monoid(draw(st.sampled_from(SMALL_FACTORS)), draw(st.sampled_from(SMALL_FACTORS)))
-    if draw(st.booleans()):
-        M = cokernel_by_submonoid(M, draw(st.sampled_from(normal_submonoids(M))))[0]
-    return M
 
 
 def _failing_pairs(reference) -> dict[tuple[int, int], str]:

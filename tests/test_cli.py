@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import subprocess
@@ -443,6 +444,14 @@ class TestEnumerate:
 
 
 class TestModuleEntryPoint:
+    def test_in_process_calls_leave_nothing_frozen(self, capsys):
+        # a call freezes the objects made before it and thaws them on the
+        # way out, also when it exits 2, so an in-process caller's cycles
+        # stay collectable
+        assert run(capsys, "nsub", "N5")[0] == 0
+        assert run(capsys, "check", "--property", "hsd", "--ses-depth", "4", "bool2")[0] == 2
+        assert gc.get_freeze_count() == 0
+
     def test_python_dash_m_invocation(self):
         proc = run_module("check", "--property", "dpn", "N5")
         assert proc.returncode == 1

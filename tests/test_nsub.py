@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monlat.monoid import normal_closure, normal_submonoids
+from monlat.census import lattices_up_to
+from monlat.context import cmon_context
+from monlat.monoid import FinMonoid, normal_closure, normal_submonoids
 from monlat.nsub import (
+    _lattice_from_order,
     _sublattice_shape,
     enumerate_nsub,
     is_distributive,
@@ -10,7 +15,6 @@ from monlat.nsub import (
     lattice_of_semilattice,
     lattice_verdicts,
 )
-from monlat.semilattice import covers_of
 
 from conftest import (
     abelian_group,
@@ -18,6 +22,7 @@ from conftest import (
     down,
     named_commutative_monoids,
     product_monoid,
+    products_and_quotients,
 )
 from lemmas import cokersquare_check, join_agreement_check, join_via_uniinter, phi_psi
 from oracles import (
@@ -147,6 +152,11 @@ class TestClosureOracles:
             lat, ref = enumerate_nsub(cmon, M), lattice_by_closures(M)
             assert _tables(lat) == _tables(ref)
             assert lattice_axiom_failure(lat, inclusion_order(lat.keys)) is None
+
+    @given(M=products_and_quotients())
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_matches_closure_lattice_on_products_and_quotients(self, M):
+        assert enumerate_nsub(cmon_context(), M) == lattice_by_closures(M)
 
 
 def _tables(lat):
@@ -367,15 +377,68 @@ class TestLatticeTables:
                 assert lattice_axiom_failure(lattice_of_semilattice(L), table_order(L.table)) is None
 
     def test_from_join_table_rejects_unbounded(self):
-        with pytest.raises(Exception):
+        with pytest.raises(RuntimeError):
             lattice_from_join_table(((0, 1), (1, 0)))  # Z2 is not a semilattice order
+
+    @pytest.mark.parametrize(
+        "covers",
+        [
+            # the bowtie: 0 and 1 below both 2 and 3
+            ((0, 2), (0, 3), (1, 2), (1, 3)),
+            # a bottom and a top, with 3 and 4 both minimal above 1 and 2
+            ((0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)),
+        ],
+        ids=["bowtie", "two-minimal-upper-bounds"],
+    )
+    def test_builder_rejects_a_non_lattice_order(self, covers):
+        n = 1 + max(b for _, b in covers)
+        up = [1 << a for a in range(n)]
+        # every cover above b comes after (a, b), so up[b] is complete when read
+        for a, b in reversed(covers):
+            up[a] |= up[b]
+        with pytest.raises(RuntimeError, match="order is not a lattice"):
+            _lattice_from_order(up, map(str, range(n)))
 
     def test_covers_of_pentagon(self, N5):
         lat = lattice_of_semilattice(N5)
-        names = {(lat.names[a], lat.names[b]) for a, b in covers_of(lat.join)}
+        names = {(lat.names[a], lat.names[b]) for a, b in lat.covers}
         assert names == {("0", "C"), ("0", "D"), ("C", "B"), ("B", "A"), ("D", "A")}
 
     def test_isomorphism_search(self, N5, M3):
         assert find_lattice_isomorphism(
             lattice_of_semilattice(N5), lattice_of_semilattice(M3)
         ) is None
+
+
+@st.composite
+def relabelled_census_lattices(draw):
+    """A census lattice of size <= 7 and a permutation of its elements, which
+    may move the bottom off 0 and put labels below the elements under them."""
+    L = draw(st.sampled_from(lattices_up_to(7)))
+    return L, draw(st.permutations(range(L.size)))
+
+
+class TestBuilderLabelling:
+    """The lattice builder reads bounds off masks, so it must not depend on
+    the labelling: relabelling a join table relabels the lattice."""
+
+    @given(case=relabelled_census_lattices())
+    @settings(max_examples=200, deadline=None)
+    def test_relabelled_join_table_gives_the_relabelled_lattice(self, case):
+        L, p = case
+        n = L.size
+        ref = lattice_of_semilattice(L)
+        table = [[0] * n for _ in range(n)]
+        meet = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[p[a]][p[b]] = p[L.op(a, b)]
+                meet[p[a]][p[b]] = p[ref.meet[a][b]]
+        lat = lattice_from_join_table(table)
+        assert lat.join == tuple(map(tuple, table))
+        assert lat.meet == tuple(map(tuple, meet))
+        assert (lat.top, lat.bottom) == (p[ref.top], p[ref.bottom])
+        assert lat.covers == tuple(sorted((p[a], p[b]) for a, b in ref.covers))
+        assert lattice_verdicts(lat) == lattice_verdicts(ref)
+        if p[0] == 0:  # a monoid keeps its identity, the bottom, at 0
+            assert lattice_of_semilattice(FinMonoid(table)) == lat

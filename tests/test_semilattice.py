@@ -4,7 +4,7 @@ import pytest
 
 from monlat.census import lattices_up_to
 from monlat.monoid import FinMonoid, MonoidError, are_isomorphic, cokernel_by_submonoid
-from monlat.nsub import enumerate_nsub
+from monlat.nsub import enumerate_nsub, lattice_of_semilattice
 from monlat.semilattice import (
     CoverGraph,
     NoBottom,
@@ -12,7 +12,6 @@ from monlat.semilattice import (
     NotAPartialOrder,
     NotHasse,
     chain,
-    covers_of,
     pentagon,
     principal_downset,
     semilattice_from_covers,
@@ -157,7 +156,7 @@ class TestLatticeStructure:
 
     def test_covers_roundtrip(self, L6):
         got = semilattice_from_covers(
-            CoverGraph(L6.size, tuple(covers_of(L6.table)), L6.labels)
+            CoverGraph(L6.size, lattice_of_semilattice(L6).covers, L6.labels)
         )
         assert got.table == L6.table and got.labels == L6.labels
 
@@ -225,12 +224,13 @@ class TestBitmaskOrderMatchesMatrixReference:
 
     def test_covers_of_census_lattices_match_betweenness(self):
         for L in lattices_up_to(8):
-            assert covers_of(L.table) == matrix_covers_of(table_order(L.table)), L.table
+            covers = lattice_of_semilattice(L).covers
+            assert list(covers) == matrix_covers_of(table_order(L.table)), L.table
 
     def test_covers_of_fixture_lattices_match_betweenness(self, cmon, commutative_fixtures):
         for name, L in commutative_fixtures.items():
             lat = enumerate_nsub(cmon, L)
-            assert covers_of(lat.join) == matrix_covers_of(inclusion_order(lat.keys)), name
+            assert list(lat.covers) == matrix_covers_of(inclusion_order(lat.keys)), name
 
 
 class TestNormalSubobjectsFastPath:

@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 224 CLI calls, one line per call.
+"""Digest the output of a fixed set of 228 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -19,6 +19,7 @@ L6; ``stability`` on N5, V4 and L6; ``nsub`` on the nine named fixtures;
 with ``--filter nonmodular``, with ``--filter nondistributive`` and with
 ``--format tsv``; ``nsub``,
 ``modular`` and ``distributive`` on Z2^3, Z2xZ4, Z3^3, Z2^4 and Z6xZ2^2;
+``nsub`` on Z2^5;
 every depth-1 check and ``stability`` on Z2^3 and Z2xZ4; ``hsd``,
 ``secondiso``, ``dpn`` and ``diexact`` at depth 2 on Z2^3 and at depths 1
 and 2 on two commutative monoids that are neither semilattices nor groups,
@@ -26,7 +27,9 @@ and 2 on two commutative monoids that are neither semilattices nor groups,
 the nine named fixtures and the five groups; ``validate``, ``nsub`` and
 ``check --property dpn --ses-depth 1`` on cover files of L6 and of a
 7-element lattice with their elements and covers shuffled, and
-``validate`` on N5's ``nsub`` export; ``secondiso``, ``dpn`` and
+``validate`` on N5's ``nsub`` export; ``validate``, ``nsub`` and
+``check --property distributive`` on a monoid file of L6's join table with
+its elements shuffled, so the labelling is not a linear extension; ``secondiso``, ``dpn`` and
 ``diexact`` at depths 0 and 1 on cover files of two 8-element census
 lattices; four input errors (exit 2): ``nsub``
 on a non-commutative monoid file, an unknown fixture, a ``--ses-depth`` of
@@ -77,6 +80,12 @@ COVER_FILES = {
     "nojoin": "semilattice 5\ncover 0 1\ncover 0 2\ncover 1 3\ncover 2 3\ncover 1 4\ncover 2 4\n",
     "cycle": "semilattice 2\ncover 0 1\ncover 1 0\n",
 }
+# L6's join table as a monoid file, elements renumbered so that the identity
+# (the bottom) stays 0 but the top is 1 and D (4) lies below C (3)
+L6TABLE = (
+    "monoid 6\n0 1 2 3 4 5\n1 1 1 1 1 1\n2 1 2 3 3 1\n3 1 3 3 3 1\n4 1 3 3 4 5\n"
+    "5 1 1 1 5 5\nlabel 1 A\nlabel 2 E\nlabel 3 C\nlabel 4 D\nlabel 5 B\n"
+)
 # two 8-element census lattices as cover files: on c8_153 diexact's first
 # witness is "induced map not injective", on c8_22 dpn's is "map-normal" and
 # secondiso's "primal"
@@ -147,6 +156,7 @@ def calls() -> list[tuple[str, ...]]:
         path = f"{group}.txt"
         out.append(("nsub", path))
         out += [("check", "--property", prop, path) for prop in ("modular", "distributive")]
+    out.append(("nsub", "Z2x2x2x2x2.txt"))
     for group in ("Z2x2x2", "Z2x4"):
         path = f"{group}.txt"
         out += [("check", "--property", prop, "--ses-depth", "1", path) for prop in CHECKS]
@@ -168,6 +178,8 @@ def calls() -> list[tuple[str, ...]]:
             for prop in ("secondiso", "dpn", "diexact")
         ]
     out.append(("validate", "N5nsub.txt"))
+    out += [("validate", "L6table.txt"), ("nsub", "L6table.txt")]
+    out.append(("check", "--property", "distributive", "L6table.txt"))
     out += [
         ("nsub", "noncommutative.txt"),
         ("nsub", "nosuch"),
@@ -186,6 +198,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         for group, orders in GROUPS.items():
             Path(work, f"{group}.txt").write_text(group_text(orders))
+        Path(work, "Z2x2x2x2x2.txt").write_text(group_text((2,) * 5))
+        Path(work, "L6table.txt").write_text(L6TABLE)
         for name, text in {**MIXED, **COVER_FILES}.items():
             Path(work, f"{name}.txt").write_text(text)
         for name, covers in CENSUS_FILES.items():
