@@ -1,20 +1,22 @@
 """Command-line surface.
 
-Subcommands: validate, nsub, check, enumerate, paper-examples. Exit codes:
-0 all pass, 1 property failures found, 2 input errors, 3 a broken internal
-invariant (one ``<input>: internal error: <message>`` line on stderr; the
-command name stands for the input of enumerate and paper-examples), 141 a
-stdout closed by its reader. Reports are deterministic: identical inputs
-and flags produce byte-identical output.
+Subcommands: validate, nsub, check, enumerate, paper-examples, all in the
+grammar table ``COMMANDS``. Canonical argv is matched against the table (see
+``_match``); argparse, built from it, parses any other argv, and it alone
+prints help and usage errors. Exit codes: 0 all pass, 1 property failures
+found, 2 input errors, 3 a broken internal invariant (one ``<input>: internal
+error: <message>`` line on stderr; the command name stands for the input of
+enumerate and paper-examples), 141 a stdout closed by its reader. Reports
+are deterministic: identical inputs and flags produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .census import lattices_up_to
 from .checks import run_check
@@ -132,40 +134,74 @@ def cmd_paper_examples(args) -> int:
     return 0 if all(r.ok and not r.skipped for r in results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# per command: its help, whether it takes an input, its handler, and its
+# options as name: (int or choices, default, metavar, required)
+COMMANDS = {
+    "validate": ("parse, validate and echo the canonical form", True, cmd_validate, {}),
+    "nsub": ("export the lattice of normal subobjects", True, cmd_nsub, {}),
+    "check": ("run a property checker", True, cmd_check, {
+        "--property": (PROPERTIES, None, None, True),
+        "--ses-depth": (int, 0, "K", False),
+    }),
+    "enumerate": ("all monoidal semilattices up to isomorphism", False, cmd_enumerate, {
+        "--max-size": (int, 5, "N", False),
+        "--filter": (("nonmodular", "nondistributive"), None, None, False),
+    }),
+    "paper-examples": ("replay the bundled counterexample scenarios", False,
+                       cmd_paper_examples, {"--ses-depth": (int, 1, "K", False)}),
+}
+FORMATS = ("text", "tsv")
+
+
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="monlat",
         description="kernels, cokernels and normal-subobject lattices of finite "
         "commutative monoids and monoidal semilattices",
     )
-    parser.add_argument("--format", choices=("text", "tsv"), default="text")
+    parser.add_argument("--format", choices=FORMATS, default="text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse, validate and echo the canonical form")
-    p.add_argument("input")
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("nsub", help="export the lattice of normal subobjects")
-    p.add_argument("input")
-    p.set_defaults(fn=cmd_nsub)
-
-    p = sub.add_parser("check", help="run a property checker")
-    p.add_argument("--property", choices=PROPERTIES, required=True)
-    p.add_argument("--ses-depth", type=int, default=0, metavar="K")
-    p.add_argument("input")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("enumerate", help="all monoidal semilattices up to isomorphism")
-    p.add_argument("--max-size", type=int, default=5, metavar="N")
-    p.add_argument("--filter", choices=("nonmodular", "nondistributive"), default=None)
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser(
-        "paper-examples", help="replay the bundled counterexample scenarios"
-    )
-    p.add_argument("--ses-depth", type=int, default=1, metavar="K")
-    p.set_defaults(fn=cmd_paper_examples)
+    for command, (summary, takes_input, fn, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, (kind, default, metavar, required) in options.items():
+            typed = {"type": int} if kind is int else {"choices": kind}
+            p.add_argument(name, **typed, default=default, metavar=metavar, required=required)
+        if takes_input:
+            p.add_argument("input")
+        p.set_defaults(fn=fn)
     return parser
+
+
+def _match(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace for canonical argv, else None: exact long options,
+    each at most once and before the input, each value its own token, a listed
+    choice or under 100 ASCII digits (int() may refuse more); --format first."""
+    fmt = "text"
+    if argv[:1] == ["--format"] and argv[1:2] and argv[1] in FORMATS:
+        fmt, argv = argv[1], argv[2:]
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command, *rest = argv
+    _, takes_input, fn, options = COMMANDS[command]
+    args = {name[2:].replace("-", "_"): spec[1] for name, spec in options.items()}
+    if takes_input:
+        if not rest or rest[-1].startswith("-"):
+            return None
+        args["input"] = rest.pop()
+    names = rest[::2]
+    needed = {name for name, spec in options.items() if spec[3]}
+    if len(rest) % 2 or len(set(names)) < len(names) or not needed <= set(names) <= options.keys():
+        return None
+    for name, value in zip(names, rest[1::2]):
+        kind = options[name][0]
+        if kind is int and value.isascii() and value.isdigit() and len(value) < 100:
+            value = int(value)
+        elif kind is int or value not in kind:
+            return None
+        args[name[2:].replace("-", "_")] = value
+    return SimpleNamespace(format=fmt, command=command, **args, fn=fn)
 
 
 def main(argv=None) -> int:
@@ -185,12 +221,16 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _match(argv) or build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed help (0) or a usage error (2)
+        return exc.code
     depth = getattr(args, "ses_depth", 0)
     if not 0 <= depth <= 3:
         print("ses depth must be between 0 and 3", file=sys.stderr)
         return 2
-    if "input" not in args:
+    if not hasattr(args, "input"):
         try:
             return args.fn(args)
         except RuntimeError as exc:

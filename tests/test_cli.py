@@ -1,12 +1,16 @@
+import contextlib
 import gc
 import hashlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monlat import census, nsub
+from monlat import census, cli, nsub
 from monlat.cli import CLOSED_PIPE, main
 from monlat.context import CmonContext
 from monlat.formats import emit_monoid_text, emit_semilattice_text
@@ -489,3 +493,142 @@ class TestReferenceScenarios:
         code, out, _ = run(capsys, "paper-examples", "--ses-depth", "0")
         assert code == 1
         assert out.count(": skip") == 2
+
+
+# the grammar's words and their near misses: abbreviations, ``--opt=value``
+# forms, integers that int() takes but that are not plain ASCII digits, junk
+COMMAND_WORDS = tuple(cli.COMMANDS) + ("chec", "enum", "bogus")
+OPTION_WORDS = (
+    "--format", "--property", "--ses-depth", "--max-size", "--filter",
+    "--form", "--prop", "--ses", "--max", "--f", "--jobs", "-h", "--help", "--",
+)
+NUMBER_WORDS = ("0", "1", "2", "3", "5", "8", "08")
+ODD_NUMBER_WORDS = ("-1", "+3", "\u0663", "1_0", " 2", "x")
+VALUE_WORDS = cli.PROPERTIES + cli.FORMATS + ("nonmodular", "nondistributive", "bogus")
+FIXTURE_WORDS = ("N5", "V4", "bool2", "chain4", "L6", "M3", "nosuch")
+JUNK_WORDS = ("", "-", "a=b", "--property=dpn", "--ses-depth=1", "--format=tsv", "--max-size=3")
+
+
+@st.composite
+def grammar_argv(draw, numbers, odd_numbers):
+    """A canonical argv (``--format`` and its value or not, a command, some
+    of its options in any order, each with a value, and its input), then
+    mostly changed by one word: replaced by a near miss, dropped, put in or
+    moved. So about a fifth are canonical and most others miss by a word."""
+    command = draw(st.sampled_from(tuple(cli.COMMANDS)))
+    _, takes_input, _, options = cli.COMMANDS[command]
+    argv = ["--format", draw(st.sampled_from(cli.FORMATS))] if draw(st.booleans()) else []
+    argv.append(command)
+    names = draw(st.permutations(tuple(options)))
+    for name in names[draw(st.integers(0, len(names))):]:
+        kind = options[name][0]
+        argv += [name, draw(st.sampled_from(numbers if kind is int else kind))]
+    if takes_input:
+        argv.append(draw(st.sampled_from(FIXTURE_WORDS)))
+    words = st.sampled_from(
+        COMMAND_WORDS + OPTION_WORDS + VALUE_WORDS + numbers + odd_numbers
+        + FIXTURE_WORDS + JUNK_WORDS
+    )
+    change = draw(st.sampled_from(("keep", "replace", "drop", "put in", "move")))
+    if change != "keep":
+        i = draw(st.integers(0, len(argv) - 1))
+        word = draw(words) if change in ("replace", "put in") else argv[i]
+        if change != "put in":
+            del argv[i]
+        if change != "drop":
+            argv.insert(i if change == "replace" else draw(st.integers(0, len(argv))), word)
+    return argv
+
+
+class TestGrammar:
+    """Canonical argv is matched against ``cli.COMMANDS`` without argparse;
+    every other argv goes to the parser ``build_parser`` makes from the same
+    table, which stays the reference."""
+
+    parser = cli.build_parser()
+
+    @given(grammar_argv(NUMBER_WORDS, ODD_NUMBER_WORDS))
+    @settings(max_examples=1000, deadline=None)
+    def test_canonical_argv_parses_as_argparse_does(self, argv):
+        args = cli._match(argv)
+        if args is not None:
+            assert vars(args) == vars(self.parser.parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "N5"),
+            ("validate", "FILE"),
+            ("nsub", "FILE"),
+            ("check", "--property", "dpn", "N5"),
+            ("check", "--property", "hsd", "--ses-depth", "1", "FILE"),
+            ("check", "--ses-depth", "1", "--property", "hsd", "FILE"),
+            ("check", "--property", "stability", "--ses-depth", "0", "N5"),
+            ("enumerate", "--max-size", "5"),
+            ("enumerate", "--max-size", "5", "--filter", "nonmodular"),
+            ("enumerate", "--filter", "nondistributive", "--max-size", "5"),
+            ("paper-examples",),
+            ("paper-examples", "--ses-depth", "0"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", [(), ("--format", "tsv")])
+    def test_canonical_argv_builds_no_parser(self, capsys, monkeypatch, l6_file, fmt, argv):
+        # the argv forms of the benchmark workloads and the CLI digest print
+        # what argparse's namespace gives them, and never build a parser
+        argv = [*fmt, *(l6_file if word == "FILE" else word for word in argv)]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_match", lambda argv: None)
+            expected = run(capsys, *argv)
+
+        def refuse():
+            raise AssertionError("built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert run(capsys, *argv) == expected
+        assert expected[0] in (0, 1) and expected[1]
+
+    def test_import_loads_no_argparse(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, monlat.cli; print('argparse' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (("--help",), 0, "usage: monlat ", ""),
+            (("check", "--help"), 0, "usage: monlat check ", ""),
+            (("check", "N5"), 2, "", "usage: monlat check "),
+            (("--jobs", "2", "check", "--property", "dpn", "N5"), 2, "", "usage: monlat "),
+            ((), 2, "", "usage: monlat "),
+        ],
+    )
+    def test_help_and_usage_errors_return_their_status(self, capsys, argv, code, out, err):
+        # an in-process caller gets argparse's exit status, not SystemExit
+        got = run(capsys, *argv)
+        assert got[0] == code
+        assert got[1].startswith(out) and got[2].startswith(err)
+        assert bool(got[1]) == bool(out) and bool(got[2]) == bool(err)
+
+
+# the fuzz keeps to fixtures and to depths at most 2, so each call is quick
+FUZZ_ARGV = grammar_argv(("0", "1", "2", "02", "9"), ("-1", "+2", "x"))
+
+
+class TestFuzz:
+    """Any argv over the grammar's words ends in an exit code of the
+    contract, in process and as ``python -m monlat``."""
+
+    @given(FUZZ_ARGV)
+    @settings(max_examples=150, deadline=None)
+    def test_main_returns_a_contract_code(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2, 3)
+
+    @given(FUZZ_ARGV)
+    @settings(max_examples=6, deadline=None)
+    def test_module_prints_no_traceback(self, argv):
+        proc = run_module(*argv)
+        assert proc.returncode in (0, 1, 2, 3)
+        assert "Traceback" not in proc.stderr

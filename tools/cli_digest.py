@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 228 CLI calls, one line per call.
+"""Digest the output of a fixed set of 242 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -35,9 +35,15 @@ lattices; four input errors (exit 2): ``nsub``
 on a non-commutative monoid file, an unknown fixture, a ``--ses-depth`` of
 4 and ``enumerate --max-size 9``; and ``validate`` on four malformed cover
 files (exit 2): a non-Hasse cover, two minimal elements, a pair with two
-minimal upper bounds and a 2-cycle. Every call runs in a
-fresh interpreter; the input files are written to a temporary directory
-that is the calls' working directory, so no path shows in the output.
+minimal upper bounds and a 2-cycle; and 14 calls that argparse answers
+with help (exit 0) or a usage error (exit 2): ``--help``, ``check --help``,
+``enumerate --help``, no arguments, a missing or invalid ``--property``,
+an unknown option, an abbreviated option, ``--opt=value``, an option after
+the input, a negative or non-integer number, a repeated option and an
+abbreviated ``--format``. Every call runs in a fresh interpreter with
+``COLUMNS=80``, so help wraps alike on every terminal; the input files are
+written to a temporary directory that is the calls' working directory, so
+no path shows in the output.
 """
 
 from __future__ import annotations
@@ -187,6 +193,19 @@ def calls() -> list[tuple[str, ...]]:
         ("enumerate", "--max-size", "9"),
     ]
     out += [("validate", f"{name}.txt") for name in ("nothasse", "nobottom", "nojoin", "cycle")]
+    out += [("--help",), ("check", "--help"), ("enumerate", "--help"), ()]
+    out += [
+        ("check", "N5"),
+        ("check", "--property", "bogus", "N5"),
+        ("--jobs", "2", "check", "--property", "dpn", "N5"),
+        ("check", "--prop", "dpn", "N5"),
+        ("check", "--property=dpn", "--ses-depth=1", "N5"),
+        ("check", "N5", "--property", "dpn"),
+        ("check", "--property", "dpn", "--ses-depth", "-1", "N5"),
+        ("check", "--property", "dpn", "--property", "hsd", "N5"),
+        ("enumerate", "--max-size", "x"),
+        ("--form", "tsv", "check", "--property", "dpn", "N5"),
+    ]
     return out
 
 
@@ -194,7 +213,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(SRC), help="the src directory to import monlat from")
     args = parser.parse_args(argv)
-    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
+    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()), COLUMNS="80")
     with tempfile.TemporaryDirectory() as work:
         for group, orders in GROUPS.items():
             Path(work, f"{group}.txt").write_text(group_text(orders))
