@@ -8,7 +8,6 @@ from .checks import (
     CheckWitness,
     diexact_check,
     dpn_check,
-    objects_at_depth,
     pullback_stability_check,
     run_check,
     second_iso_check,

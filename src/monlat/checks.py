@@ -28,6 +28,12 @@ elements: u is injective when |c_Z(Y)| = |c_(Y^Z)(Y)| and surjective when
 - hsd never fails. For X <= Y normal in M, Y/X -> M/X is injective, as X's
   congruence on Y is the restriction of its congruence on M, and has a
   saturated image, as [m]+[y] = [y'] gives m+(y+x) = y'+x' in Y.
+- stability never fails. For K <= T normal in M, the pullback of
+  M ->> M/K along T/K >-> M/K is the restriction T ->> T/K of the epi to
+  the preimage T, whose kernel is K. It identifies t and t' exactly when
+  t+k = t'+l for some k, l in K, which is the congruence K generates on T,
+  so it is the cokernel of K >-> T. A case is a pair K <= T; the check is
+  defined at depth 0 only, and its mark rule raises.
 - secondiso's primal entry (Y, Z) is the antinormal entry (Y, Z), as the
   middle comparison of Y >-> M ->> M/Z runs from Y/(Y^Z) to (YvZ)/Z, and
   its dual entry the antinormal entry (Z, Y), as by the first lemma the
@@ -52,12 +58,10 @@ compares are equal. So a mark K fails the pair when:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
-from typing import Any
 
-from .context import cmon_context, make_ses, ses_context
+from .context import cmon_context, make_ses
 from .monoid import cokernel_by_submonoid
 from .nsub import enumerate_nsub, is_distributive, is_modular
 
@@ -181,28 +185,11 @@ def diexact_check(ctx, X, name="object") -> CheckReport:
 
 
 def pullback_stability_check(ctx, X, name="object") -> CheckReport:
-    """Pullbacks of normal epis along normal monos are normal epis: tested
-    for every quotient of X against every normal subobject of the quotient.
-    Requires the concrete commutative-monoid context (finite limits)."""
-    lat = enumerate_nsub(ctx, X)
-    witnesses = []
-    cases = 0
-    for ik, k in enumerate(ctx.normal_subobject_monos(X)):
-        e = ctx.cokernel(k)
-        Q = ctx.cod(e)
-        qlat = enumerate_nsub(ctx, Q)
-        for it, t in enumerate(ctx.normal_subobject_monos(Q)):
-            cases += 1
-            pb = ctx.pullback_epi_along_mono(e, t)
-            if not ctx.is_normal_epi(pb.onto_sub):
-                witnesses.append(
-                    CheckWitness(
-                        (lat.keys[ik], qlat.keys[it]),
-                        (lat.names[ik], qlat.names[it]),
-                        "projection-not-normal-epi",
-                    )
-                )
-    return CheckReport("stability", name, ctx.depth, not witnesses, tuple(witnesses), cases)
+    """Pullbacks of normal epis along normal monos are normal epis: for
+    K <= T normal in X, the pullback of X ->> X/K along T/K >-> X/K. On a
+    commutative monoid no pair fails, as the module docstring proves; an
+    object above depth 0 raises ValueError."""
+    return _check("stability", ctx, X, name)
 
 
 def modular_check(ctx, X, name="object") -> CheckReport:
@@ -223,8 +210,12 @@ def _lattice_witnesses(lat, verdict) -> list[CheckWitness]:
 
 
 def _no_failures(*_) -> dict:
-    """hsd's depth-0 table, and a lattice property's table at a mark."""
+    """hsd's and stability's depth-0 table, and a lattice property's at a mark."""
     return {}
+
+
+def _base_context_only(*_):
+    raise ValueError("the stability check is defined on the base context only")
 
 
 def _second_iso_base(M, lat) -> dict[tuple[int, int], str]:
@@ -329,42 +320,32 @@ _RULES = {
     "distributive": (
         lambda M, lat: is_distributive(lat), _no_failures, _lattice_witnesses, _triples, _unmarked
     ),
+    "stability": (_no_failures, _base_context_only, _pair_witnesses, _nested_pairs, _unmarked),
 }
 
 
-def _report(prop, depth, name, lat, tables, cases) -> CheckReport:
-    *_, witnesses, _, combine = _RULES[prop]
-    found = tuple(witnesses(lat, combine(tables)))
-    return CheckReport(prop, name, depth, not found, found, cases)
+def _sweep(prop, M, lat, objects) -> list[CheckReport]:
+    """The reports of ``prop`` on the objects (M, (K1, ..., Kd)), given as
+    (name, marks) pairs, each mark an index into ``lat``, the lattice of M.
+    The table of M is built once, and that of each mark on its first use."""
+    base, at_mark, witnesses, count_cases, combine = _RULES[prop]
+    bottom, tables = base(M, lat), {}
+    cases = count_cases(lat)
+    reports = []
+    for name, marks in objects:
+        for k in marks:
+            if k not in tables:
+                tables[k] = at_mark(lat, k)
+        found = tuple(witnesses(lat, combine([bottom] + [tables[k] for k in marks])))
+        reports.append(CheckReport(prop, name, len(marks), not found, found, cases))
+    return reports
 
 
 def _check(prop, ctx, X, name) -> CheckReport:
-    cmon = cmon_context()
     M = ctx.innermost_object(X)
-    lat = enumerate_nsub(cmon, M)
-    base, at_mark, _, count_cases, _ = _RULES[prop]
-    marks = [lat.index_of_key(K) for K in X.marks] if ctx.depth else []
-    tables = [base(M, lat)] + [at_mark(lat, k) for k in marks]
-    return _report(prop, ctx.depth, name, lat, tables, count_cases(lat))
-
-
-def objects_at_depth(X, depth: int, name: str) -> Iterator[tuple[Any, Any, str]]:
-    """All iterated ses objects over X, built one at a time: at each level,
-    one object per normal subobject of each object one level down. Yields
-    (context, object, name) triples in deterministic order: the marks
-    (K1, ..., Kd) run through ``itertools.product`` of the normal
-    submonoids of X, the last mark fastest."""
-
-    def over(ctx, obj, nm, levels):
-        if levels <= 0:
-            yield ctx, obj, nm
-            return
-        up = ses_context(ctx)
-        for m in ctx.normal_subobject_monos(obj):
-            label = ctx.render_key(obj, ctx.mono_key(m))
-            yield from over(up, make_ses(ctx, obj, m), f"{nm}|sub={label}", levels - 1)
-
-    yield from over(cmon_context(), X, name, depth)
+    lat = enumerate_nsub(cmon_context(), M)
+    marks = tuple(map(lat.index_of_key, X.marks)) if ctx.depth else ()
+    return _sweep(prop, M, lat, [(name, marks)])[0]
 
 
 CHECKS = {
@@ -374,38 +355,31 @@ CHECKS = {
     "diexact": diexact_check,
     "modular": modular_check,
     "distributive": distributive_check,
+    "stability": pullback_stability_check,
 }
 
 
 def run_check(prop: str, X, depth: int = 0, name: str = "object") -> list[CheckReport]:
-    """Run one named property on every ses object over X at the given depth,
-    in the order of ``objects_at_depth``.
+    """Run one named property on every ses object over X at the given depth:
+    the objects (X, (K1, ..., Kd)), the marks running through
+    ``itertools.product`` of the normal submonoids of X, the last mark
+    fastest.
 
-    Depth 0 runs the property's checker on X. At depth d >= 1 the sweep
-    builds no object: it reads the depth-0 table of X and the table of each
-    mark K once, by the lattice identities of the module docstring (hsd:
-    (Y^K)vX = Y^(KvX); dpn and diexact: (Y^K)vZ = (YvZ)^(KvZ); secondiso:
-    (Y^K)vZ = ((YvZ)^K)vZ and ((Kv(Y^Z))^Z)vY = (KvY)^(YvZ)), and combines
-    them for every object (M, (K1, ..., Kd)) as the checker on it does.
+    Depth 0 (or less) runs the property's checker on X. At depth d >= 1 the
+    sweep builds no object: it reads the depth-0 table of X and the table of
+    each mark once, by the lattice identities of the module docstring, and
+    combines them for every object as the checker on it does.
     """
     cmon = cmon_context()
-    if prop == "stability":
-        if depth != 0:
-            raise ValueError("the stability check is defined on the base context only")
-        return [pullback_stability_check(cmon, X, name)]
     if depth <= 0:
         return [CHECKS[prop](cmon, X, name)]
-    base, at_mark, _, count_cases, _ = _RULES[prop]
     lat = enumerate_nsub(cmon, X)
     # make_ses checks that (M, (K)) is a short exact sequence
     for m in cmon.normal_subobject_monos(X):
         make_ses(cmon, X, m)
-    bottom = base(X, lat)
-    tables = [at_mark(lat, k) for k in range(lat.size)]
     labels = [f"|sub={label}" for label in lat.names]
-    cases = count_cases(lat)
-    return [
-        _report(prop, depth, name + "".join(labels[k] for k in marks), lat,
-                [bottom] + [tables[k] for k in marks], cases)
+    objects = [
+        (name + "".join([labels[k] for k in marks]), marks)
         for marks in product(range(lat.size), repeat=depth)
     ]
+    return _sweep(prop, X, lat, objects)

@@ -19,7 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .census import lattices_up_to
-from .checks import run_check
+from .checks import CHECKS, run_check
 from .context import cmon_context
 from .formats import (
     ParseError,
@@ -34,7 +34,7 @@ from .scenarios import run_reference_scenarios
 from .semilattice import fixture
 
 CLOSED_PIPE = 141  # 128 + SIGPIPE
-PROPERTIES = ("hsd", "secondiso", "dpn", "diexact", "modular", "distributive", "stability")
+PROPERTIES = tuple(CHECKS)
 
 
 def _load(source: str) -> tuple[FinMonoid, str]:

@@ -42,12 +42,6 @@ class Span(NamedTuple):
     to_second: Any  # hom apex -> dom(m2)
 
 
-class EpiPullback(NamedTuple):
-    apex: Any
-    onto_sub: Any   # hom apex -> dom(m), restriction of the epi
-    into_total: Any  # normal mono apex -> dom(e)
-
-
 class CmonContext:
     """The z-exact context of finite commutative monoids. It holds no
     state: the ``monoid`` functions it calls cache per monoid."""
@@ -174,18 +168,6 @@ class CmonContext:
         to_first = _hom_unchecked(apex, m1.dom, tuple(inv1[x] for x in members))
         to_second = _hom_unchecked(apex, m2.dom, tuple(inv2[x] for x in members))
         return Span(apex, to_first, to_second)
-
-    def pullback_epi_along_mono(self, e: MonoidHom, m: MonoidHom) -> EpiPullback:
-        """Preimage of the mono's image under the epi, with both projections."""
-        if e.cod != m.cod:
-            raise MonoidError("epi and mono do not share a codomain")
-        members = frozenset(y for y in range(e.dom.size) if e(y) in m.image)
-        apex = mn.submonoid(e.dom, members)
-        order = sorted(members)
-        inv = {v: i for i, v in enumerate(m.mapping)}
-        onto_sub = _hom_unchecked(apex, m.dom, tuple(inv[e(y)] for y in order))
-        into_total = _hom_unchecked(apex, e.dom, tuple(order))
-        return EpiPullback(apex, onto_sub, into_total)
 
 
 _CMON = CmonContext()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from monlat import cmon_context, lattices_of_size, ses_context
-from monlat.monoid import FinMonoid, cokernel_by_submonoid, normal_submonoids
+from monlat.monoid import FinMonoid, cokernel_by_submonoid, normal_submonoids, submonoid
 from monlat.semilattice import (
     bool2,
     chain,
@@ -143,6 +143,25 @@ def products_and_quotients(draw):
     if draw(st.booleans()):
         M = cokernel_by_submonoid(M, draw(st.sampled_from(normal_submonoids(M))))[0]
     return M
+
+
+# the monoids whose drawn submonoids meet the exhaustive nsub oracles
+SUBMONOID_HOSTS = list(named_commutative_monoids().values()) + list(mixed_monoids().values())
+
+
+@st.composite
+def drawn_submonoids(draw):
+    """The submonoid that up to three drawn elements generate in a named
+    fixture or a mixed monoid."""
+    M = draw(st.sampled_from(SUBMONOID_HOSTS))
+    members = {0} | draw(st.sets(st.integers(0, M.size - 1), max_size=3))
+    todo = list(members)
+    while todo:
+        a = todo.pop()
+        for c in {M.op(a, b) for b in members} - members:
+            members.add(c)
+            todo.append(c)
+    return submonoid(M, frozenset(members))
 
 
 def closure_oracle_families():

@@ -5,15 +5,16 @@ lemmas about them: joins of normal subobjects through the uni-intersection
 recipe and their agreement inside a subobject, the cokernel square of
 W <= X, Y, the quotient-lattice correspondence along Y ->> Y/X, the 3x3
 grid of an antinormal pair, the pullback of a normal epi along a normal
-mono in any context, isomorphisms of objects at any depth, and the closure
+mono (in the monoid context and in any context), isomorphisms of objects at any depth, and the closure
 of an object under subobjects and quotients. No check, CLI command or
 scenario reaches them.
 """
 
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 from monlat import monoid as mn
-from monlat.context import EpiPullback, SesHom
+from monlat.context import SesHom
 from monlat.nsub import enumerate_nsub
 
 
@@ -168,6 +169,26 @@ def phi_psi(ctx, x_mono) -> GaloisReport:
         quotient_join_formula=psi_join,
         cases=cases,
     )
+
+
+class EpiPullback(NamedTuple):
+    apex: Any
+    onto_sub: Any   # hom apex -> dom(m), restriction of the epi
+    into_total: Any  # normal mono apex -> dom(e)
+
+
+def pullback_epi_along_mono(ctx, e, m) -> EpiPullback:
+    """Pullback of a normal epi along a normal mono in the monoid context:
+    the preimage of the mono's image under the epi, with both projections."""
+    if ctx.cod(e) != ctx.cod(m):
+        raise mn.MonoidError("epi and mono do not share a codomain")
+    members = frozenset(y for y in range(e.dom.size) if e(y) in m.image)
+    apex = mn.submonoid(e.dom, members)
+    order = sorted(members)
+    inv = {v: i for i, v in enumerate(m.mapping)}
+    onto_sub = mn._hom_unchecked(apex, m.dom, tuple(inv[e(y)] for y in order))
+    into_total = mn._hom_unchecked(apex, e.dom, tuple(order))
+    return EpiPullback(apex, onto_sub, into_total)
 
 
 def generic_pullback_epi_along_mono(ctx, e, m) -> EpiPullback:

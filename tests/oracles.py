@@ -16,7 +16,6 @@ from monlat.checks import (
     _RULES,
     CheckReport,
     CheckWitness,
-    _report,
     diexact_check,
     second_iso_check,
     third_iso_check,
@@ -27,6 +26,8 @@ from monlat.context import (
     antinormal_composite,
     cmon_context,
     generic_pullback_of_monos,
+    make_ses,
+    ses_context,
 )
 from monlat.monoid import (
     FinMonoid,
@@ -60,7 +61,7 @@ from monlat.nsub import (
     is_modular,
 )
 
-from lemmas import join_via_uniinter
+from lemmas import join_via_uniinter, pullback_epi_along_mono
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +472,27 @@ def nested_context(depth: int):
     return _NESTED[depth]
 
 
+def objects_at_depth(X, depth: int, name: str):
+    """All iterated ses objects over X, built one at a time: at each level,
+    one object per normal subobject of each object one level down. Yields
+    (context, object, name) triples in ``checks.run_check`` order: the marks
+    (K1, ..., Kd) run through ``itertools.product`` of the normal
+    submonoids of X, the last mark fastest. A depth below 0 is depth 0."""
+
+    def over(ctx, obj, nm, levels):
+        if levels <= 0:
+            yield ctx, obj, nm
+            return
+        up = ses_context(ctx)
+        for m in ctx.normal_subobject_monos(obj):
+            label = ctx.render_key(obj, ctx.mono_key(m))
+            yield from over(up, make_ses(ctx, obj, m), f"{nm}|sub={label}", levels - 1)
+
+    yield from over(cmon_context(), X, name, depth)
+
+
 def nested_objects_at_depth(X, depth: int, name: str) -> list:
-    """``checks.objects_at_depth`` built with nested sequences."""
+    """``objects_at_depth`` built with nested sequences."""
     layer = [(_CMON, X, name)]
     for _ in range(depth):
         nxt = []
@@ -1187,6 +1207,23 @@ def categorical_antinormal_failures(ctx, X, lat) -> dict[tuple[int, int], str]:
     return table
 
 
+def stability_failures(ctx, X, lat) -> dict[tuple[int, int], str]:
+    """The pairs (k, t), K <= T normal in a commutative monoid X, where the
+    pullback of the cokernel X ->> X/K along a normal mono T/K >-> X/K is
+    not a normal epi: every normal subobject of every quotient of X, each
+    named by its preimage T, the apex of the pullback."""
+    table = {}
+    for k, mono in enumerate(ctx.normal_subobject_monos(X)):
+        e = ctx.cokernel(mono)
+        for t in ctx.normal_subobject_monos(ctx.cod(e)):
+            pb = pullback_epi_along_mono(ctx, e, t)
+            if not ctx.is_normal_epi(pb.onto_sub):
+                table[k, lat.index_of_key(ctx.mono_key(pb.into_total))] = (
+                    "projection-not-normal-epi"
+                )
+    return table
+
+
 CATEGORICAL_FAILURES = {
     "hsd": hsd_failures,
     "secondiso": second_iso_failures,
@@ -1194,16 +1231,19 @@ CATEGORICAL_FAILURES = {
     "diexact": categorical_antinormal_failures,
     "modular": lambda ctx, X, lat: is_modular(lat),
     "distributive": lambda ctx, X, lat: is_distributive(lat),
+    "stability": stability_failures,
 }
 
 
 def categorical_check(prop, ctx, X, name="object") -> CheckReport:
     """The report of the checker for ``prop`` on X, its failure table built
     from the maps themselves in ctx: the flat or the nested context, at any
-    depth. The package reads the same verdicts off lattice identities."""
+    depth (stability at depth 0 only). The package reads the same verdicts
+    off lattice identities."""
     lat = enumerate_nsub(ctx, X)
-    cases = _RULES[prop][3](lat)
-    return _report(prop, ctx.depth, name, lat, [CATEGORICAL_FAILURES[prop](ctx, X, lat)], cases)
+    _, _, witnesses, count_cases, combine = _RULES[prop]
+    found = tuple(witnesses(lat, combine([CATEGORICAL_FAILURES[prop](ctx, X, lat)])))
+    return CheckReport(prop, name, ctx.depth, not found, found, count_cases(lat))
 
 
 # ---------------------------------------------------------------------------

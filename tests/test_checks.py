@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monlat import checks
 from monlat.census import lattices_of_size
 from monlat.checks import (
     CHECKS,
     _antinormal_failures,
     diexact_check,
     dpn_check,
-    objects_at_depth,
     pullback_stability_check,
     run_check,
     second_iso_check,
@@ -44,6 +44,7 @@ from oracles import (
     diexact_disagreement,
     hsd_failures,
     is_normal_map_in,
+    objects_at_depth,
     pairwise_diexact_check,
     pairwise_dpn_check,
     restrict_mono,
@@ -56,6 +57,10 @@ MIXED_CASES = list(mixed_monoids().items())
 
 
 CENSUS_CASES = [(f"c{n}_{i}", L) for n in range(1, 8) for i, L in enumerate(lattices_of_size(n))]
+
+
+# the properties that lift to every depth; stability is defined at depth 0 only
+EVERY_DEPTH = ("hsd", "secondiso", "dpn", "diexact", "modular", "distributive")
 
 
 def _antinormal_cases():
@@ -386,11 +391,59 @@ class TestDiextensionGrid:
                     assert grid.is_diextension == both_normal
 
 
+def _stability_cases():
+    """(name, monoid): the census lattices up to size 7, the mixed monoids,
+    the named fixtures, Z2^3, Z2xZ4, Z3^2 and Z2^4."""
+    cases = CENSUS_CASES + MIXED_CASES + list(named_commutative_monoids().items())
+    for orders in ((2, 2, 2), (2, 4), (3, 3), (2, 2, 2, 2)):
+        cases.append(("Z" + "xZ".join(map(str, orders)), abelian_group(*orders)))
+    return cases
+
+
+STABILITY_CASES = _stability_cases()
+
+
 class TestPullbackStability:
     def test_all_fixtures_pass(self, cmon, commutative_fixtures):
         for name, L in commutative_fixtures.items():
             report = pullback_stability_check(cmon, L, name)
             assert report.passed and report.cases > 0
+
+    @pytest.mark.parametrize("name, M", STABILITY_CASES, ids=[name for name, _ in STABILITY_CASES])
+    def test_reports_match_the_categorical_check(self, cmon, name, M):
+        reference = categorical_check("stability", cmon, M, name)
+        assert run_check("stability", M, 0, name) == [reference]
+        assert pullback_stability_check(cmon, M, name) == reference
+        # one case per normal subobject of each quotient of M
+        quotients = [cmon.cod(cmon.cokernel(m)) for m in cmon.normal_subobject_monos(M)]
+        assert reference.cases == sum(len(cmon.normal_subobject_monos(Q)) for Q in quotients)
+
+    def test_builds_no_map_and_enumerates_no_quotient(self, cmon, monkeypatch, N5, V4, L6):
+        def refuse(*args):
+            raise AssertionError("a CmonContext map operation was called")
+
+        for op in CMON_MAP_OPERATIONS + ("kernel", "cokernel", "is_normal_epi"):
+            monkeypatch.setattr(CmonContext, op, refuse)
+        enumerated = []
+
+        def recording(ctx, X):
+            enumerated.append(X)
+            return enumerate_nsub(ctx, X)
+
+        monkeypatch.setattr(checks, "enumerate_nsub", recording)
+        for M, name in ((N5, "N5"), (V4, "V4"), (L6, "L6"), (truncated_monoid(4), "trunc4")):
+            assert run_check("stability", M, 0, name)[0].passed
+        assert enumerated == [N5, V4, L6, truncated_monoid(4)]
+
+    def test_depth_one_object_raises_as_run_check_does(self, cmon, ses1, N5):
+        S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
+        with pytest.raises(ValueError) as checker:
+            pullback_stability_check(ses1, S, "N5|sub={0,D}")
+        with pytest.raises(ValueError) as sweep:
+            run_check("stability", N5, 1, "N5")
+        assert str(checker.value) == str(sweep.value) == (
+            "the stability check is defined on the base context only"
+        )
 
 
 class TestTransferInstances:
@@ -458,7 +511,8 @@ class TestSweepFromMarkTables:
     )
     def test_reports_match_the_checkers(self, name, base, depth):
         objects = list(objects_at_depth(base, depth, name))
-        for prop, check in CHECKS.items():
+        for prop in EVERY_DEPTH:
+            check = CHECKS[prop]
             reference = [categorical_check(prop, ctx, X, nm) for ctx, X, nm in objects]
             assert run_check(prop, base, depth, name) == reference, prop
             assert [check(ctx, X, nm) for ctx, X, nm in objects] == reference, prop
@@ -600,7 +654,7 @@ class TestNoSesOperations:
             monkeypatch.setattr(SesContext, op, refuse)
         for M, name in ((N5, "N5"), (V4, "V4")):
             n = enumerate_nsub(cmon, M).size
-            for prop in CHECKS:
+            for prop in EVERY_DEPTH:
                 for depth in (1, 2, 3):
                     assert len(run_check(prop, M, depth, name)) == n**depth
         assert all(result.ok for result in run_reference_scenarios(2))

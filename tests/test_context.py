@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from monlat.census import lattices_up_to
-from monlat.checks import objects_at_depth, run_check
+from monlat.checks import run_check
 from monlat.context import (
     SesContext,
     SesHom,
@@ -25,7 +25,12 @@ from monlat.monoid import (
 from monlat.semilattice import bool2, chain, pentagon
 
 from conftest import abelian_group, down
-from lemmas import are_isomorphic, generic_pullback_epi_along_mono, isomorphisms
+from lemmas import (
+    are_isomorphic,
+    generic_pullback_epi_along_mono,
+    isomorphisms,
+    pullback_epi_along_mono,
+)
 from oracles import (
     NestedHom,
     NormalDecomposition,
@@ -40,6 +45,7 @@ from oracles import (
     normal_decomposition,
     normal_decomposition_in,
     normal_submonoids_by_filter,
+    objects_at_depth,
     recursive_normal_epi_failure,
     recursive_normal_mono_failure,
     restrict_mono,
@@ -154,7 +160,7 @@ class TestPullbacks:
     def test_epi_pullback_along_identity(self, cmon, N5):
         q = cmon.cokernel(cmon.subobject_mono(N5, down(N5, "D")))
         Q = cmon.cod(q)
-        pb = cmon.pullback_epi_along_mono(q, cmon.identity(Q))
+        pb = pullback_epi_along_mono(cmon, q, cmon.identity(Q))
         assert pb.apex.size == N5.size
         assert cmon.is_normal_epi(pb.onto_sub)
 
@@ -162,7 +168,7 @@ class TestPullbacks:
         q = cmon.cokernel(cmon.subobject_mono(N5, down(N5, "D")))
         Q = cmon.cod(q)
         zero_sub = cmon.subobject_mono(Q, frozenset({0}))
-        pb = cmon.pullback_epi_along_mono(q, zero_sub)
+        pb = pullback_epi_along_mono(cmon, q, zero_sub)
         assert cmon.mono_key(pb.into_total) == down(N5, "D")
         assert cmon.is_zero_hom(cmon.compose(zero_sub, pb.onto_sub))
 
@@ -170,7 +176,7 @@ class TestPullbacks:
         g = frozenset({0, 1})
         q = cmon.cokernel(cmon.subobject_mono(V4, g))
         Q = cmon.cod(q)
-        pb = cmon.pullback_epi_along_mono(q, cmon.subobject_mono(Q, frozenset({0})))
+        pb = pullback_epi_along_mono(cmon, q, cmon.subobject_mono(Q, frozenset({0})))
         assert cmon.mono_key(pb.into_total) == g
 
     def test_generic_matches_concrete(self, cmon, L6):
@@ -178,7 +184,7 @@ class TestPullbacks:
         for km in cmon.normal_subobject_monos(L6):
             e = cmon.cokernel(km)
             for tm in cmon.normal_subobject_monos(cmon.cod(e)):
-                concrete = cmon.pullback_epi_along_mono(e, tm)
+                concrete = pullback_epi_along_mono(cmon, e, tm)
                 generic = generic_pullback_epi_along_mono(cmon, e, tm)
                 assert cmon.mono_key(concrete.into_total) == cmon.mono_key(generic.into_total)
 
@@ -331,8 +337,6 @@ class TestSesNormality:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_transferred_subobjects_are_normal_monos(self, commutative_fixtures, depth):
         # one subobject per normal subobject of the base, each a normal mono
-        from monlat.checks import objects_at_depth
-
         for name, L in commutative_fixtures.items():
             for ctx, S, _ in objects_at_depth(L, depth, name):
                 monos = ctx.normal_subobject_monos(S)
@@ -477,7 +481,7 @@ class TestLemmaInstances:
             e = cmon.cokernel(km)
             Q = cmon.cod(e)
             for tm in cmon.normal_subobject_monos(Q):
-                pb = cmon.pullback_epi_along_mono(e, tm)
+                pb = pullback_epi_along_mono(cmon, e, tm)
                 gamma_dom = cmon.kernel(pb.onto_sub)
                 gamma = cmon.factor_through_kernel(
                     cmon.compose(pb.into_total, gamma_dom), cmon.kernel(e)

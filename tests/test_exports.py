@@ -9,7 +9,7 @@ EXPORTS = (
     "cokernel_by_submonoid", "diamond", "diexact_check", "dpn_check", "enumerate_nsub",
     "fixture", "is_distributive", "is_modular", "is_normal_submonoid", "kernel_subset",
     "klein_four", "lattice_of_semilattice", "lattices_of_size", "lattices_up_to", "make_ses",
-    "normal_closure", "objects_at_depth", "pentagon", "principal_downset",
+    "normal_closure", "pentagon", "principal_downset",
     "pullback_stability_check", "run_check", "second_iso_check", "semilattice_from_covers",
     "ses_context", "six_lattice", "third_iso_check", "validate_monoid",
 )

@@ -20,6 +20,7 @@ from conftest import (
     abelian_group,
     closure_oracle_families,
     down,
+    drawn_submonoids,
     named_commutative_monoids,
     product_monoid,
     products_and_quotients,
@@ -36,6 +37,7 @@ from oracles import (
     lattice_by_closures,
     lattice_method_disagreements,
     lattices_isomorphic,
+    normal_submonoids_by_filter,
     normal_submonoids_by_rounds,
     table_order,
 )
@@ -157,6 +159,13 @@ class TestClosureOracles:
     @settings(max_examples=60, deadline=None)
     def test_lattice_matches_closure_lattice_on_products_and_quotients(self, M):
         assert enumerate_nsub(cmon_context(), M) == lattice_by_closures(M)
+
+    @given(S=drawn_submonoids())
+    @settings(max_examples=150, deadline=None)
+    def test_submonoids_match_the_exhaustive_oracles(self, S):
+        found = sorted(normal_submonoids(S), key=sorted)
+        assert found == sorted(normal_submonoids_by_filter(S), key=sorted)
+        assert enumerate_nsub(cmon_context(), S) == lattice_by_closures(S)
 
 
 def _tables(lat):

@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 242 CLI calls, one line per call.
+"""Digest the output of a fixed set of 250 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -40,7 +40,9 @@ with help (exit 0) or a usage error (exit 2): ``--help``, ``check --help``,
 ``enumerate --help``, no arguments, a missing or invalid ``--property``,
 an unknown option, an abbreviated option, ``--opt=value``, an option after
 the input, a negative or non-integer number, a repeated option and an
-abbreviated ``--format``. Every call runs in a fresh interpreter with
+abbreviated ``--format``; and ``stability`` on Z3^3, Z2^4, Z6xZ2^2,
+(Z12, *), truncated {0..4}, the two census lattices and L6's join table.
+Every call runs in a fresh interpreter with
 ``COLUMNS=80``, so help wraps alike on every terminal; the input files are
 written to a temporary directory that is the calls' working directory, so
 no path shows in the output.
@@ -206,6 +208,8 @@ def calls() -> list[tuple[str, ...]]:
         ("enumerate", "--max-size", "x"),
         ("--form", "tsv", "check", "--property", "dpn", "N5"),
     ]
+    others = ("Z3x3x3", "Z2x2x2x2", "Z6x2x2", *MIXED, *CENSUS_FILES, "L6table")
+    out += [("check", "--property", "stability", f"{name}.txt") for name in others]
     return out
 
 
