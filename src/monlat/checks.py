@@ -61,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .context import cmon_context, make_ses
+from .context import cmon_context
 from .monoid import cokernel_by_submonoid
 from .nsub import enumerate_nsub, is_distributive, is_modular
 
@@ -374,9 +374,6 @@ def run_check(prop: str, X, depth: int = 0, name: str = "object") -> list[CheckR
     if depth <= 0:
         return [CHECKS[prop](cmon, X, name)]
     lat = enumerate_nsub(cmon, X)
-    # make_ses checks that (M, (K)) is a short exact sequence
-    for m in cmon.normal_subobject_monos(X):
-        make_ses(cmon, X, m)
     labels = [f"|sub={label}" for label in lat.names]
     objects = [
         (name + "".join([labels[k] for k in marks]), marks)

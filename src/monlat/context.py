@@ -1,10 +1,11 @@
 """Kernel/cokernel contexts.
 
-A context bundles the operations every checker needs: composition, kernels,
-cokernels, the two factorization maps, normality tests, and enumeration of
-normal subobjects. ``cmon_context()`` is the concrete context of finite
-commutative monoids; ``ses_context(ctx)`` is the context of short exact
-sequences one level above ctx, of the same shape, so it can be iterated.
+A context bundles the operations the scenarios and the test oracles build
+maps with: composition, kernels, cokernels, the two factorization maps,
+normality tests, and enumeration of normal subobjects (the checkers read
+every verdict off the lattice instead). ``cmon_context()`` is the context
+of finite commutative monoids; ``ses_context(ctx)`` is the context of short
+exact sequences one level above ctx, of the same shape, so it can be iterated.
 A sequence of any depth is stored flat, as its innermost monoid and one
 normal member set per level.
 

@@ -12,7 +12,7 @@ Semilattice files:  `semilattice <n>` (or `lattice <n>`, so exported
 
 from __future__ import annotations
 
-from .monoid import FinMonoid, InvalidMonoid, MonoidError, validate_monoid
+from .monoid import FinMonoid, MonoidError, validate_monoid
 from .nsub import NSubLattice, lattice_of_semilattice
 from .semilattice import CoverGraph, semilattice_from_covers
 
@@ -29,6 +29,38 @@ def _content_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def _read(text: str, keywords: tuple[str, ...], size: str):
+    """A file's content lines, the first a header ``<keyword> <n>``, and n;
+    ``size`` names n in the header's errors."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise ParseError(1, "empty input")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] not in keywords:
+        expected = " or ".join(f"'{word} <n>'" for word in keywords)
+        raise ParseError(lineno, f"expected header {expected}")
+    (n,) = _ints(lineno, parts[1:], f"{size} must be an integer")
+    if n < 1:
+        raise ParseError(lineno, f"{size} must be positive")
+    return lines, n
+
+
+def _ints(lineno: int, words, message: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, words))
+    except ValueError:
+        raise ParseError(lineno, message) from None
+
+
+def _label(lineno: int, parts):
+    """A ``label <i> <name>`` line as (lineno, i, name)."""
+    if len(parts) != 3:
+        raise ParseError(lineno, "expected 'label <i> <name>'")
+    (idx,) = _ints(lineno, parts[1:2], "label index must be an integer")
+    return lineno, idx, parts[2]
 
 
 def _parse_labels(entries, n):
@@ -55,38 +87,17 @@ def _parse_labels(entries, n):
 
 
 def parse_monoid_text(text: str) -> FinMonoid:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError(1, "empty input")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "monoid":
-        raise ParseError(lineno, "expected header 'monoid <n>'")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(lineno, "monoid size must be an integer") from None
-    if n < 1:
-        raise ParseError(lineno, "monoid size must be positive")
+    lines, n = _read(text, ("monoid",), "monoid size")
     rows = []
     labels = []
     for lineno, line in lines[1:]:
         parts = line.split()
         if parts[0] == "label":
-            if len(parts) != 3:
-                raise ParseError(lineno, "expected 'label <i> <name>'")
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise ParseError(lineno, "label index must be an integer") from None
-            labels.append((lineno, idx, parts[2]))
+            labels.append(_label(lineno, parts))
             continue
         if len(rows) == n:
             raise ParseError(lineno, "more table rows than declared")
-        try:
-            row = tuple(int(x) for x in parts)
-        except ValueError:
-            raise ParseError(lineno, "table entries must be integers") from None
+        row = _ints(lineno, parts, "table entries must be integers")
         if len(row) != n:
             raise ParseError(lineno, f"expected {n} entries, found {len(row)}")
         rows.append(row)
@@ -94,42 +105,23 @@ def parse_monoid_text(text: str) -> FinMonoid:
         raise ParseError(lines[-1][0], f"expected {n} table rows, found {len(rows)}")
     try:
         return validate_monoid(rows, _parse_labels(labels, n))
-    except (InvalidMonoid, MonoidError) as exc:
+    except MonoidError as exc:
         raise ParseError(lines[0][0], str(exc)) from exc
 
 
 def parse_semilattice_text(text: str) -> FinMonoid:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError(1, "empty input")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] not in ("semilattice", "lattice"):
-        raise ParseError(lineno, "expected header 'semilattice <n>' or 'lattice <n>'")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(lineno, "size must be an integer") from None
-    if n < 1:
-        raise ParseError(lineno, "size must be positive")
+    lines, n = _read(text, ("semilattice", "lattice"), "size")
     covers = []
     labels = []
     for lineno, line in lines[1:]:
         parts = line.split()
         if parts[0] == "cover" and len(parts) == 3:
-            try:
-                a, b = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, "cover endpoints must be integers") from None
+            a, b = _ints(lineno, parts[1:], "cover endpoints must be integers")
             if not (0 <= a < n and 0 <= b < n):
                 raise ParseError(lineno, f"cover ({a},{b}) out of range")
             covers.append((a, b))
         elif parts[0] == "label" and len(parts) == 3:
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise ParseError(lineno, "label index must be an integer") from None
-            labels.append((lineno, idx, parts[2]))
+            labels.append(_label(lineno, parts))
         else:
             raise ParseError(lineno, f"unrecognized line {line!r}")
     try:

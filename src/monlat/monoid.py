@@ -232,8 +232,8 @@ class Subset:
 
 def _monoid_unchecked(table, labels) -> FinMonoid:
     """Internal constructor for tables that are monoids by construction
-    (restrictions to a submonoid, quotients by a congruence), skipping the
-    O(n^3) axiom scan. Raw or external tables go through FinMonoid()."""
+    (submonoids, quotients by a congruence, join tables of semilattices),
+    skipping the O(n^3) axiom scan. Raw or external tables go through FinMonoid()."""
     M = object.__new__(FinMonoid)
     object.__setattr__(M, "table", table)
     object.__setattr__(M, "labels", labels)

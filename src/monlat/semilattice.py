@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .monoid import FinMonoid, MonoidError, Subset
+from .monoid import FinMonoid, MonoidError, Subset, _monoid_unchecked
 
 
 class SemilatticeError(MonoidError):
@@ -130,9 +130,10 @@ def semilattice_from_covers(g: CoverGraph) -> FinMonoid:
     if g.labels is not None:
         labels = [""] * n
         for old, new in enumerate(new_index):
-            labels[new] = g.labels[old]
+            labels[new] = str(g.labels[old])
         labels = tuple(labels)
-    return FinMonoid(tuple(tuple(row) for row in table), labels)
+    # the join table of an order with a least element and all joins is a monoid
+    return _monoid_unchecked(tuple(tuple(row) for row in table), labels)
 
 
 def require_semilattice(L: FinMonoid) -> None:
@@ -164,7 +165,7 @@ def chain(n: int) -> FinMonoid:
     if n < 1:
         raise SemilatticeError("chain needs at least one element")
     table = tuple(tuple(max(i, j) for j in range(n)) for i in range(n))
-    return FinMonoid(table, tuple(str(i) for i in range(n)))
+    return _monoid_unchecked(table, tuple(str(i) for i in range(n)))
 
 
 def pentagon() -> FinMonoid:

@@ -353,13 +353,14 @@ class TestInternalError:
     """A broken internal invariant exits 3 with one line on stderr."""
 
     def test_exits_three_with_one_line(self, capsys, monkeypatch):
-        # make_ses re-checks that every sub leg it is given is a normal mono;
-        # a recognizer that rejects them all breaks that invariant
+        # the scenarios build their sequences through make_ses, which
+        # re-checks that every sub leg it is given is a normal mono; a
+        # recognizer that rejects them all breaks that invariant
         monkeypatch.setattr(CmonContext, "normal_mono_failure", lambda self, f: "not-injective")
-        code, out, err = run(capsys, "check", "--property", "hsd", "--ses-depth", "1", "N5")
+        code, out, err = run(capsys, "paper-examples", "--ses-depth", "1")
         assert code == 3
         assert out == ""
-        assert err == "N5: internal error: sub leg is not a normal mono: not-injective\n"
+        assert err == "paper-examples: internal error: sub leg is not a normal mono: not-injective\n"
 
     def test_census_non_lattice_exits_three(self, capsys, monkeypatch):
         # the census re-checks that every pair of each table it returns has

@@ -125,6 +125,70 @@ class TestDispatch:
             parse_structure("poset 3\n")
 
 
+# one malformed file per message of the two readers, with the line number
+# and message each has always been reported with
+MALFORMED = [
+    ("monoid-header", "monoid 3 4\n", 1, "expected header 'monoid <n>'"),
+    ("monoid-size-word", "monoid x\n", 1, "monoid size must be an integer"),
+    ("monoid-size-zero", "monoid 0\n", 1, "monoid size must be positive"),
+    ("long-row", "monoid 2\n0 1 0\n1 0\n", 2, "expected 2 entries, found 3"),
+    ("entry-word", "monoid 2\n0 1\n1 a\n", 3, "table entries must be integers"),
+    ("extra-row", "monoid 2\n0 1\n1 0\n0 1\n", 4, "more table rows than declared"),
+    ("missing-row", "monoid 2\n0 1\n", 2, "expected 2 table rows, found 1"),
+    ("monoid-label-args", "monoid 1\n0\nlabel 0\n", 3, "expected 'label <i> <name>'"),
+    ("monoid-label-word", "monoid 1\n0\nlabel x a\n", 3, "label index must be an integer"),
+    ("label-range", "monoid 2\n0 1\n1 0\nlabel 2 a\n", 4, "label index 2 out of range"),
+    (
+        "label-twice",
+        "monoid 2\n0 1\n1 0\nlabel 0 a\nlabel 0 b\n",
+        5,
+        "duplicate label for element 0",
+    ),
+    ("label-clash", "monoid 2\n0 1\n1 0\nlabel 0 1\n", 4, "label '1' names two elements"),
+    (
+        "label-delimiter",
+        "monoid 2\n0 1\n1 0\nlabel 1 a;b\n",
+        4,
+        "label 'a;b' contains a witness delimiter",
+    ),
+    (
+        "non-associative",
+        "monoid 3\n0 1 2\n1 2 2\n2 1 1\n",
+        1,
+        "NonAssociative(1,1,1); NonAssociative(1,1,2); NonAssociative(1,2,1); "
+        "NonAssociative(1,2,2); NonAssociative(2,1,1) (3 more)",
+    ),
+    ("identity", "monoid 2\n0 0\n1 1\n", 1, "IdentityViolation(1)"),
+    ("out-of-range", "monoid 2\n0 1\n1 2\n", 1, "OutOfRange(1,1)"),
+    ("lattice-header", "lattice 3 4\n", 1, "expected header 'semilattice <n>' or 'lattice <n>'"),
+    ("size-word", "semilattice x\n", 1, "size must be an integer"),
+    ("size-zero", "semilattice 0\n", 1, "size must be positive"),
+    ("cover-word", "semilattice 2\ncover 0 x\n", 2, "cover endpoints must be integers"),
+    ("cover-range", "semilattice 2\ncover 0 2\n", 2, "cover (0,2) out of range"),
+    ("cover-loop", "semilattice 2\ncover 1 1\n", 1, "bad cover pair (1,1)"),
+    (
+        "semilattice-label-word",
+        "semilattice 2\ncover 0 1\nlabel x a\n",
+        3,
+        "label index must be an integer",
+    ),
+    ("semilattice-label-args", "semilattice 2\ncover 0 1\nlabel 0\n", 3, "unrecognized line 'label 0'"),
+    ("edge", "semilattice 2\nedge 0 1\n", 2, "unrecognized line 'edge 0 1'"),
+    ("poset", "poset 3\n", 1, "unrecognized header 'poset'"),
+    ("empty", "", 1, "empty input"),
+]
+
+
+class TestMalformed:
+    @pytest.mark.parametrize(
+        "text, lineno, message", [pytest.param(*case[1:], id=case[0]) for case in MALFORMED]
+    )
+    def test_line_and_message(self, text, lineno, message):
+        with pytest.raises(ParseError) as err:
+            parse_structure(text)
+        assert (err.value.lineno, err.value.message) == (lineno, message)
+
+
 def _round_trip_monoids():
     """The named fixtures, every census lattice up to size 7 and the abelian
     groups of order at most 16 with cyclic factors of order 2-4."""

@@ -3,7 +3,13 @@ import random
 import pytest
 
 from monlat.census import lattices_up_to
-from monlat.monoid import FinMonoid, MonoidError, are_isomorphic, cokernel_by_submonoid
+from monlat.monoid import (
+    FinMonoid,
+    MonoidError,
+    are_isomorphic,
+    cokernel_by_submonoid,
+    table_axiom_failures,
+)
 from monlat.nsub import enumerate_nsub, lattice_of_semilattice
 from monlat.semilattice import (
     CoverGraph,
@@ -76,6 +82,39 @@ class TestFromCovers:
         a = pentagon()
         b = pentagon()
         assert a.table == b.table and a.labels == b.labels
+
+
+class TestJoinTablesPassTheAxiomScan:
+    """``semilattice_from_covers`` and ``chain`` skip the axiom scan, as a
+    join table with a least element is a monoid by construction; the scan
+    is the oracle."""
+
+    @staticmethod
+    def assert_monoid(M):
+        assert next(table_axiom_failures(M.table), None) is None, M.table
+        assert M.is_semilattice
+
+    def test_census_lattices_renumbered(self):
+        rng = random.Random(20)
+        for L in lattices_up_to(7):
+            perm = list(range(L.size))
+            rng.shuffle(perm)
+            covers = tuple((perm[a], perm[b]) for a, b in lattice_of_semilattice(L).covers)
+            M = semilattice_from_covers(CoverGraph(L.size, covers))
+            self.assert_monoid(M)
+            assert are_isomorphic(M, L)
+
+    @pytest.mark.parametrize("name", ["N5", "M3", "L6", "bool2"])
+    def test_named_fixtures(self, name):
+        self.assert_monoid(fixture(name))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_chains(self, n):
+        self.assert_monoid(chain(n))
+
+    def test_labels_come_back_as_strings(self):
+        M = semilattice_from_covers(CoverGraph(2, ((0, 1),), (7, 8)))
+        assert M.labels == ("7", "8")
 
 
 class TestUpDownSets:

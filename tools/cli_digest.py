@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 250 CLI calls, one line per call.
+"""Digest the output of a fixed set of 280 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -41,7 +41,14 @@ with help (exit 0) or a usage error (exit 2): ``--help``, ``check --help``,
 an unknown option, an abbreviated option, ``--opt=value``, an option after
 the input, a negative or non-integer number, a repeated option and an
 abbreviated ``--format``; and ``stability`` on Z3^3, Z2^4, Z6xZ2^2,
-(Z12, *), truncated {0..4}, the two census lattices and L6's join table.
+(Z12, *), truncated {0..4}, the two census lattices and L6's join table;
+``validate`` on 27 malformed files (exit 2), one per message of the two
+readers: 16 monoid files (header, size, rows, entries, label lines, and a
+non-associative table with more than five failures, a broken identity
+and an out-of-range entry), 9 semilattice files (header, size, cover
+lines, label lines and an unknown line), an unknown header and an empty
+file; ``validate`` and ``nsub`` on chain12; and ``validate`` on a cover
+file of the Boolean lattice 2^5 with its elements renumbered.
 Every call runs in a fresh interpreter with
 ``COLUMNS=80``, so help wraps alike on every terminal; the input files are
 written to a temporary directory that is the calls' working directory, so
@@ -88,6 +95,38 @@ COVER_FILES = {
     "nojoin": "semilattice 5\ncover 0 1\ncover 0 2\ncover 1 3\ncover 2 3\ncover 1 4\ncover 2 4\n",
     "cycle": "semilattice 2\ncover 0 1\ncover 1 0\n",
 }
+# one malformed file per message of the two readers (exit 2); the monoid
+# files break the header, the rows, the label lines and each monoid axiom,
+# the semilattice files the header, the cover lines and the label lines
+MALFORMED = {
+    "m_header": "monoid 3 4\n",
+    "m_sizeword": "monoid x\n",
+    "m_sizezero": "monoid 0\n",
+    "m_longrow": "monoid 2\n0 1 0\n1 0\n",
+    "m_entryword": "monoid 2\n0 1\n1 a\n",
+    "m_extrarow": "monoid 2\n0 1\n1 0\n0 1\n",
+    "m_missingrow": "monoid 2\n0 1\n",
+    "m_labelargs": "monoid 1\n0\nlabel 0\n",
+    "m_labelword": "monoid 1\n0\nlabel x a\n",
+    "m_labelrange": "monoid 2\n0 1\n1 0\nlabel 2 a\n",
+    "m_labeltwice": "monoid 2\n0 1\n1 0\nlabel 0 a\nlabel 0 b\n",
+    "m_labelclash": "monoid 2\n0 1\n1 0\nlabel 0 1\n",
+    "m_labeldelim": "monoid 2\n0 1\n1 0\nlabel 1 a;b\n",
+    "m_nonassoc": "monoid 3\n0 1 2\n1 2 2\n2 1 1\n",
+    "m_identity": "monoid 2\n0 0\n1 1\n",
+    "m_outofrange": "monoid 2\n0 1\n1 2\n",
+    "s_header": "lattice 3 4\n",
+    "s_sizeword": "semilattice x\n",
+    "s_sizezero": "semilattice 0\n",
+    "s_coverword": "semilattice 2\ncover 0 x\n",
+    "s_coverrange": "semilattice 2\ncover 0 2\n",
+    "s_coverloop": "semilattice 2\ncover 1 1\n",
+    "s_labelword": "semilattice 2\ncover 0 1\nlabel x a\n",
+    "s_labelargs": "semilattice 2\ncover 0 1\nlabel 0\n",
+    "s_edge": "semilattice 2\nedge 0 1\n",
+    "poset": "poset 3\n",
+    "empty": "",
+}
 # L6's join table as a monoid file, elements renumbered so that the identity
 # (the bottom) stays 0 but the top is 1 and D (4) lies below C (3)
 L6TABLE = (
@@ -107,6 +146,17 @@ def cover_text(covers: str) -> str:
     """The cover file of an 8-element lattice from its ``a<b`` covers."""
     lines = ["semilattice 8"] + [f"cover {c.replace('<', ' ')}" for c in covers.split()]
     return "\n".join(lines) + "\n"
+
+
+def boolean_cover_text(k: int) -> str:
+    """The cover file of the Boolean lattice 2^k with subset s numbered
+    (13 s + 5) mod 2^k, so the bottom is not element 0, and the covers
+    listed in reverse order of their upper element."""
+    n = 1 << k
+    name = [(13 * s + 5) % n for s in range(n)]
+    pairs = [(name[s], name[s | 1 << i]) for s in range(n) for i in range(k) if not s >> i & 1]
+    covers = sorted(pairs, key=lambda c: (-c[1], c[0]))
+    return f"semilattice {n}\n" + "".join(f"cover {a} {b}\n" for a, b in covers)
 
 
 def group_text(orders: tuple[int, ...]) -> str:
@@ -210,6 +260,8 @@ def calls() -> list[tuple[str, ...]]:
     ]
     others = ("Z3x3x3", "Z2x2x2x2", "Z6x2x2", *MIXED, *CENSUS_FILES, "L6table")
     out += [("check", "--property", "stability", f"{name}.txt") for name in others]
+    out += [("validate", f"{name}.txt") for name in MALFORMED]
+    out += [("validate", "chain12"), ("nsub", "chain12"), ("validate", "bool5.txt")]
     return out
 
 
@@ -223,11 +275,12 @@ def main(argv=None) -> int:
             Path(work, f"{group}.txt").write_text(group_text(orders))
         Path(work, "Z2x2x2x2x2.txt").write_text(group_text((2,) * 5))
         Path(work, "L6table.txt").write_text(L6TABLE)
-        for name, text in {**MIXED, **COVER_FILES}.items():
+        for name, text in {**MIXED, **COVER_FILES, **MALFORMED}.items():
             Path(work, f"{name}.txt").write_text(text)
         for name, covers in CENSUS_FILES.items():
             Path(work, f"{name}.txt").write_text(cover_text(covers))
         Path(work, "noncommutative.txt").write_text(NONCOMMUTATIVE)
+        Path(work, "bool5.txt").write_text(boolean_cover_text(5))
         for call in calls():
             proc = subprocess.run(
                 [sys.executable, "-m", "monlat", *call], cwd=work, env=env, capture_output=True
