@@ -34,9 +34,13 @@ comes later in the first, and each element between is neither below x (the
 second puts x before it) nor above x (the first puts it before x), so x
 moves forward past incomparable neighbours until the two agree one place
 further. A swap is one ``itemgetter`` that exchanges rows and columns i and
-i+1 and one ``translate`` that exchanges the labels. Each representative is
-checked to be a lattice, which makes it a monoid, so it skips the O(n^3)
-axiom scan.
+i+1 and one ``translate`` that exchanges the labels.
+
+Each representative is built once, as the lattice of its order, and that
+lattice's joins must be the emitted table: the one check that the search
+emitted a lattice, which makes the table a monoid, so it skips the O(n^3)
+axiom scan. The monoids and ``enumerate``'s covers and verdicts are read
+off the one cached census of these lattices.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .monoid import FinMonoid, _monoid_unchecked
+from .nsub import NSubLattice, _lattice_from_order
 from .semilattice import up_sets
 
 
@@ -133,21 +138,25 @@ def _relabellings(table: bytes, swaps) -> set[bytes]:
     return seen
 
 
-def _lattice(table: bytes, n: int) -> FinMonoid:
-    """The monoid of a join table, after one mask test per entry: the
-    up-set of a join is the intersection of the up-sets of the pair."""
+def _lattice(table: bytes, n: int) -> NSubLattice:
+    """The lattice of a join table's order, which must have the table as
+    its joins: the up-set of a join is the intersection of the up-sets of
+    the pair."""
     rows = tuple(tuple(table[a * n : (a + 1) * n]) for a in range(n))
-    up = up_sets(rows)
-    for a, row in enumerate(rows):
-        if any(up[t] != up[a] & up[b] for b, t in enumerate(row)):
-            raise RuntimeError("search emitted a non-lattice")
-    return _monoid_unchecked(rows, None)
+    try:
+        lat = _lattice_from_order(up_sets(rows), map(str, range(n)))
+    except RuntimeError:
+        raise RuntimeError("search emitted a non-lattice") from None
+    if lat.join != rows:
+        raise RuntimeError("search emitted a non-lattice")
+    return lat
 
 
 @lru_cache(maxsize=None)
-def lattices_of_size(n: int) -> tuple[FinMonoid, ...]:
-    """All lattices with n elements up to isomorphism, canonical tables,
-    sorted lexicographically; none for n < 1."""
+def census_lattices(n: int) -> tuple[NSubLattice, ...]:
+    """All lattices with n elements up to isomorphism, each the lattice of
+    its canonical table, sorted lexicographically by that table; none for
+    n < 1."""
     if n < 1:
         return ()
     if n > 15:
@@ -160,6 +169,12 @@ def lattices_of_size(n: int) -> tuple[FinMonoid, ...]:
             seen |= _relabellings(table, swaps)
             reps.append(_lattice(table, n))
     return tuple(reps)
+
+
+def lattices_of_size(n: int) -> tuple[FinMonoid, ...]:
+    """All lattices with n elements up to isomorphism, as the monoids of
+    their canonical join tables, in ``census_lattices`` order."""
+    return tuple(_monoid_unchecked(lat.join, None) for lat in census_lattices(n))
 
 
 def lattices_up_to(max_size: int) -> list[FinMonoid]:

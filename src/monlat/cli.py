@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .census import lattices_up_to
+from .census import census_lattices
 from .checks import CHECKS, run_check
 from .context import cmon_context
 from .formats import (
@@ -29,7 +29,7 @@ from .formats import (
     parse_structure,
 )
 from .monoid import FinMonoid, MonoidError, NotCommutative
-from .nsub import enumerate_nsub, lattice_of_semilattice, lattice_verdicts
+from .nsub import enumerate_nsub, lattice_verdicts
 from .scenarios import run_reference_scenarios
 from .semilattice import fixture
 
@@ -97,18 +97,20 @@ def cmd_enumerate(args) -> int:
         return 2
     emitted = 0
     counts: dict[int, int] = {}
-    for L in lattices_up_to(args.max_size):
-        lat = lattice_of_semilattice(L)
+    # the whole census is built, and checked, before the first line is
+    # written, so a census that breaks its invariant prints nothing
+    lattices = [lat for n in range(1, args.max_size + 1) for lat in census_lattices(n)]
+    for lat in lattices:
         modular, distributive = lattice_verdicts(lat)
         if args.filter == "nonmodular" and modular:
             continue
         if args.filter == "nondistributive" and distributive:
             continue
-        counts[L.size] = counts.get(L.size, 0) + 1
+        counts[lat.size] = counts.get(lat.size, 0) + 1
         covers = ";".join(f"{a}<{b}" for a, b in lat.covers) or "-"
         fields = (
-            f"size={L.size}",
-            f"index={counts[L.size] - 1}",
+            f"size={lat.size}",
+            f"index={counts[lat.size] - 1}",
             f"covers={covers}",
             f"modular={'yes' if modular else 'no'}",
             f"distributive={'yes' if distributive else 'no'}",

@@ -373,28 +373,66 @@ def cokernel_of_hom(f: MonoidHom) -> MonoidHom:
     return cokernel_by_submonoid(f.cod, f.image)[1]
 
 
+def _cyclic(t, a: int) -> set[int]:
+    """The cyclic submonoid <a> = {0, a, 2a, ...}, up to its first repeat."""
+    out, x = {0}, a
+    while x not in out:
+        out.add(x)
+        x = t[x][a]
+    return out
+
+
+def _sum_set(t, A, B) -> set[int]:
+    """A + B = {a + b : a in A, b in B}, one C-level pass over the larger."""
+    if len(A) > len(B):
+        A, B = B, A
+    out: set[int] = set()
+    for a in A:
+        out.update(map(t[a].__getitem__, B))
+    return out
+
+
+def _saturation(t, S) -> frozenset[int]:
+    """sat(S) = {x : x + s in S for some s in S}, one row of the table at a time."""
+    return frozenset(x for x, row in enumerate(t) if not S.isdisjoint(map(row.__getitem__, S)))
+
+
+def _join(t, K, G) -> frozenset[int]:
+    """The join sat(K + G) of normal submonoids K and G (see
+    ``normal_closure``); one that holds the other is normal, so it is the
+    join."""
+    if G <= K:
+        return K
+    if K <= G:
+        return G
+    return _saturation(t, _sum_set(t, K, G))
+
+
 @lru_cache(maxsize=None)
 def normal_closure(M: FinMonoid, seed: frozenset) -> frozenset[int]:
     """Smallest normal submonoid of a commutative monoid containing the seed.
 
-    With S the submonoid the seed generates, it is {x : x+k in S for some k
-    in S}: the class of 0 under the cokernel congruence of S (see
+    With S the submonoid the seed generates, it is sat(S) = {x : x+k in S
+    for some k in S}: the class of 0 under the cokernel congruence of S (see
     ``cokernel_by_submonoid``), a kernel and so normal, and inside every
     normal submonoid that contains S.
+
+    S is a sum set. In a commutative monoid the submonoid generated by two
+    submonoids K and G is K + G = {k + g}: it holds K and G, since each
+    holds 0, it is closed, since (k+g) + (k'+g') = (k+k') + (g+g'), and
+    any submonoid holding K and G holds every k + g. So S is the sum of the
+    cyclic submonoids <a> = {0, a, 2a, ...} of the seed's members, and the
+    join of two normal submonoids K and G, the normal closure of K u G, is
+    sat(K + G).
     """
     if not M.commutative:
         raise NotCommutative("normal closure needs a commutative monoid")
     t = M.table
     generated = {0}
-    todo = list(seed)
-    while todo:
-        a = todo.pop()
+    for a in seed:
         if a not in generated:
-            generated.add(a)
-            todo += [t[a][b] for b in generated]
-    return frozenset(
-        x for x in range(M.size) if any(t[x][k] in generated for k in generated)
-    )
+            generated = _sum_set(t, generated, _cyclic(t, a))
+    return _saturation(t, generated)
 
 
 @lru_cache(maxsize=None)
@@ -402,18 +440,19 @@ def normal_submonoids(M: FinMonoid) -> tuple[frozenset[int], ...]:
     """Every normal submonoid of a commutative monoid, ordered by size and
     then by sorted members.
 
-    Every normal submonoid is the join (the normal closure of the union) of
-    the closures of its members, so one pass finds them all: starting from
-    {0}, each singleton closure not found yet is joined with every key
-    found so far.
+    Every normal submonoid is the join of the closures of its members, so
+    one pass finds them all: starting from {0}, each singleton closure G
+    not found yet is joined with every key K found so far, as sat(K + G)
+    (see ``normal_closure``).
     """
     if not M.commutative:
         raise NotCommutative("normal subobject enumeration needs a commutative monoid")
+    t = M.table
     keys = {frozenset({0})}
     for x in range(M.size):
         g = normal_closure(M, frozenset({x}))
         if g not in keys:
-            keys |= {normal_closure(M, k | g) for k in keys}
+            keys |= {_join(t, k, g) for k in keys}
     return tuple(sorted(keys, key=lambda k: (len(k), sorted(k))))
 
 

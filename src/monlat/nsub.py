@@ -63,9 +63,18 @@ class NSubLattice:
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Cover pairs (a, b), a covered by b, in sorted order."""
-        up, down, n = self.up, self.down, self.size
-        return tuple((a, b) for a in range(n) for b in range(n) if is_cover(up, down, a, b))
+        """Cover pairs (a, b), a covered by b, in sorted order. Only the
+        members a of b's down-set are tested."""
+        up, down = self.up, self.down
+        out = []
+        for b, mask in enumerate(down):
+            below = mask & ~(1 << b)
+            while below:
+                a = (below & -below).bit_length() - 1
+                below &= below - 1
+                if is_cover(up, down, a, b):
+                    out.append((a, b))
+        return tuple(sorted(out))
 
     def index_of_key(self, key) -> int:
         return self.keys.index(key)

@@ -21,7 +21,7 @@ class SemilatticeError(MonoidError):
 
 
 class NoBottom(SemilatticeError):
-    pass
+    SHOWN = 5  # minimal elements named in the message; the rest are counted
 
 
 class NoJoin(SemilatticeError):
@@ -95,19 +95,30 @@ def semilattice_from_covers(g: CoverGraph) -> FinMonoid:
     lands at index 0 and equal inputs produce identical tables.
     """
     n = g.size
-    up = _reachable(n, g.covers)
+    # the order is checked on the elements the covers name, in their order,
+    # so the work follows the covers given; every other element is
+    # isolated, and so minimal
+    named = sorted({x for pair in g.covers for x in pair}) or [0]
+    index = {x: i for i, x in enumerate(named)}
+    up = _reachable(len(named), [(index[a], index[b]) for a, b in g.covers])
     down = down_sets(up)
-    for i in range(n):
+    for i, x in enumerate(named):
         equivalent = up[i] & down[i] & ~(1 << i)
         if equivalent:
             j = (equivalent & -equivalent).bit_length() - 1
-            raise NotAPartialOrder(f"elements {i} and {j} order-equivalent")
+            raise NotAPartialOrder(f"elements {x} and {named[j]} order-equivalent")
     for a, b in set(g.covers):
-        if not is_cover(up, down, a, b):
+        if not is_cover(up, down, index[a], index[b]):
             raise NotHasse(a, b)
-    minimal = [i for i in range(n) if down[i] == 1 << i]
+    minimal = [x for i, x in enumerate(named) if down[i] == 1 << i]
+    minimal = sorted(minimal + [x for x in range(n) if x not in index])
     if len(minimal) != 1:
-        raise NoBottom(f"minimal elements: {minimal}")
+        shown = f"minimal elements: {minimal[:NoBottom.SHOWN]}"
+        if len(minimal) > NoBottom.SHOWN:
+            shown += f" ({len(minimal) - NoBottom.SHOWN} more)"
+        raise NoBottom(shown)
+    # one minimal element: every element is named, or n is 1, so the
+    # indices are the elements'
 
     # layered linear extension: emit every element whose strict down-set is
     # already numbered, one layer at a time, ordered by original index
@@ -219,12 +230,20 @@ _FIXTURE_BUILDERS = {
 }
 
 
+# the largest chainN fixture: one word of argv builds an N x N table
+CHAIN_FIXTURE_MAX = 256
+
+
 def fixture(name: str) -> FinMonoid:
-    """Look up a named fixture; chains are spelled chainN or chain(N)."""
+    """Look up a named fixture; chains are spelled chainN or chain(N), for
+    N up to ``CHAIN_FIXTURE_MAX``."""
     if name in _FIXTURE_BUILDERS:
         return _FIXTURE_BUILDERS[name]()
     m = re.fullmatch(r"chain\(?(\d+)\)?", name)
     if m:
-        return chain(int(m.group(1)))
+        digits = m.group(1).lstrip("0") or "0"
+        if len(digits) > len(str(CHAIN_FIXTURE_MAX)) or int(digits) > CHAIN_FIXTURE_MAX:
+            raise SemilatticeError(f"chain fixtures go up to chain{CHAIN_FIXTURE_MAX}")
+        return chain(int(digits))
     raise KeyError(f"unknown fixture {name!r}")
 

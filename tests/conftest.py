@@ -166,11 +166,13 @@ def drawn_submonoids(draw):
 
 def closure_oracle_families():
     """The commutative monoids the normal-closure oracles run on, by family:
-    the named fixtures, every census lattice up to size 7, and the groups
-    Z2^4, Z2xZ4, Z3^3 and Z6xZ2^2."""
+    the named fixtures, every census lattice up to size 7, the mixed
+    monoids, whose cyclic submonoids have tails, and the groups Z2^4,
+    Z2xZ4, Z3^3 and Z6xZ2^2."""
     families = {
         "fixtures": list(named_commutative_monoids().values()),
         "census": [L for n in range(1, 8) for L in lattices_of_size(n)],
+        "mixed": list(mixed_monoids().values()),
     }
     for orders in ((2, 2, 2, 2), (2, 4), (3, 3, 3), (6, 2, 2)):
         families["Z" + "xZ".join(map(str, orders))] = [abelian_group(*orders)]

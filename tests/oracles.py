@@ -147,7 +147,8 @@ def matrix_semilattice_from_covers(g: CoverGraph) -> FinMonoid:
             raise NotHasse(a, b)
     minimal = [i for i in range(n) if not any(leq[j][i] for j in range(n) if j != i)]
     if len(minimal) != 1:
-        raise NoBottom(f"minimal elements: {sorted(minimal)}")
+        extra = f" ({len(minimal) - 5} more)" if len(minimal) > 5 else ""
+        raise NoBottom(f"minimal elements: {sorted(minimal)[:5]}{extra}")
 
     # the join of a and b: the common upper bound below all the others
     join = [[0] * n for _ in range(n)]

@@ -6,6 +6,7 @@ from monlat.census import (
     _natural_tables,
     _relabellings,
     _swaps,
+    census_lattices,
     lattices_of_size,
     lattices_up_to,
 )
@@ -92,14 +93,22 @@ class TestEmittedStructures:
     def test_tables_match_isomorphism_search_oracle(self, n):
         assert [L.table for L in lattices_of_size(n)] == census_oracle(n)
 
+    def test_lattices_match_the_lattice_of_each_monoid(self):
+        # the census keeps the lattice it checked; the oracle builds the
+        # lattice of each monoid afresh from its table
+        for n in range(1, 9):
+            lats, monoids = census_lattices(n), lattices_of_size(n)
+            assert [lat.join for lat in lats] == [L.table for L in monoids]
+            assert list(lats) == [lattice_of_semilattice(L) for L in monoids]
+
     def test_canonical_tables_are_fixed_points(self):
         for L in lattices_up_to(6):
             assert canonical_join_table(L.table) == L.table
 
     def test_deterministic_order(self):
-        lattices_of_size.cache_clear()
+        census_lattices.cache_clear()
         first = [L.table for L in lattices_up_to(5)]
-        lattices_of_size.cache_clear()
+        census_lattices.cache_clear()
         second = [L.table for L in lattices_up_to(5)]
         assert first == second
 

@@ -78,6 +78,11 @@ class TestValidate:
         assert len(err.splitlines()) == 1 and len(err.encode()) < 2048
         assert "NonAssociative" in err and " more)" in err
 
+    def test_chain_fixture_past_the_cap_is_input_error(self, capsys):
+        code, out, err = run(capsys, "validate", "chain1000000000")
+        assert (code, out) == (2, "")
+        assert err == "chain1000000000: chain fixtures go up to chain256\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "no_such_file.txt")
         assert code == 2
@@ -363,13 +368,13 @@ class TestInternalError:
         assert err == "paper-examples: internal error: sub leg is not a normal mono: not-injective\n"
 
     def test_census_non_lattice_exits_three(self, capsys, monkeypatch):
-        # the census re-checks that every pair of each table it returns has
-        # a least upper bound; a search that no longer prunes emits the
+        # the census re-checks that the lattice of each table it returns has
+        # that table as its joins; a search that no longer prunes emits the
         # six-element order in which two atoms have two minimal upper bounds,
-        # and that breaks the invariant (the cache is cleared so that the
-        # search runs; a failed size is not cached)
+        # and that breaks the invariant (the one census cache is cleared so
+        # that the search runs; a failed size is not cached)
         monkeypatch.setattr(census, "_feasible", lambda join, pairs, allowed: True)
-        census.lattices_of_size.cache_clear()
+        census.census_lattices.cache_clear()
         code, out, err = run(capsys, "enumerate", "--max-size", "6")
         assert code == 3
         assert out == ""

@@ -12,11 +12,13 @@ from monlat.monoid import (
 )
 from monlat.nsub import enumerate_nsub, lattice_of_semilattice
 from monlat.semilattice import (
+    CHAIN_FIXTURE_MAX,
     CoverGraph,
     NoBottom,
     NoJoin,
     NotAPartialOrder,
     NotHasse,
+    SemilatticeError,
     chain,
     pentagon,
     principal_downset,
@@ -61,6 +63,12 @@ class TestFromCovers:
     def test_no_bottom(self):
         with pytest.raises(NoBottom):
             semilattice_from_covers(CoverGraph(3, ((0, 2), (1, 2))))
+
+    def test_no_bottom_names_five_and_counts_the_rest(self):
+        # a header-only file of 4000 elements: no cover, so nothing to walk
+        with pytest.raises(NoBottom) as caught:
+            semilattice_from_covers(CoverGraph(4000, ()))
+        assert str(caught.value) == "minimal elements: [0, 1, 2, 3, 4] (3995 more)"
 
     def test_no_join(self):
         # two maximal elements above a bottom: the pair has no least upper bound
@@ -261,6 +269,18 @@ class TestBitmaskOrderMatchesMatrixReference:
             kinds.add(expected[0] if isinstance(expected[0], type) else FinMonoid)
         assert kinds == {FinMonoid, NotAPartialOrder, NotHasse, NoBottom, NoJoin}
 
+    def test_census_graphs_among_isolated_elements(self):
+        # a census lattice's covers on k of n elements, numbered at random:
+        # the other n - k elements are isolated, so minimal
+        rng = random.Random(21)
+        for L in lattices_up_to(5):
+            covers = lattice_of_semilattice(L).covers
+            for n in (L.size, L.size + 1, L.size + 4):
+                name = rng.sample(range(n), L.size)
+                g = CoverGraph(n, tuple((name[a], name[b]) for a, b in covers))
+                expected = _outcome(matrix_semilattice_from_covers, g)
+                assert _outcome(semilattice_from_covers, g) == expected, g
+
     def test_covers_of_census_lattices_match_betweenness(self):
         for L in lattices_up_to(8):
             covers = lattice_of_semilattice(L).covers
@@ -296,6 +316,14 @@ class TestFixtures:
         assert fixture("chain(4)").size == 4
         with pytest.raises(KeyError):
             fixture("nope")
+
+    def test_chain_fixtures_are_capped(self):
+        assert fixture(f"chain{CHAIN_FIXTURE_MAX}").size == CHAIN_FIXTURE_MAX
+        assert fixture(f"chain00{CHAIN_FIXTURE_MAX}").size == CHAIN_FIXTURE_MAX
+        # too long for int(), so the digits are compared before conversion
+        for name in (f"chain{CHAIN_FIXTURE_MAX + 1}", "chain" + "9" * 5000):
+            with pytest.raises(SemilatticeError, match=f"up to chain{CHAIN_FIXTURE_MAX}$"):
+                fixture(name)
 
     def test_klein_four_is_a_group_not_semilattice(self, V4):
         assert V4.commutative and not V4.idempotent

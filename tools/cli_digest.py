@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 280 CLI calls, one line per call.
+"""Digest the output of a fixed set of 289 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -48,7 +48,11 @@ non-associative table with more than five failures, a broken identity
 and an out-of-range entry), 9 semilattice files (header, size, cover
 lines, label lines and an unknown line), an unknown header and an empty
 file; ``validate`` and ``nsub`` on chain12; and ``validate`` on a cover
-file of the Boolean lattice 2^5 with its elements renumbered.
+file of the Boolean lattice 2^5 with its elements renumbered; ``nsub``
+and ``check --property distributive`` on (Z12, *), truncated {0..4} and
+(Z3, *) x (Z4, *); ``validate`` on chain256 and chain257, one on each
+side of the largest chain fixture; and ``validate`` on a 40-element cover
+file that lists no cover (exit 2).
 Every call runs in a fresh interpreter with
 ``COLUMNS=80``, so help wraps alike on every terminal; the input files are
 written to a temporary directory that is the calls' working directory, so
@@ -127,6 +131,8 @@ MALFORMED = {
     "poset": "poset 3\n",
     "empty": "",
 }
+# a cover file of 40 elements that lists no cover, so every element is minimal
+HEADER_ONLY = "semilattice 40\n"
 # L6's join table as a monoid file, elements renumbered so that the identity
 # (the bottom) stays 0 but the top is 1 and D (4) lies below C (3)
 L6TABLE = (
@@ -182,6 +188,23 @@ def multiplicative_text(n: int) -> str:
     ]
     labels = [f"label {i} {(i + 1) % n}" for i in range(n)]
     return f"monoid {n}\n" + "\n".join(rows + labels) + "\n"
+
+
+def multiplicative_product_text(m: int, n: int) -> str:
+    """The monoid file of (Z_m, *) x (Z_n, *), pairs in lexicographic order
+    of ``multiplicative_text``'s numbering, so the identity (1, 1) comes
+    first, each labelled with its residues as ``r.s``."""
+    pairs = list(product(range(m), range(n)))
+    index = {p: i for i, p in enumerate(pairs)}
+
+    def mul(a, b, k):
+        return ((a + 1) * (b + 1) % k - 1) % k
+
+    rows = [
+        " ".join(str(index[mul(a, c, m), mul(b, d, n)]) for c, d in pairs) for a, b in pairs
+    ]
+    labels = [f"label {i} {(a + 1) % m}.{(b + 1) % n}" for i, (a, b) in enumerate(pairs)]
+    return f"monoid {m * n}\n" + "\n".join(rows + labels) + "\n"
 
 
 def truncated_text(n: int) -> str:
@@ -262,6 +285,10 @@ def calls() -> list[tuple[str, ...]]:
     out += [("check", "--property", "stability", f"{name}.txt") for name in others]
     out += [("validate", f"{name}.txt") for name in MALFORMED]
     out += [("validate", "chain12"), ("nsub", "chain12"), ("validate", "bool5.txt")]
+    for name in ("Z12mul", "trunc4", "Z3mulxZ4mul"):
+        path = f"{name}.txt"
+        out += [("nsub", path), ("check", "--property", "distributive", path)]
+    out += [("validate", "chain256"), ("validate", "chain257"), ("validate", "headeronly.txt")]
     return out
 
 
@@ -281,6 +308,8 @@ def main(argv=None) -> int:
             Path(work, f"{name}.txt").write_text(cover_text(covers))
         Path(work, "noncommutative.txt").write_text(NONCOMMUTATIVE)
         Path(work, "bool5.txt").write_text(boolean_cover_text(5))
+        Path(work, "Z3mulxZ4mul.txt").write_text(multiplicative_product_text(3, 4))
+        Path(work, "headeronly.txt").write_text(HEADER_ONLY)
         for call in calls():
             proc = subprocess.run(
                 [sys.executable, "-m", "monlat", *call], cwd=work, env=env, capture_output=True
