@@ -1,7 +1,8 @@
 """Per-object verifiers for the homological frameworks.
 
-Each checker sweeps the normal subobjects of one object of a context and
-returns a CheckReport at the context's depth, with replayable witnesses.
+Each checker sweeps the normal subobjects of one object, a commutative
+monoid or a SesObject, and returns a CheckReport at the object's depth, its
+number of marks, with replayable witnesses.
 Every verdict is read off the lattice L (join v, meet ^) of normal
 submonoids of the object's innermost commutative monoid M; categorical
 tables that build every map are the reference in the test suite. A pair
@@ -61,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .context import cmon_context
+from .context import innermost
 from .monoid import cokernel_by_submonoid
 from .nsub import enumerate_nsub, is_distributive, is_modular
 
@@ -110,15 +111,15 @@ def _pair_witnesses(lat, table) -> list[CheckWitness]:
     ]
 
 
-def third_iso_check(ctx, Z, name="object") -> CheckReport:
+def third_iso_check(Z, name="object") -> CheckReport:
     """Third Isomorphism Property at one object: for X <= Y normal in Z, the
     induced map Y/X -> Z/X must be a normal mono (equivalently, Y/X is a
     kernel of Z/X -> Z/Y). The witness note localizes which normality clause
     broke."""
-    return _check("hsd", ctx, Z, name)
+    return _check("hsd", Z, name)
 
 
-def second_iso_check(ctx, X, name="object") -> CheckReport:
+def second_iso_check(X, name="object") -> CheckReport:
     """Second Isomorphism Property at one object.
 
     For each ordered pair (Y, Z) of normal subobjects, the canonical
@@ -138,7 +139,7 @@ def second_iso_check(ctx, X, name="object") -> CheckReport:
     while the canonical map collapses two classes, and it is the canonical
     map that the exactness of the corresponding grid needs.
     """
-    return _check("secondiso", ctx, X, name)
+    return _check("secondiso", X, name)
 
 
 def _antinormal_failures(M, lat) -> dict[tuple[int, int], str]:
@@ -170,34 +171,34 @@ def _dpn_witnesses(lat, table) -> list[CheckWitness]:
     })
 
 
-def dpn_check(ctx, X, name="object") -> CheckReport:
+def dpn_check(X, name="object") -> CheckReport:
     """Dinversion preserves normal maps, tested on one object: for each
     ordered pair (Y, Z), the composite Z >-> X ->> X/Y is normal exactly when
     its dinverse Y >-> X ->> X/Z is; both are read off diexact's table."""
-    return _check("dpn", ctx, X, name)
+    return _check("dpn", X, name)
 
 
-def diexact_check(ctx, X, name="object") -> CheckReport:
+def diexact_check(X, name="object") -> CheckReport:
     """Local di-exactness: every antinormal composite Y >-> X ->> X/Z through
     this object is a normal map. A witness note is how its comparison
     Y/(Y^Z) -> (YvZ)/Z fails to be an isomorphism."""
-    return _check("diexact", ctx, X, name)
+    return _check("diexact", X, name)
 
 
-def pullback_stability_check(ctx, X, name="object") -> CheckReport:
+def pullback_stability_check(X, name="object") -> CheckReport:
     """Pullbacks of normal epis along normal monos are normal epis: for
     K <= T normal in X, the pullback of X ->> X/K along T/K >-> X/K. On a
     commutative monoid no pair fails, as the module docstring proves; an
     object above depth 0 raises ValueError."""
-    return _check("stability", ctx, X, name)
+    return _check("stability", X, name)
 
 
-def modular_check(ctx, X, name="object") -> CheckReport:
-    return _check("modular", ctx, X, name)
+def modular_check(X, name="object") -> CheckReport:
+    return _check("modular", X, name)
 
 
-def distributive_check(ctx, X, name="object") -> CheckReport:
-    return _check("distributive", ctx, X, name)
+def distributive_check(X, name="object") -> CheckReport:
+    return _check("distributive", X, name)
 
 
 def _lattice_witnesses(lat, verdict) -> list[CheckWitness]:
@@ -341,11 +342,10 @@ def _sweep(prop, M, lat, objects) -> list[CheckReport]:
     return reports
 
 
-def _check(prop, ctx, X, name) -> CheckReport:
-    M = ctx.innermost_object(X)
-    lat = enumerate_nsub(cmon_context(), M)
-    marks = tuple(map(lat.index_of_key, X.marks)) if ctx.depth else ()
-    return _sweep(prop, M, lat, [(name, marks)])[0]
+def _check(prop, X, name) -> CheckReport:
+    M, marks = innermost(X)
+    lat = enumerate_nsub(M)
+    return _sweep(prop, M, lat, [(name, tuple(map(lat.index_of_key, marks)))])[0]
 
 
 CHECKS = {
@@ -370,10 +370,9 @@ def run_check(prop: str, X, depth: int = 0, name: str = "object") -> list[CheckR
     each mark once, by the lattice identities of the module docstring, and
     combines them for every object as the checker on it does.
     """
-    cmon = cmon_context()
     if depth <= 0:
-        return [CHECKS[prop](cmon, X, name)]
-    lat = enumerate_nsub(cmon, X)
+        return [CHECKS[prop](X, name)]
+    lat = enumerate_nsub(X)
     labels = [f"|sub={label}" for label in lat.names]
     objects = [
         (name + "".join([labels[k] for k in marks]), marks)

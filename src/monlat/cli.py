@@ -4,8 +4,9 @@ Subcommands: validate, nsub, check, enumerate, paper-examples, all in the
 grammar table ``COMMANDS``. Canonical argv is matched against the table (see
 ``_match``); argparse, built from it, parses any other argv, and it alone
 prints help and usage errors. Exit codes: 0 all pass, 1 property failures
-found, 2 input errors, 3 a broken internal invariant (one ``<input>: internal
-error: <message>`` line on stderr; the command name stands for the input of
+found, 2 input errors, 3 a broken internal invariant or memory running out
+(one ``<input>: internal error: <message>`` line on stderr, the message
+``out of memory`` for the latter; the command name stands for the input of
 enumerate and paper-examples), 141 a stdout closed by its reader. Reports
 are deterministic: identical inputs and flags produce byte-identical output.
 """
@@ -20,7 +21,6 @@ from types import SimpleNamespace
 
 from .census import census_lattices
 from .checks import CHECKS, run_check
-from .context import cmon_context
 from .formats import (
     ParseError,
     emit_lattice_text,
@@ -58,10 +58,12 @@ def _input_error(source: str, exc: Exception) -> int:
     return 2
 
 
-def _internal_error(source: str, exc: RuntimeError) -> int:
+def _internal_error(source: str, exc: Exception) -> int:
     """A broken internal invariant (SesInvariantError, a quotient partition
-    that is not a congruence): never expected, reported in one line."""
-    print(f"{source}: internal error: {exc}", file=sys.stderr)
+    that is not a congruence) or memory running out: never expected,
+    reported in one line."""
+    reason = "out of memory" if isinstance(exc, MemoryError) else exc
+    print(f"{source}: internal error: {reason}", file=sys.stderr)
     return 3
 
 
@@ -74,7 +76,7 @@ def cmd_validate(args, M: FinMonoid, name: str) -> int:
 
 
 def cmd_nsub(args, M: FinMonoid, name: str) -> int:
-    sys.stdout.write(emit_lattice_text(enumerate_nsub(cmon_context(), M)))
+    sys.stdout.write(emit_lattice_text(enumerate_nsub(M)))
     return 0
 
 
@@ -235,7 +237,7 @@ def _main(argv) -> int:
     if not hasattr(args, "input"):
         try:
             return args.fn(args)
-        except RuntimeError as exc:
+        except (RuntimeError, MemoryError) as exc:
             return _internal_error(args.command, exc)
     try:
         M, name = _load(args.input)
@@ -245,7 +247,7 @@ def _main(argv) -> int:
         return args.fn(args, M, name)
     except NotCommutative as exc:  # the command needs a normal-subobject lattice
         return _input_error(args.input, exc)
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         return _internal_error(args.input, exc)
 
 

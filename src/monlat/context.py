@@ -1,13 +1,13 @@
-"""Kernel/cokernel contexts.
+"""Kernel/cokernel contexts, the reference the test oracles build maps with.
 
-A context bundles the operations the scenarios and the test oracles build
-maps with: composition, kernels, cokernels, the two factorization maps,
-normality tests, and enumeration of normal subobjects (the checkers read
-every verdict off the lattice instead). ``cmon_context()`` is the context
-of finite commutative monoids; ``ses_context(ctx)`` is the context of short
-exact sequences one level above ctx, of the same shape, so it can be iterated.
-A sequence of any depth is stored flat, as its innermost monoid and one
-normal member set per level.
+An object is a commutative monoid or a ``SesObject``, a short exact sequence
+of any depth stored flat as its innermost monoid and one normal member set
+per level; the checkers, the lattice and the scenarios take it alone. A
+context bundles composition, kernels, cokernels, the two factorization maps,
+normality tests, and enumeration of normal subobjects. ``cmon_context()`` is
+the context of finite commutative monoids; ``ses_context(ctx)`` the context
+of short exact sequences one level above ctx, of the same shape, so it can
+be iterated.
 
 Contexts are immutable bundles of pure functions over immutable values and
 keep no caches; results are memoized by the cached functions of ``monoid``.
@@ -198,20 +198,23 @@ class SesObject(NamedTuple):
     marks: tuple[frozenset[int], ...]
 
 
-def make_ses(inner, base, sub_mono) -> SesObject:
-    """The short exact sequence over ``base``, an object of ``inner``, whose
-    sub is the normal subobject that ``sub_mono`` names: base's monoid with
-    one more mark. The sub leg is re-checked to be a normal mono and the
-    kernel of its cokernel; a violation raises SesInvariantError."""
-    key = inner.mono_key(sub_mono)
-    sub = inner.subobject_mono(base, key)
-    failure = inner.normal_mono_failure(sub)
-    if failure is not None:
-        raise SesInvariantError(f"sub leg is not a normal mono: {failure}")
-    if inner.mono_key(inner.kernel(inner.cokernel(sub))) != key:
+def innermost(X) -> tuple[FinMonoid, tuple[frozenset[int], ...]]:
+    """An object's innermost monoid and its marks: a monoid has none."""
+    return (X.monoid, X.marks) if isinstance(X, SesObject) else (X, ())
+
+
+def make_ses(base, key) -> SesObject:
+    """The short exact sequence over ``base``, a monoid or a SesObject, whose
+    sub is the one on ``key``, a normal member set of base's innermost
+    monoid M: base with one more mark. The sub leg is re-checked to be a
+    normal mono (its mark squares are pullbacks by construction, so M decides)
+    and the kernel of its cokernel; a violation raises SesInvariantError."""
+    M, marks = innermost(base)
+    if not mn.is_normal_submonoid(M, key)[0]:
+        raise SesInvariantError("sub leg is not a normal mono: image-not-normal")
+    if mn.kernel_subset(mn.cokernel_by_submonoid(M, key)[1]) != key:
         raise SesInvariantError("sub leg is not the kernel of the quotient leg")
-    marks = base.marks if inner.depth else ()
-    return SesObject(inner.innermost_object(base), marks + (key,))
+    return SesObject(M, marks + (key,))
 
 
 @dataclass(frozen=True)

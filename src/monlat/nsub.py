@@ -1,6 +1,6 @@
-"""The lattice of normal subobjects of an object in any context.
+"""The lattice of normal subobjects of an object at any depth.
 
-Every object of the context tower shares the lattice of its innermost
+Every object of the tower shares the lattice of its innermost
 commutative monoid, built once per monoid from inclusion of its normal
 submonoids and returned as that one cached value. A lattice is its join
 and meet tables: a <= b when a v b = b. Every lattice here, that one or a
@@ -19,6 +19,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import monoid as mn
+from .context import innermost
 from .semilattice import down_sets, is_cover, up_sets
 
 
@@ -127,17 +128,16 @@ def _monoid_lattice(M: mn.FinMonoid) -> NSubLattice:
     return _lattice_from_order(up, map(M.render_subset, keys), keys)
 
 
-def enumerate_nsub(ctx, X) -> NSubLattice:
-    """The lattice of normal subobjects of X in ctx.
+def enumerate_nsub(X) -> NSubLattice:
+    """The lattice of normal subobjects of X, a monoid or a SesObject.
 
     At every depth of the tower the normal subobjects of X are those of its
     innermost monoid (keyed by their member sets, in the same order), and
     kernels, cokernels and composites act on the innermost maps, so the
     lattice is the innermost monoid's, one value shared by every object over
-    it. ``ctx.normal_subobject_monos(X)`` lists the subobjects' monos in the
-    lattice's order.
+    it.
     """
-    return _monoid_lattice(ctx.innermost_object(X))
+    return _monoid_lattice(innermost(X)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checks import diexact_check, dpn_check, third_iso_check
-from .context import antinormal_composite, cmon_context, make_ses, ses_context
-from .monoid import FinMonoid, cokernel_by_submonoid
+from .context import make_ses
+from .monoid import FinMonoid, cokernel_by_submonoid, compose, inclusion_hom
 from .nsub import enumerate_nsub, is_distributive, is_modular
 from .semilattice import klein_four, pentagon, principal_downset, six_lattice
 
@@ -43,20 +43,19 @@ def scenario_pentagon_dpn() -> ScenarioResult:
     Z >-> X ->> X/Y is an isomorphism while its dinverse collapses B and C."""
     name = "pentagon-dpn"
     L = pentagon()
-    ctx = cmon_context()
     down_b = _subset_key(L, "0", "C", "B")
     down_d = _subset_key(L, "0", "D")
 
-    report = dpn_check(ctx, L, "N5")
+    report = dpn_check(L, "N5")
     if report.passed:
         return ScenarioResult(name, False, "step dpn-verdict: expected failure, got pass")
     if not any(w.keys == (down_b, down_d) for w in report.witnesses):
         return ScenarioResult(name, False, "step dpn-witness: pair (downB,downD) not reported")
 
-    alpha = antinormal_composite(ctx, L, down_d, down_b)  # downD -> X/downB
+    alpha = compose(cokernel_by_submonoid(L, down_b)[1], inclusion_hom(L, down_d))
     if not alpha.is_bijective():
         return ScenarioResult(name, False, "step alpha: expected an isomorphism")
-    beta = antinormal_composite(ctx, L, down_b, down_d)  # downB -> X/downD
+    beta = compose(cokernel_by_submonoid(L, down_d)[1], inclusion_hom(L, down_b))
     if beta.mapping != (0, 1, 1):
         return ScenarioResult(name, False, f"step beta: image table {beta.mapping} != (0,1,1)")
     cls_of_a = beta.cod.label(1)
@@ -106,10 +105,8 @@ def scenario_pentagon_ses_third_iso(ses_depth: int = 1) -> ScenarioResult:
     if ses_depth < 1:
         return ScenarioResult(name, False, "needs ses depth >= 1", skipped=True)
     L = pentagon()
-    inner = cmon_context()
-    ctx = ses_context(inner)
-    S = make_ses(inner, L, inner.subobject_mono(L, _subset_key(L, "0", "D")))
-    report = third_iso_check(ctx, S, "N5|sub={0,D}")
+    S = make_ses(L, _subset_key(L, "0", "D"))
+    report = third_iso_check(S, "N5|sub={0,D}")
     if report.passed:
         return ScenarioResult(name, False, "step verdict: expected failure, got pass")
     want = (_subset_key(L, "0", "C"), _subset_key(L, "0", "C", "B"))
@@ -127,21 +124,18 @@ def scenario_klein_four_ses_diexact(ses_depth: int = 1) -> ScenarioResult:
     up, on (V4, G) with the antinormal pair built from H and K."""
     name = "klein-four-ses-diexact"
     V = klein_four()
-    inner = cmon_context()
-    base = diexact_check(inner, V, "V4")
+    base = diexact_check(V, "V4")
     if not base.passed:
         return ScenarioResult(name, False, "step depth-0: expected pass")
-    lat = enumerate_nsub(inner, V)
+    lat = enumerate_nsub(V)
     modular, _ = is_modular(lat)
     distributive, witness = is_distributive(lat)
     if not modular or distributive or witness.kind != "diamond":
         return ScenarioResult(name, False, "step lattice: expected a diamond")
     if ses_depth < 1:
         return ScenarioResult(name, False, "needs ses depth >= 1", skipped=True)
-    ctx = ses_context(inner)
-    g_key = _subset_key(V, "0", "g")
-    S = make_ses(inner, V, inner.subobject_mono(V, g_key))
-    report = diexact_check(ctx, S, "V4|sub={0,g}")
+    S = make_ses(V, _subset_key(V, "0", "g"))
+    report = diexact_check(S, "V4|sub={0,g}")
     if report.passed:
         return ScenarioResult(name, False, "step depth-1: expected failure, got pass")
     h_key, k_key = _subset_key(V, "0", "h"), _subset_key(V, "0", "k")

@@ -114,8 +114,8 @@ def phi_psi(ctx, x_mono) -> GaloisReport:
     x_key = ctx.mono_key(x_mono)
     q = ctx.cokernel(x_mono)
     Q = ctx.cod(q)
-    lat_y = enumerate_nsub(ctx, Y)
-    lat_q = enumerate_nsub(ctx, Q)
+    lat_y = enumerate_nsub(Y)
+    lat_q = enumerate_nsub(Q)
     monos_y, monos_q = ctx.normal_subobject_monos(Y), ctx.normal_subobject_monos(Q)
     x_idx = lat_y.index_of_key(x_key)
     upper = [i for i in range(lat_y.size) if lat_y.join[x_idx][i] == i]

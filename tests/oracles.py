@@ -487,7 +487,7 @@ def objects_at_depth(X, depth: int, name: str):
         up = ses_context(ctx)
         for m in ctx.normal_subobject_monos(obj):
             label = ctx.render_key(obj, ctx.mono_key(m))
-            yield from over(up, make_ses(ctx, obj, m), f"{nm}|sub={label}", levels - 1)
+            yield from over(up, make_ses(obj, ctx.mono_key(m)), f"{nm}|sub={label}", levels - 1)
 
     yield from over(cmon_context(), X, name, depth)
 
@@ -1241,7 +1241,7 @@ def categorical_check(prop, ctx, X, name="object") -> CheckReport:
     from the maps themselves in ctx: the flat or the nested context, at any
     depth (stability at depth 0 only). The package reads the same verdicts
     off lattice identities."""
-    lat = enumerate_nsub(ctx, X)
+    lat = enumerate_nsub(ctx.innermost_object(X))
     _, _, witnesses, count_cases, combine = _RULES[prop]
     found = tuple(witnesses(lat, combine([CATEGORICAL_FAILURES[prop](ctx, X, lat)])))
     return CheckReport(prop, name, ctx.depth, not found, found, count_cases(lat))
@@ -1258,9 +1258,9 @@ def second_iso_disagreements(ctx, X, name="object") -> list[str]:
     canonical comparison Y/(Y^Z) -> (YvZ)/Z is an isomorphism, (ii) the
     composite f: Y >-> YvZ ->> (YvZ)/Z is a normal map, (iii) f is a normal
     epi."""
-    lat = enumerate_nsub(ctx, X)
+    lat = enumerate_nsub(X)
     monos = ctx.normal_subobject_monos(X)
-    report = second_iso_check(ctx, X, name)
+    report = second_iso_check(X, name)
     primal_failures = {w.keys for w in report.witnesses if "primal" in w.note}
     out = []
     for iy, iz in product(range(lat.size), repeat=2):
@@ -1281,13 +1281,13 @@ def second_iso_disagreements(ctx, X, name="object") -> list[str]:
     return out
 
 
-def diexact_disagreement(ctx, X, name="object") -> str | None:
+def diexact_disagreement(X, name="object") -> str | None:
     """None when ``diexact_check`` agrees with the decomposition
     "di-exact = third isomorphism property + second isomorphism property"
     on X, else a description of the difference."""
-    diexact = diexact_check(ctx, X, name).passed
-    third = third_iso_check(ctx, X, name).passed
-    second = second_iso_check(ctx, X, name).passed
+    diexact = diexact_check(X, name).passed
+    third = third_iso_check(X, name).passed
+    second = second_iso_check(X, name).passed
     if diexact == (third and second):
         return None
     return f"{name}: diexact={diexact} third={third} second={second}"
@@ -1301,7 +1301,7 @@ def antinormal_failures_by_pairs(ctx, X) -> list[list[str | None]]:
     """The antinormal table of X built pair by pair: each composite
     Y >-> X ->> X/Z is rebuilt from the subobject keys and decomposed in
     full, zero maps included."""
-    lat = enumerate_nsub(ctx, X)
+    lat = enumerate_nsub(X)
     table = []
     for iy in range(lat.size):
         row = []
@@ -1316,7 +1316,7 @@ def antinormal_failures_by_pairs(ctx, X) -> list[list[str | None]]:
 
 def pairwise_dpn_check(ctx, X, name="object") -> CheckReport:
     """``dpn_check`` deciding both composites of every ordered pair afresh."""
-    lat = enumerate_nsub(ctx, X)
+    lat = enumerate_nsub(X)
     witnesses = []
     cases = 0
     for iy in range(lat.size):
@@ -1339,7 +1339,7 @@ def pairwise_dpn_check(ctx, X, name="object") -> CheckReport:
 
 def pairwise_diexact_check(ctx, X, name="object") -> CheckReport:
     """``diexact_check`` decomposing every antinormal composite afresh."""
-    lat = enumerate_nsub(ctx, X)
+    lat = enumerate_nsub(X)
     witnesses = []
     cases = 0
     for iy in range(lat.size):

@@ -53,7 +53,7 @@ def test_criterion_01_pentagon_dpn_witness(N5, cmon):
     # dpn fails with witness pair (downB, downD); downD -> up(B) is an iso
     # and downB -> up(D) maps 0, C, B to exactly (class-of-0, A, A)
     result = scenario_pentagon_dpn()
-    report = dpn_check(cmon, N5, "N5")
+    report = dpn_check(N5, "N5")
     beta = antinormal_composite(cmon, N5, down(N5, "B"), down(N5, "D"))
     ok = (
         result.ok
@@ -79,10 +79,10 @@ def test_criterion_02_six_lattice_quotient(L6):
     _announce(2, ok, result.detail)
 
 
-def test_criterion_03_ses_third_iso_failure(N5, cmon, ses1):
+def test_criterion_03_ses_third_iso_failure(N5):
     result = scenario_pentagon_ses_third_iso()
-    S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
-    report = third_iso_check(ses1, S, "N5|sub={0,D}")
+    S = make_ses(N5, down(N5, "D"))
+    report = third_iso_check(S, "N5|sub={0,D}")
     witness = next(
         (w for w in report.witnesses if w.keys == (down(N5, "C"), down(N5, "B"))), None
     )
@@ -95,12 +95,12 @@ def test_criterion_03_ses_third_iso_failure(N5, cmon, ses1):
     _announce(3, ok, result.detail)
 
 
-def test_criterion_04_klein_four_diexact_story(V4, cmon, ses1):
+def test_criterion_04_klein_four_diexact_story(V4):
     result = scenario_klein_four_ses_diexact()
-    base = diexact_check(cmon, V4, "V4")
-    S = make_ses(cmon, V4, cmon.subobject_mono(V4, frozenset({0, 1})))
-    lifted = diexact_check(ses1, S, "V4|sub={0,g}")
-    lat = enumerate_nsub(cmon, V4)
+    base = diexact_check(V4, "V4")
+    S = make_ses(V4, frozenset({0, 1}))
+    lifted = diexact_check(S, "V4|sub={0,g}")
+    lat = enumerate_nsub(V4)
     modular, _ = is_modular(lat)
     distributive, witness = is_distributive(lat)
     ok = (
@@ -118,22 +118,22 @@ def test_criterion_04_klein_four_diexact_story(V4, cmon, ses1):
     _announce(4, ok, result.detail)
 
 
-def test_criterion_05_separation_chain(N5, V4, cmon, ses1):
+def test_criterion_05_separation_chain(N5, V4):
     # z-exact > HSD: pentagon at ses depth 1
-    S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
-    hsd_gap = not third_iso_check(ses1, S, "S").passed
+    S = make_ses(N5, down(N5, "D"))
+    hsd_gap = not third_iso_check(S, "S").passed
     # HSD > DPN: pentagon at depth 0
     dpn_gap = (
-        third_iso_check(cmon, N5, "N5").passed and not dpn_check(cmon, N5, "N5").passed
+        third_iso_check(N5, "N5").passed and not dpn_check(N5, "N5").passed
     )
     # DPN > di-exact: Klein four-group at depth 1, with DPN passing on every
     # ses object over it
     dpn_all = all(
-        dpn_check(ctx, obj, nm).passed
+        dpn_check(obj, nm).passed
         for ctx, obj, nm in objects_at_depth(V4, 1, "V4")
     )
     diexact_gap = any(
-        not diexact_check(ctx, obj, nm).passed
+        not diexact_check(obj, nm).passed
         for ctx, obj, nm in objects_at_depth(V4, 1, "V4")
     )
     ok = hsd_gap and dpn_gap and dpn_all and diexact_gap
@@ -194,7 +194,7 @@ def test_criterion_08_nsub_transfer_across_depths(commutative_fixtures):
         for depth in (1, 2, 3):
             for ctx, S, nm in objects_at_depth(L, depth, name):
                 objects += 1
-                lat_s = enumerate_nsub(ctx, S)
+                lat_s = enumerate_nsub(S)
                 cat_s = reference(ctx, S)
                 base = SesObject(S.monoid, S.marks[:-1]) if depth > 1 else S.monoid
                 cat_b = reference(ctx.inner, base)
@@ -221,7 +221,7 @@ def test_criterion_09_formulation_equivalences(commutative_fixtures):
     def compare(ctx, X, name):
         nonlocal checked
         disagreements.extend(second_iso_disagreements(ctx, X, name))
-        found = diexact_disagreement(ctx, X, name)
+        found = diexact_disagreement(X, name)
         if found is not None:
             disagreements.append(found)
         checked += 1
@@ -245,7 +245,7 @@ def test_criterion_10_regular_case_properties(cmon, commutative_fixtures):
     # every cokernel along every normal mono into its quotient
     stability_ok = True
     for name, L in commutative_fixtures.items():
-        report = pullback_stability_check(cmon, L, name)
+        report = pullback_stability_check(L, name)
         stability_ok &= report.passed and report == categorical_check("stability", cmon, L, name)
     galois_ok = True
     monos = 0
@@ -266,7 +266,7 @@ def test_criterion_11_localized_modularity_search(cmon):
         nonmodular += 1
         members = subquotient_closure(cmon, L)
         if not any(
-            not diexact_check(cmon, member, "member").passed
+            not diexact_check(member, "member").passed
             for member in members
         ):
             exceptions.append(L.table)

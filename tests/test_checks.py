@@ -1,3 +1,5 @@
+import contextlib
+import io
 from collections import Counter
 from itertools import product
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monlat import checks
+from monlat import checks, cli
 from monlat.census import lattices_of_size
 from monlat.checks import (
     CHECKS,
@@ -105,30 +107,30 @@ SWEEP_CASES = _sweep_cases()
 
 
 class TestThirdIso:
-    def test_passes_on_all_cmon_fixtures(self, cmon, commutative_fixtures):
+    def test_passes_on_all_cmon_fixtures(self, commutative_fixtures):
         for name, L in commutative_fixtures.items():
-            report = third_iso_check(cmon, L, name)
+            report = third_iso_check(L, name)
             assert report.passed, report.witnesses
 
-    def test_fails_at_ses_level_on_pentagon(self, cmon, ses1, N5):
-        S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
-        report = third_iso_check(ses1, S, "N5|sub={0,D}")
+    def test_fails_at_ses_level_on_pentagon(self, N5):
+        S = make_ses(N5, down(N5, "D"))
+        report = third_iso_check(S, "N5|sub={0,D}")
         assert not report.passed
         assert len(report.witnesses) == 1
         w = report.witnesses[0]
         assert w.keys == (down(N5, "C"), down(N5, "B"))
         assert w.note == "left-square-not-pullback"
 
-    def test_degenerate_pairs_pass(self, cmon, ses1, N5):
+    def test_degenerate_pairs_pass(self, N5):
         # X = Y contributes an identity quotient comparison and never fails
-        S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
-        report = third_iso_check(ses1, S, "S")
+        S = make_ses(N5, down(N5, "D"))
+        report = third_iso_check(S, "S")
         degenerate = [w for w in report.witnesses if w.keys[0] == w.keys[1]]
         assert not degenerate
 
-    def test_witness_replay(self, cmon, ses1, N5):
-        S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
-        report = third_iso_check(ses1, S, "S")
+    def test_witness_replay(self, ses1, N5):
+        S = make_ses(N5, down(N5, "D"))
+        report = third_iso_check(S, "S")
         for w in report.witnesses:
             x = ses1.subobject_mono(S, w.keys[0])
             y = ses1.subobject_mono(S, w.keys[1])
@@ -164,8 +166,8 @@ def _second_iso_witness_sets(report):
 
 
 class TestSecondIso:
-    def test_pentagon_fails_on_expected_pair(self, cmon, N5):
-        report = second_iso_check(cmon, N5, "N5")
+    def test_pentagon_fails_on_expected_pair(self, N5):
+        report = second_iso_check(N5, "N5")
         assert not report.passed
         keys = {w.keys for w in report.witnesses}
         assert (down(N5, "B"), down(N5, "D")) in keys
@@ -181,16 +183,16 @@ class TestSecondIso:
         q2, _ = cokernel_by_submonoid(N5, down(N5, "D"))
         assert (q1.size, q2.size) == (3, 2)
 
-    def test_klein_four_passes(self, cmon, V4):
-        report = second_iso_check(cmon, V4, "V4")
+    def test_klein_four_passes(self, V4):
+        report = second_iso_check(V4, "V4")
         assert report.passed
 
-    def test_nested_pairs_never_fail(self, cmon, commutative_fixtures):
+    def test_nested_pairs_never_fail(self, commutative_fixtures):
         from monlat.nsub import enumerate_nsub
 
         for L in commutative_fixtures.values():
-            lat = enumerate_nsub(cmon, L)
-            report = second_iso_check(cmon, L, "L")
+            lat = enumerate_nsub(L)
+            report = second_iso_check(L, "L")
             for w in report.witnesses:
                 iy = lat.index_of_key(w.keys[0])
                 iz = lat.index_of_key(w.keys[1])
@@ -209,7 +211,7 @@ class TestSecondIso:
         hexagon = semilattice_from_covers(
             CoverGraph(6, ((0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)))
         )
-        lat = enumerate_nsub(cmon, hexagon)
+        lat = enumerate_nsub(hexagon)
         monos = cmon.normal_subobject_monos(hexagon)
         iy = lat.index_of_key(frozenset({0, 1, 3}))
         iz = lat.index_of_key(frozenset({0, 2}))
@@ -222,14 +224,14 @@ class TestSecondIso:
             qb, cmon.compose(qa, restrict_mono(cmon, y, j))
         )
         assert not u.is_bijective()  # but not via the canonical comparison
-        report = second_iso_check(cmon, hexagon, "hexagon")
+        report = second_iso_check(hexagon, "hexagon")
         assert any(w.keys == (lat.keys[iy], lat.keys[iz]) for w in report.witnesses)
 
-    def test_dual_failures_mirror_primal_on_swapped_pairs(self, cmon, N5):
+    def test_dual_failures_mirror_primal_on_swapped_pairs(self, N5):
         # with the third isomorphism property available, the dual kernel
         # comparison for (Y, Z) is the primal comparison for (Z, Y); the
         # witness sets must be swaps of each other
-        primal, dual = _second_iso_witness_sets(second_iso_check(cmon, N5, "N5"))
+        primal, dual = _second_iso_witness_sets(second_iso_check(N5, "N5"))
         assert primal and dual
         assert {(b, a) for a, b in primal} == dual
 
@@ -239,19 +241,19 @@ class TestSecondIso:
         # swapped primal ones, so the dual half of the sweep is not redundant
         objects = objects_at_depth(lattices_of_size(6)[6], 1, "c6_6")
         ctx, S, nm = next(o for o in objects if o[2] == "c6_6|sub={0,4}")
-        primal, dual = _second_iso_witness_sets(second_iso_check(ctx, S, nm))
+        primal, dual = _second_iso_witness_sets(second_iso_check(S, nm))
         assert dual != {(b, a) for a, b in primal}
-        assert not third_iso_check(ctx, S, nm).passed
+        assert not third_iso_check(S, nm).passed
 
     def test_dual_failures_mirror_primal_wherever_third_iso_holds(self):
         checked = 0
         for size in (5, 6):
             for i, L in enumerate(lattices_of_size(size)):
                 for ctx, S, nm in objects_at_depth(L, 1, f"c{size}_{i}"):
-                    if not third_iso_check(ctx, S, nm).passed:
+                    if not third_iso_check(S, nm).passed:
                         continue
                     checked += 1
-                    primal, dual = _second_iso_witness_sets(second_iso_check(ctx, S, nm))
+                    primal, dual = _second_iso_witness_sets(second_iso_check(S, nm))
                     assert dual == {(b, a) for a, b in primal}, nm
         assert checked
 
@@ -264,21 +266,21 @@ class TestSecondIso:
 
 
 class TestDpn:
-    def test_pentagon_witness(self, cmon, N5):
-        report = dpn_check(cmon, N5, "N5")
+    def test_pentagon_witness(self, N5):
+        report = dpn_check(N5, "N5")
         assert not report.passed
         assert any(w.keys == (down(N5, "B"), down(N5, "D")) for w in report.witnesses)
 
-    def test_diagonal_pairs_consistent(self, cmon, N5):
-        report = dpn_check(cmon, N5, "N5")
+    def test_diagonal_pairs_consistent(self, N5):
+        report = dpn_check(N5, "N5")
         assert all(w.keys[0] != w.keys[1] for w in report.witnesses)
 
-    def test_klein_four_passes_all_pairs(self, cmon, V4):
-        report = dpn_check(cmon, V4, "V4")
+    def test_klein_four_passes_all_pairs(self, V4):
+        report = dpn_check(V4, "V4")
         assert report.passed and report.cases == 25
 
     def test_witness_replay(self, cmon, N5):
-        report = dpn_check(cmon, N5, "N5")
+        report = dpn_check(N5, "N5")
         for w in report.witnesses:
             alpha = antinormal_composite(cmon, N5, w.keys[1], w.keys[0])
             beta = antinormal_composite(cmon, N5, w.keys[0], w.keys[1])
@@ -286,7 +288,7 @@ class TestDpn:
 
     def test_passes_on_all_ses_objects_over_klein_four(self, cmon, V4):
         for ctx, S, nm in objects_at_depth(V4, 1, "V4"):
-            assert dpn_check(ctx, S, nm).passed
+            assert dpn_check(S, nm).passed
 
 
 class TestAntinormalTable:
@@ -299,7 +301,7 @@ class TestAntinormalTable:
         # one table serves dpn and diexact; the reference rebuilds every
         # composite, decomposes zero maps too and decides dpn twice per pair
         for ctx, X, nm in objects_at_depth(base, depth, name):
-            lat = enumerate_nsub(ctx, X)
+            lat = enumerate_nsub(X)
             reference = antinormal_failures_by_pairs(ctx, X)
             failing = _failing_pairs(reference)
             if ctx.depth:
@@ -311,14 +313,14 @@ class TestAntinormalTable:
                 for iz in range(lat.size):
                     if lat.join[iy][iz] == iz:
                         assert reference[iy][iz] is None, (nm, iy, iz)
-            assert dpn_check(ctx, X, nm) == pairwise_dpn_check(ctx, X, nm)
-            assert diexact_check(ctx, X, nm) == pairwise_diexact_check(ctx, X, nm)
+            assert dpn_check(X, nm) == pairwise_dpn_check(ctx, X, nm)
+            assert diexact_check(X, nm) == pairwise_diexact_check(ctx, X, nm)
 
-    def test_census_meets_both_reasons(self, cmon):
+    def test_census_meets_both_reasons(self):
         reasons = Counter(
             reason
             for _, L in CENSUS_CASES
-            for reason in _antinormal_failures(L, enumerate_nsub(cmon, L)).values()
+            for reason in _antinormal_failures(L, enumerate_nsub(L)).values()
         )
         assert reasons == {"induced map not injective": 114, "induced map not surjective": 96}
 
@@ -327,31 +329,31 @@ class TestAntinormalTable:
     def test_class_counts_on_products_and_quotients(self, M):
         cmon = cmon_context()
         reference = _failing_pairs(antinormal_failures_by_pairs(cmon, M))
-        assert _antinormal_failures(M, enumerate_nsub(cmon, M)) == reference
+        assert _antinormal_failures(M, enumerate_nsub(M)) == reference
 
 
 class TestDiexact:
-    def test_pentagon_fails(self, cmon, N5):
-        report = diexact_check(cmon, N5, "N5")
+    def test_pentagon_fails(self, N5):
+        report = diexact_check(N5, "N5")
         assert not report.passed
         assert any(w.keys == (down(N5, "B"), down(N5, "D")) for w in report.witnesses)
 
-    def test_klein_four_passes(self, cmon, V4):
-        assert diexact_check(cmon, V4, "V4").passed
+    def test_klein_four_passes(self, V4):
+        assert diexact_check(V4, "V4").passed
 
-    def test_chains_pass(self, cmon, commutative_fixtures):
+    def test_chains_pass(self, commutative_fixtures):
         for name in ("chain2", "chain3", "chain4"):
-            assert diexact_check(cmon, commutative_fixtures[name], name).passed
+            assert diexact_check(commutative_fixtures[name], name).passed
 
     def test_cross_check_runs_everywhere(self, cmon, commutative_fixtures):
         # di-exact = third iso + second iso, on every fixture
         for name, L in commutative_fixtures.items():
-            assert diexact_disagreement(cmon, L, name) is None
+            assert diexact_disagreement(L, name) is None
 
     def test_ses_level_cross_check(self, cmon, N5, V4):
         for base, name in ((N5, "N5"), (V4, "V4")):
             for ctx, S, nm in objects_at_depth(base, 1, name):
-                assert diexact_disagreement(ctx, S, nm) is None
+                assert diexact_disagreement(S, nm) is None
 
 
 class TestDiextensionGrid:
@@ -378,7 +380,7 @@ class TestDiextensionGrid:
         from monlat.nsub import enumerate_nsub
 
         for L in (commutative_fixtures["N5"], commutative_fixtures["V4"], commutative_fixtures["bool2"]):
-            lat = enumerate_nsub(cmon, L)
+            lat = enumerate_nsub(L)
             for iy in range(lat.size):
                 for iz in range(lat.size):
                     y_key, z_key = lat.keys[iy], lat.keys[iz]
@@ -404,16 +406,16 @@ STABILITY_CASES = _stability_cases()
 
 
 class TestPullbackStability:
-    def test_all_fixtures_pass(self, cmon, commutative_fixtures):
+    def test_all_fixtures_pass(self, commutative_fixtures):
         for name, L in commutative_fixtures.items():
-            report = pullback_stability_check(cmon, L, name)
+            report = pullback_stability_check(L, name)
             assert report.passed and report.cases > 0
 
     @pytest.mark.parametrize("name, M", STABILITY_CASES, ids=[name for name, _ in STABILITY_CASES])
     def test_reports_match_the_categorical_check(self, cmon, name, M):
         reference = categorical_check("stability", cmon, M, name)
         assert run_check("stability", M, 0, name) == [reference]
-        assert pullback_stability_check(cmon, M, name) == reference
+        assert pullback_stability_check(M, name) == reference
         # one case per normal subobject of each quotient of M
         quotients = [cmon.cod(cmon.cokernel(m)) for m in cmon.normal_subobject_monos(M)]
         assert reference.cases == sum(len(cmon.normal_subobject_monos(Q)) for Q in quotients)
@@ -426,19 +428,19 @@ class TestPullbackStability:
             monkeypatch.setattr(CmonContext, op, refuse)
         enumerated = []
 
-        def recording(ctx, X):
+        def recording(X):
             enumerated.append(X)
-            return enumerate_nsub(ctx, X)
+            return enumerate_nsub(X)
 
         monkeypatch.setattr(checks, "enumerate_nsub", recording)
         for M, name in ((N5, "N5"), (V4, "V4"), (L6, "L6"), (truncated_monoid(4), "trunc4")):
             assert run_check("stability", M, 0, name)[0].passed
         assert enumerated == [N5, V4, L6, truncated_monoid(4)]
 
-    def test_depth_one_object_raises_as_run_check_does(self, cmon, ses1, N5):
-        S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
+    def test_depth_one_object_raises_as_run_check_does(self, N5):
+        S = make_ses(N5, down(N5, "D"))
         with pytest.raises(ValueError) as checker:
-            pullback_stability_check(ses1, S, "N5|sub={0,D}")
+            pullback_stability_check(S, "N5|sub={0,D}")
         with pytest.raises(ValueError) as sweep:
             run_check("stability", N5, 1, "N5")
         assert str(checker.value) == str(sweep.value) == (
@@ -454,29 +456,29 @@ class TestTransferInstances:
             L = commutative_fixtures[name]
             for depth in (1, 2, 3):
                 for ctx, S, nm in objects_at_depth(L, depth, name):
-                    assert third_iso_check(ctx, S, nm).passed
+                    assert third_iso_check(S, nm).passed
 
     def test_klein_four_subquotients_all_locally_diexact(self, cmon, V4):
         for member in subquotient_closure(cmon, V4):
-            assert diexact_check(cmon, member, "member").passed
+            assert diexact_check(member, "member").passed
 
-    def test_diamond_semilattice_mirrors_the_group_story(self, cmon, M3):
+    def test_diamond_semilattice_mirrors_the_group_story(self, M3):
         # the five-element diamond of idempotents behaves like the Klein
         # four-group one level up: dinversion still preserves normal maps on
         # every short exact sequence over it, while local di-exactness fails
         # on the three middle lifts
-        assert diexact_check(cmon, M3, "M3").passed
+        assert diexact_check(M3, "M3").passed
         verdicts = []
         for ctx, S, nm in objects_at_depth(M3, 1, "M3"):
-            assert dpn_check(ctx, S, nm).passed
-            verdicts.append(diexact_check(ctx, S, nm).passed)
+            assert dpn_check(S, nm).passed
+            verdicts.append(diexact_check(S, nm).passed)
         assert verdicts == [True, False, False, False, True]
 
     def test_ses_serialization(self, cmon, ses1, N5):
         # the sub of a nested ses renders by its innermost members
-        S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
+        S = make_ses(N5, down(N5, "D"))
         assert cmon.render_key(N5, S.marks[-1]) == "{0,D}"
-        S2 = make_ses(ses1, S, ses1.subobject_mono(S, down(N5, "C")))
+        S2 = make_ses(S, down(N5, "C"))
         assert ses1.render_key(S, S2.marks[-1]) == "{0,C}"
 
 
@@ -515,7 +517,7 @@ class TestSweepFromMarkTables:
             check = CHECKS[prop]
             reference = [categorical_check(prop, ctx, X, nm) for ctx, X, nm in objects]
             assert run_check(prop, base, depth, name) == reference, prop
-            assert [check(ctx, X, nm) for ctx, X, nm in objects] == reference, prop
+            assert [check(X, nm) for _, X, nm in objects] == reference, prop
 
     @given(
         case=st.sampled_from(CENSUS_CASES).flatmap(
@@ -523,7 +525,7 @@ class TestSweepFromMarkTables:
                 st.just(case),
                 st.integers(2, 3).flatmap(
                     lambda depth: st.lists(
-                        st.integers(0, len(enumerate_nsub(cmon_context(), case[1]).keys) - 1),
+                        st.integers(0, len(enumerate_nsub(case[1]).keys) - 1),
                         min_size=depth,
                         max_size=depth,
                     )
@@ -538,8 +540,8 @@ class TestSweepFromMarkTables:
         for k in marks:
             m = ctx.normal_subobject_monos(X)[k]
             nm += f"|sub={ctx.render_key(X, ctx.mono_key(m))}"
-            X, ctx = make_ses(ctx, X, m), ses_context(ctx)
-        n = enumerate_nsub(ctx, X).size
+            X, ctx = make_ses(X, ctx.mono_key(m)), ses_context(ctx)
+        n = enumerate_nsub(X).size
         position = sum(k * n ** (len(marks) - 1 - i) for i, k in enumerate(marks))
         for prop in ("hsd", "secondiso", "dpn", "diexact"):
             report = run_check(prop, L, len(marks), name)[position]
@@ -601,14 +603,14 @@ class TestLatticeCharacterizations:
     """At depth 1 the ses verdicts are lattice properties of the input's
     normal submonoids."""
 
-    def test_hsd_holds_at_depth_one_iff_modular(self, cmon):
+    def test_hsd_holds_at_depth_one_iff_modular(self):
         for name, M in CHARACTERIZATION_CASES:
-            modular, _ = is_modular(enumerate_nsub(cmon, M))
+            modular, _ = is_modular(enumerate_nsub(M))
             assert all(r.passed for r in run_check("hsd", M, 1, name)) == modular, name
 
-    def test_diexact_holds_at_depth_one_iff_diexact_and_distributive(self, cmon):
+    def test_diexact_holds_at_depth_one_iff_diexact_and_distributive(self):
         for name, M in CHARACTERIZATION_CASES:
-            distributive, _ = is_distributive(enumerate_nsub(cmon, M))
+            distributive, _ = is_distributive(enumerate_nsub(M))
             expected = run_check("diexact", M, 0, name)[0].passed and distributive
             assert all(r.passed for r in run_check("diexact", M, 1, name)) == expected, name
 
@@ -619,11 +621,11 @@ class TestMixedMonoids:
 
     @pytest.mark.parametrize("name, M", MIXED_CASES, ids=[name for name, _ in MIXED_CASES])
     def test_categorical_hsd_table_is_empty_at_depth_zero(self, cmon, name, M):
-        assert hsd_failures(cmon, M, enumerate_nsub(cmon, M)) == {}
+        assert hsd_failures(cmon, M, enumerate_nsub(M)) == {}
 
     @pytest.mark.parametrize("name, M", MIXED_CASES, ids=[name for name, _ in MIXED_CASES])
     def test_categorical_secondiso_table_is_antinormal_and_transpose(self, cmon, name, M):
-        lat = enumerate_nsub(cmon, M)
+        lat = enumerate_nsub(M)
         antinormal = _antinormal_failures(M, lat)
         expected = {}
         for y, z in product(range(lat.size), repeat=2):
@@ -645,7 +647,7 @@ CMON_MAP_OPERATIONS = (
 
 
 class TestNoSesOperations:
-    def test_checks_and_scenarios_build_no_ses_map(self, cmon, monkeypatch, N5, V4):
+    def test_checks_and_scenarios_build_no_ses_map(self, monkeypatch, N5, V4):
         # every ses verdict is read off the lattice of the innermost monoid
         def refuse(*args):
             raise AssertionError("a SesContext operation was called")
@@ -653,13 +655,33 @@ class TestNoSesOperations:
         for op in SES_OPERATIONS:
             monkeypatch.setattr(SesContext, op, refuse)
         for M, name in ((N5, "N5"), (V4, "V4")):
-            n = enumerate_nsub(cmon, M).size
+            n = enumerate_nsub(M).size
             for prop in EVERY_DEPTH:
                 for depth in (1, 2, 3):
                     assert len(run_check(prop, M, depth, name)) == n**depth
         assert all(result.ok for result in run_reference_scenarios(2))
 
-    def test_checks_build_no_monoid_map(self, cmon, monkeypatch, N5, V4, L6):
+    def test_package_calls_no_context(self, monkeypatch, N5, V4):
+        # the checkers, the lattice, the sweeps, the scenarios and the CLI
+        # take an object alone, so no operation of a context runs
+        def refuse(*args):
+            raise AssertionError("a context operation was called")
+
+        for cls in (CmonContext, SesContext):
+            for op, fn in list(vars(cls).items()):
+                if callable(fn) and not op.startswith("_"):
+                    monkeypatch.setattr(cls, op, refuse)
+        S = make_ses(make_ses(N5, down(N5, "D")), down(N5, "C"))
+        for prop, check in CHECKS.items():
+            for X in (N5, V4) + ((S,) if prop != "stability" else ()):
+                assert check(X).cases and enumerate_nsub(X).size
+        for prop in EVERY_DEPTH:
+            assert len(run_check(prop, V4, 2, "V4")) == 25
+        assert all(result.ok for result in run_reference_scenarios(2))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["nsub", "N5"]) == 0
+
+    def test_checks_build_no_monoid_map(self, monkeypatch, N5, V4, L6):
         # the depth-0 antinormal table counts cokernel classes: no check
         # composes, factors or decomposes a map of monoids; and the lattice's
         # keys are normal submonoids by construction, so no sweep rebuilds
@@ -673,7 +695,7 @@ class TestNoSesOperations:
         for op in CMON_MAP_OPERATIONS + rebuilt:
             monkeypatch.setattr(CmonContext, op, refuse)
         for M, name in ((N5, "N5"), (V4, "V4"), (L6, "L6"), (truncated_monoid(4), "trunc4")):
-            n = enumerate_nsub(cmon, M).size
+            n = enumerate_nsub(M).size
             for prop in ("hsd", "secondiso", "dpn", "diexact"):
                 for depth in (0, 1, 2):
                     assert len(run_check(prop, M, depth, name)) == n**depth

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monlat import census, cli, nsub
+from monlat import census, cli, monoid, nsub
 from monlat.cli import CLOSED_PIPE, main
-from monlat.context import CmonContext
 from monlat.formats import emit_monoid_text, emit_semilattice_text
+from monlat.semilattice import klein_four, pentagon, six_lattice
 
-from conftest import abelian_group
+from conftest import abelian_group, truncated_monoid
 
 
 @pytest.fixture()
@@ -360,12 +360,28 @@ class TestInternalError:
     def test_exits_three_with_one_line(self, capsys, monkeypatch):
         # the scenarios build their sequences through make_ses, which
         # re-checks that every sub leg it is given is a normal mono; a
-        # recognizer that rejects them all breaks that invariant
-        monkeypatch.setattr(CmonContext, "normal_mono_failure", lambda self, f: "not-injective")
+        # recognizer that rejects every submonoid breaks that invariant
+        monkeypatch.setattr(monoid, "is_normal_submonoid", lambda M, members: (False, None))
         code, out, err = run(capsys, "paper-examples", "--ses-depth", "1")
         assert code == 3
         assert out == ""
-        assert err == "paper-examples: internal error: sub leg is not a normal mono: not-injective\n"
+        assert err == "paper-examples: internal error: sub leg is not a normal mono: image-not-normal\n"
+
+    @pytest.mark.parametrize(
+        "patched, argv, source",
+        [
+            ("run_check", ("check", "--property", "dpn", "--ses-depth", "1", "N5"), "N5"),
+            ("census_lattices", ("enumerate", "--max-size", "5"), "enumerate"),
+        ],
+    )
+    def test_out_of_memory_exits_three(self, capsys, monkeypatch, patched, argv, source):
+        # running out of memory keeps the contract: exit 3 and one line,
+        # not a traceback with the property-failure code
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, patched, exhausted)
+        assert run(capsys, *argv) == (3, "", f"{source}: internal error: out of memory\n")
 
     def test_census_non_lattice_exits_three(self, capsys, monkeypatch):
         # the census re-checks that the lattice of each table it returns has
@@ -638,3 +654,63 @@ class TestFuzz:
         proc = run_module(*argv)
         assert proc.returncode in (0, 1, 2, 3)
         assert "Traceback" not in proc.stderr
+
+
+# valid monoid files of N5, L6, V4 and truncated {0..4}, and cover files of
+# N5 and L6, each as lines of tokens
+FUZZ_FILES = [
+    [line.split() for line in text.splitlines()]
+    for text in [emit_monoid_text(M) for M in (pentagon(), six_lattice(), klein_four(), truncated_monoid(4))]
+    + [emit_semilattice_text(L) for L in (pentagon(), six_lattice())]
+]
+# a token put in place of another: out of range, a word, empty, a leading
+# zero and a digit that is not ASCII (Arabic-Indic three)
+FUZZ_TOKENS = ("-1", "99", "x", "", "00", "\u0663")
+
+
+@st.composite
+def mutated_file(draw):
+    """A valid file changed one to three times: a line or a token dropped,
+    duplicated or swapped with another, or a token replaced."""
+    lines = [list(tokens) for tokens in draw(st.sampled_from(FUZZ_FILES))]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        if draw(st.booleans()) or not lines[i]:  # a whole line
+            op = draw(st.sampled_from(("drop", "dup", "swap")))
+            if op == "drop" and len(lines) > 1:
+                del lines[i]
+            elif op == "dup":
+                lines.insert(i, list(lines[i]))
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            continue
+        tokens = lines[i]
+        k, m = (draw(st.integers(0, len(tokens) - 1)) for _ in range(2))
+        op = draw(st.sampled_from(("drop", "dup", "swap", "replace")))
+        if op == "drop":
+            del tokens[k]
+        elif op == "dup":
+            tokens.insert(k, tokens[k])
+        elif op == "swap":
+            tokens[k], tokens[m] = tokens[m], tokens[k]
+        else:
+            tokens[k] = draw(st.sampled_from(FUZZ_TOKENS))
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)
+
+
+class TestFileFuzz:
+    """Any file made by small changes to a valid one ends in a pass, a
+    property failure or an input error, and raises nothing."""
+
+    @given(text=mutated_file())
+    @settings(max_examples=150, deadline=None)
+    def test_commands_return_a_contract_code(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.txt"
+        path.write_text(text)
+        for argv in (
+            ("validate", str(path)),
+            ("nsub", str(path)),
+            ("check", "--property", "dpn", "--ses-depth", "1", str(path)),
+        ):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2), (argv, text)

@@ -199,14 +199,14 @@ class TestPullbacks:
 
 
 class TestSesObjects:
-    def test_make_ses_canonicalizes(self, cmon, ses1, N5):
+    def test_make_ses_canonicalizes(self, cmon, N5):
         # any mono onto the down-set names the same sequence: N5 with the
         # one mark downD
         down_d = cmon.subobject_mono(N5, down(N5, "D"))
-        S = make_ses(cmon, N5, cmon.compose(down_d, cmon.identity(cmon.dom(down_d))))
+        S = make_ses(N5, cmon.mono_key(cmon.compose(down_d, cmon.identity(cmon.dom(down_d)))))
         assert S == SesObject(N5, (down(N5, "D"),))
         assert cmon.mono_key(cmon.kernel(cmon.cokernel(down_d))) == down(N5, "D")
-        T = make_ses(ses1, S, ses1.subobject_mono(S, down(N5, "C")))
+        T = make_ses(S, down(N5, "C"))
         assert T == SesObject(N5, (down(N5, "D"), down(N5, "C")))
 
     def test_make_ses_rejects_non_normal(self, cmon, N5):
@@ -214,16 +214,32 @@ class TestSesObjects:
 
         bad = inclusion_hom(N5, frozenset({0, N5.element("B")}))
         with pytest.raises(SesInvariantError):
-            make_ses(cmon, N5, bad)
+            make_ses(N5, cmon.mono_key(bad))
 
-    def test_equality_ignores_quo(self, cmon, N5):
-        a = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
-        b = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
+    @pytest.mark.parametrize("fixture", ["N5", "V4", "L6"])
+    def test_make_ses_keeps_the_context_checks(self, commutative_fixtures, fixture):
+        # make_ses decides on the innermost monoid; on every key a context
+        # lists, the sub it builds is a normal mono and the kernel of its
+        # cokernel, at each depth up to 2
+        X0 = commutative_fixtures[fixture]
+        for depth in (0, 1, 2):
+            for ctx, X, _ in objects_at_depth(X0, depth, fixture):
+                marks = X.marks if ctx.depth else ()
+                for m in ctx.normal_subobject_monos(X):
+                    key = ctx.mono_key(m)
+                    sub = ctx.subobject_mono(X, key)
+                    assert ctx.normal_mono_failure(sub) is None
+                    assert ctx.mono_key(ctx.kernel(ctx.cokernel(sub))) == key
+                    assert make_ses(X, key).marks == marks + (key,)
+
+    def test_equality_ignores_quo(self, N5):
+        a = make_ses(N5, down(N5, "D"))
+        b = make_ses(N5, down(N5, "D"))
         assert a == b and hash(a) == hash(b)
 
     def test_ses_hom_validates_squares(self, cmon, N5, ses1):
-        S0 = make_ses(cmon, N5, cmon.subobject_mono(N5, frozenset({0})))
-        S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
+        S0 = make_ses(N5, frozenset({0}))
+        S = make_ses(N5, down(N5, "D"))
         # the checking constructor accepts a map that carries the sub into
         # the target's (the left square commutes) and rejects one that
         # does not
@@ -239,16 +255,16 @@ class TestSesObjects:
 
 
 class TestSesKernelsCokernels:
-    def _sub(self, cmon, L, *names):
-        return make_ses(cmon, L, cmon.subobject_mono(L, down(L, *names)))
+    def _sub(self, L, *names):
+        return make_ses(L, down(L, *names))
 
     def test_quotient_of_pentagon_ses(self, cmon, ses1, N5):
         # ((A,D) modded by (C,0)) has base N5/downC with sub everything;
         # N5/downC is the 3-chain with classes {0,C} < {B} < {D,A}, since
         # D v C = A = A v 0 merges D with A
-        S = self._sub(cmon, N5, "D")
+        S = self._sub(N5, "D")
         down_c = cmon.subobject_mono(N5, down(N5, "C"))
-        C0 = make_ses(cmon, down_c.dom, cmon.subobject_mono(down_c.dom, frozenset({0})))
+        C0 = make_ses(down_c.dom, frozenset({0}))
         emb = SesHom(C0, S, down_c)
         q = ses1.cokernel(emb)
         Q = ses1.cod(q)
@@ -259,12 +275,12 @@ class TestSesKernelsCokernels:
     def test_quotient_of_chain_ses(self, cmon, ses1, N5):
         # ((B,0) modded by (C,0)) has base downB/downC with trivial sub
         down_b_obj = cmon.subobject_mono(N5, down(N5, "B")).dom
-        B0 = make_ses(cmon, down_b_obj, cmon.subobject_mono(down_b_obj, frozenset({0})))
+        B0 = make_ses(down_b_obj, frozenset({0}))
         down_c_in_b = restrict_mono(
             cmon, cmon.subobject_mono(N5, down(N5, "C")), cmon.subobject_mono(N5, down(N5, "B"))
         )
         C_obj = cmon.dom(down_c_in_b)
-        C0 = make_ses(cmon, C_obj, cmon.subobject_mono(C_obj, frozenset({0})))
+        C0 = make_ses(C_obj, frozenset({0}))
         emb = SesHom(C0, B0, down_c_in_b)
         q = ses1.cokernel(emb)
         Q = ses1.cod(q)
@@ -272,12 +288,12 @@ class TestSesKernelsCokernels:
         assert Q.marks == (frozenset({0}),)
 
     def test_kernel_of_identity_is_zero(self, cmon, ses1, N5):
-        S = self._sub(cmon, N5, "D")
+        S = self._sub(N5, "D")
         k = ses1.kernel(ses1.identity(S))
         assert ses1.is_zero_object(ses1.dom(k))
 
     def test_kernel_cokernel_laws_at_ses_level(self, cmon, ses1, N5):
-        S = self._sub(cmon, N5, "D")
+        S = self._sub(N5, "D")
         for m in ses1.normal_subobject_monos(S):
             q = ses1.cokernel(m)
             assert ses1.is_zero_hom(ses1.compose(q, m))
@@ -293,16 +309,16 @@ class TestSesKernelsCokernels:
         for _ in range(3):
             up = ses_context(ctx)
             monos = up.normal_subobject_monos(
-                make_ses(ctx, obj, ctx.normal_subobject_monos(obj)[0])
+                make_ses(obj, ctx.mono_key(ctx.normal_subobject_monos(obj)[0]))
             )
             for m in monos:
                 assert up.mono_key(up.kernel(up.cokernel(m))) == up.mono_key(m)
-            obj = make_ses(ctx, obj, ctx.normal_subobject_monos(obj)[-1])
+            obj = make_ses(obj, ctx.mono_key(ctx.normal_subobject_monos(obj)[-1]))
             ctx = up
 
     def test_pullbacknoyau_at_ses_level(self, cmon, ses1, N5):
         # kernel of a composite equals the preimage of the kernel
-        S = self._sub(cmon, N5, "D")
+        S = self._sub(N5, "D")
         monos = ses1.normal_subobject_monos(S)
         for f in monos:
             for km in monos:
@@ -313,20 +329,20 @@ class TestSesKernelsCokernels:
 
 
 class TestSesNormality:
-    def _ses_over(self, cmon, L, sub_names):
+    def _ses_over(self, L, sub_names):
         key = down(L, *sub_names) if sub_names else frozenset({0})
-        return make_ses(cmon, L, cmon.subobject_mono(L, key))
+        return make_ses(L, key)
 
     def test_reference_triple_monos(self, cmon, ses1, N5):
         # (C,0) >-> (A,D) is a normal mono: the pullback of downC and downD is 0
-        S = self._ses_over(cmon, N5, ("D",))
+        S = self._ses_over(N5, ("D",))
         sub_c = ses1.subobject_mono(S, down(N5, "C"))
         assert ses1.is_normal_mono(sub_c)
 
     def test_gamma_comparison_fails_pullback(self, cmon, ses1, N5):
         # the induced (B,0)/(C,0) -> (A,D)/(C,0) is not a normal mono, and
         # the failure is exactly that the left square is not a pullback
-        S = self._ses_over(cmon, N5, ("D",))
+        S = self._ses_over(N5, ("D",))
         c = ses1.subobject_mono(S, down(N5, "C"))
         b = ses1.subobject_mono(S, down(N5, "B"))
         u = restrict_mono(ses1, c, b)
@@ -345,19 +361,19 @@ class TestSesNormality:
                     assert ctx.normal_mono_failure(m) is None
 
     def test_identity_ses_hom_is_normal_mono_and_epi(self, cmon, ses1, N5):
-        S = self._ses_over(cmon, N5, ("D",))
+        S = self._ses_over(N5, ("D",))
         assert ses1.is_normal_mono(ses1.identity(S))
         assert ses1.is_normal_epi(ses1.identity(S))
 
-    def test_cokernel_projections_are_normal_epis(self, cmon, ses1, V4):
-        S = make_ses(cmon, V4, cmon.subobject_mono(V4, frozenset({0, 1})))
+    def test_cokernel_projections_are_normal_epis(self, ses1, V4):
+        S = make_ses(V4, frozenset({0, 1}))
         for m in ses1.normal_subobject_monos(S):
             assert ses1.is_normal_epi(ses1.cokernel(m))
 
-    def test_exvect_composite_not_normal(self, cmon, ses1, V4):
+    def test_exvect_composite_not_normal(self, ses1, V4):
         # over (V4, G): the antinormal composite through subs H, K is not
         # normal although its middle comparison is mono and epi
-        S = make_ses(cmon, V4, cmon.subobject_mono(V4, frozenset({0, 1})))
+        S = make_ses(V4, frozenset({0, 1}))
         f = antinormal_composite(ses1, S, frozenset({0, 3}), frozenset({0, 2}))
         res = normal_decomposition_in(ses1, f)
         assert isinstance(res, NotNormal)
@@ -374,8 +390,8 @@ class TestSesNormality:
 
 
 class TestSesNormalEpis:
-    def test_cokernel_homs_pass_the_pushout_test(self, cmon, ses1, N5):
-        S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
+    def test_cokernel_homs_pass_the_pushout_test(self, ses1, N5):
+        S = make_ses(N5, down(N5, "D"))
         b = ses1.subobject_mono(S, down(N5, "B"))
         q = ses1.cokernel(b)
         assert ses1.normal_epi_failure(q) is None
@@ -385,43 +401,43 @@ class TestSesNormalEpis:
         # morphism with epi components, but the right square is not a
         # pushout: the pushed-forward sub is trivial while the target sub
         # is downD, so it is not a normal epi
-        S0 = make_ses(cmon, N5, cmon.subobject_mono(N5, frozenset({0})))
-        SD = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
+        S0 = make_ses(N5, frozenset({0}))
+        SD = make_ses(N5, down(N5, "D"))
         f = SesHom(S0, SD, cmon.identity(N5))
         legs = nested_hom(f)
         assert cmon.is_epi(legs.beta) and cmon.is_epi(legs.gamma)
         assert ses1.normal_epi_failure(f) == "right-square-not-pushout"
 
-    def test_beta_failure_reported_first(self, cmon, ses1, N5):
+    def test_beta_failure_reported_first(self, ses1, N5):
         # an inclusion is not epi at the base level
-        S = make_ses(cmon, N5, cmon.subobject_mono(N5, frozenset({0})))
+        S = make_ses(N5, frozenset({0}))
         m = ses1.subobject_mono(S, down(N5, "B"))
         assert ses1.normal_epi_failure(m) == "beta-not-normal-epi"
 
 
 class TestSesIsomorphisms:
-    def test_same_sub_isomorphic(self, cmon, ses1, N5):
-        a = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
-        b = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
+    def test_same_sub_isomorphic(self, ses1, N5):
+        a = make_ses(N5, down(N5, "D"))
+        b = make_ses(N5, down(N5, "D"))
         assert are_isomorphic(ses1, a, b)
 
-    def test_different_sub_sizes_not_isomorphic(self, cmon, ses1, N5):
-        a = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
-        b = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "B")))
+    def test_different_sub_sizes_not_isomorphic(self, ses1, N5):
+        a = make_ses(N5, down(N5, "D"))
+        b = make_ses(N5, down(N5, "B"))
         assert not are_isomorphic(ses1, a, b)
 
-    def test_sub_carried_by_base_iso_required(self, cmon, ses1, V4):
+    def test_sub_carried_by_base_iso_required(self, ses1, V4):
         # (V4, G) and (V4, H) are isomorphic: an automorphism swaps the atoms
-        a = make_ses(cmon, V4, cmon.subobject_mono(V4, frozenset({0, 1})))
-        b = make_ses(cmon, V4, cmon.subobject_mono(V4, frozenset({0, 2})))
+        a = make_ses(V4, frozenset({0, 1}))
+        b = make_ses(V4, frozenset({0, 2}))
         assert are_isomorphic(ses1, a, b)
 
-    def test_chain_sub_position_matters(self, cmon, ses1):
+    def test_chain_sub_position_matters(self, ses1):
         from monlat.semilattice import chain
 
         C = chain(3)
-        a = make_ses(cmon, C, cmon.subobject_mono(C, frozenset({0})))
-        b = make_ses(cmon, C, cmon.subobject_mono(C, frozenset({0, 1})))
+        a = make_ses(C, frozenset({0}))
+        b = make_ses(C, frozenset({0, 1}))
         assert not are_isomorphic(ses1, a, b)
 
 
@@ -469,7 +485,7 @@ class TestNormalityCharacterizations:
     def test_ses_levels(self, cmon, ses1, N5, V4):
         for X in (N5, V4):
             for m in cmon.normal_subobject_monos(X):
-                S = make_ses(cmon, X, m)
+                S = make_ses(X, cmon.mono_key(m))
                 for f in self._sample_homs(ses1, S):
                     self._agree(ses1, f)
 
@@ -501,10 +517,10 @@ class TestLemmaInstances:
                     rhs = cmon.kernel(cmon.cokernel(g))
                     assert cmon.mono_key(lhs) == cmon.mono_key(rhs)
 
-    def test_pullbackiso_instances_at_ses_level(self, cmon, ses1, N5):
+    def test_pullbackiso_instances_at_ses_level(self, ses1, N5):
         # pulling a normal epi of sequences back along a normal mono induces
         # an isomorphism on kernels, one level up
-        S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
+        S = make_ses(N5, down(N5, "D"))
         for km in ses1.normal_subobject_monos(S):
             e = ses1.cokernel(km)
             Q = ses1.cod(e)
@@ -564,7 +580,7 @@ def _produced(ctx, X):
     the third-iso check makes for every pair of nested subobjects. Returns
     them with the (m, u, f) triples of m . u = f and the (e, u, f) triples
     of u . e = f."""
-    lat = enumerate_nsub(ctx, X)
+    lat = enumerate_nsub(X)
     monos = ctx.normal_subobject_monos(X)
     homs = list(monos)
     through_kernel, through_cokernel = [], []
@@ -649,17 +665,17 @@ class TestThinMorphisms:
         nested = nested_context(depth)
         assert verdicts == [nested.is_iso(nested_hom(f)) for f in cases]
 
-    def test_per_level_validation_rejects_broken_inner_sub(self, cmon, ses1):
+    def test_per_level_validation_rejects_broken_inner_sub(self, ses1):
         # depth-2 objects A = (chain3, ({0,1}, {0})) and C = (chain3, ({0},
         # {0})); the identity of chain3 carries the top-level mark ({0}
         # into {0}) from A to C but not the inner one ({0,1} into {0}),
         # while C -> A is a valid mono and epi
         M = chain(3)
         ses2 = ses_context(ses1)
-        P = make_ses(cmon, M, cmon.subobject_mono(M, frozenset({0})))
-        Q = make_ses(cmon, M, cmon.subobject_mono(M, frozenset({0, 1})))
-        A = make_ses(ses1, Q, ses1.subobject_mono(Q, frozenset({0})))
-        C = make_ses(ses1, P, ses1.subobject_mono(P, frozenset({0})))
+        P = make_ses(M, frozenset({0}))
+        Q = make_ses(M, frozenset({0, 1}))
+        A = make_ses(Q, frozenset({0}))
+        C = make_ses(P, frozenset({0}))
         m = SesHom(C, A, identity_hom(M))
         assert ses2.is_mono(m) and ses2.is_epi(m)
         with pytest.raises(MonoidError):
@@ -670,7 +686,7 @@ class TestThinMorphisms:
             ses2.factor_through_cokernel(m, ses2.identity(C))
 
     def test_equal_morphisms_hash_alike(self, cmon, ses1, N5):
-        S = make_ses(cmon, N5, cmon.subobject_mono(N5, down(N5, "D")))
+        S = make_ses(N5, down(N5, "D"))
         f = ses1.identity(S)
         g = SesHom(S, S, cmon.identity(N5))
         assert f == g and hash(f) == hash(g)
@@ -737,7 +753,7 @@ class TestFlatTower:
         assert [(S, nm) for _, S, nm in flat] == [(flat_object(N), nm) for _, N, nm in nested]
         built = _recorded_kernels_and_cokernels(monkeypatch)
         for (ctx, S, nm), (nctx, N, _) in zip(flat, nested):
-            lat, nlat = enumerate_nsub(ctx, S), enumerate_nsub(nctx, N)
+            lat, nlat = enumerate_nsub(S), enumerate_nsub(nctx.innermost_object(N))
             assert _lattice_tables(lat) == _lattice_tables(nlat)
             for prop in ("hsd", "secondiso", "dpn", "diexact"):
                 assert categorical_check(prop, ctx, S, nm) == categorical_check(prop, nctx, N, nm)
@@ -770,7 +786,7 @@ class TestFlatTower:
         # earlier sweep built, and its sweep must still name subobjects with
         # its own labels
         list(objects_at_depth(pentagon(), 2, "N5"))
-        names = {enumerate_nsub(ctx, S).names for ctx, S, _ in objects_at_depth(chain(3), 1, "chain3")}
+        names = {enumerate_nsub(S).names for _, S, _ in objects_at_depth(chain(3), 1, "chain3")}
         assert names == {("{0}", "{0,1}", "{0,1,2}")}
 
     def test_quotients_keep_their_own_labels(self, cmon):
@@ -779,7 +795,7 @@ class TestFlatTower:
         # carry chain3's labels
         run_check("hsd", pentagon(), 2, "N5")
         ses1 = ses_context(cmon)
-        S = make_ses(cmon, chain(3), cmon.subobject_mono(chain(3), frozenset({0, 1})))
+        S = make_ses(chain(3), frozenset({0, 1}))
         q = ses1.cokernel(ses1.subobject_mono(S, frozenset({0, 1})))
         assert q.dst.monoid.labels == ("{0,1}", "{2}")
 

@@ -229,13 +229,13 @@ class TestRoundTrip:
 
 
 class TestLatticeExport:
-    def test_nsub_export_reparses_isomorphic(self, cmon, N5):
-        lat = enumerate_nsub(cmon, N5)
+    def test_nsub_export_reparses_isomorphic(self, N5):
+        lat = enumerate_nsub(N5)
         text = emit_lattice_text(lat)
         again = parse_structure(text)
         assert lattices_isomorphic(lattice_of_semilattice(again), lat)
 
-    def test_export_carries_subset_labels(self, cmon, V4):
-        text = emit_lattice_text(enumerate_nsub(cmon, V4))
+    def test_export_carries_subset_labels(self, V4):
+        text = emit_lattice_text(enumerate_nsub(V4))
         assert "label 0 {0}" in text
         assert "label 4 {0,g,h,k}" in text

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monlat.census import lattices_up_to
-from monlat.context import cmon_context
 from monlat.monoid import FinMonoid, normal_closure, normal_submonoids
 from monlat.nsub import (
     _lattice_from_order,
@@ -54,28 +53,28 @@ NSUB_POOL = {
 
 
 class TestEnumerate:
-    def test_nsub_of_pentagon_is_pentagon(self, cmon, N5):
-        lat = enumerate_nsub(cmon, N5)
+    def test_nsub_of_pentagon_is_pentagon(self, N5):
+        lat = enumerate_nsub(N5)
         assert lat.size == 5
         assert lattices_isomorphic(lat, lattice_of_semilattice(N5))
 
-    def test_nsub_of_trivial(self, cmon):
+    def test_nsub_of_trivial(self):
         from monlat.semilattice import trivial
 
-        lat = enumerate_nsub(cmon, trivial())
+        lat = enumerate_nsub(trivial())
         assert lat.size == 1 and lat.top == lat.bottom
 
-    def test_nsub_of_klein_four_is_diamond(self, cmon, V4, M3):
-        lat = enumerate_nsub(cmon, V4)
+    def test_nsub_of_klein_four_is_diamond(self, V4, M3):
+        lat = enumerate_nsub(V4)
         assert lat.size == 5
         assert lattices_isomorphic(lat, lattice_of_semilattice(M3))
 
-    def test_semilattice_self_description(self, cmon, commutative_fixtures):
+    def test_semilattice_self_description(self, commutative_fixtures):
         # the map a -> down(a) is an isomorphism onto the subobject lattice
         for L in commutative_fixtures.values():
             if not L.is_semilattice:
                 continue
-            lat = enumerate_nsub(cmon, L)
+            lat = enumerate_nsub(L)
             assert lat.size == L.size
             from monlat.semilattice import principal_downset
 
@@ -100,7 +99,7 @@ class TestSharedLattice:
         pool = list(commutative_fixtures.values()) + lattices_up_to(7)
         pool += [abelian_group(2, 2, 2), abelian_group(2, 4), abelian_group(3, 3, 3)]
         for M in pool:
-            assert enumerate_nsub(cmon, M) == categorical_lattice(cmon, M)
+            assert enumerate_nsub(M) == categorical_lattice(cmon, M)
 
 
 class TestJoinViaUniinter:
@@ -149,23 +148,23 @@ class TestClosureOracles:
                     assert normal_closure(M, seed) == fixpoint_normal_closure(M, seed)
 
     @pytest.mark.parametrize("family", ORACLE_FAMILIES)
-    def test_lattice_matches_closure_tables(self, cmon, family):
+    def test_lattice_matches_closure_tables(self, family):
         for M in ORACLE_FAMILIES[family]:
-            lat, ref = enumerate_nsub(cmon, M), lattice_by_closures(M)
+            lat, ref = enumerate_nsub(M), lattice_by_closures(M)
             assert _tables(lat) == _tables(ref)
             assert lattice_axiom_failure(lat, inclusion_order(lat.keys)) is None
 
     @given(M=products_and_quotients())
     @settings(max_examples=60, deadline=None)
     def test_lattice_matches_closure_lattice_on_products_and_quotients(self, M):
-        assert enumerate_nsub(cmon_context(), M) == lattice_by_closures(M)
+        assert enumerate_nsub(M) == lattice_by_closures(M)
 
     @given(S=drawn_submonoids())
     @settings(max_examples=150, deadline=None)
     def test_submonoids_match_the_exhaustive_oracles(self, S):
         found = sorted(normal_submonoids(S), key=sorted)
         assert found == sorted(normal_submonoids_by_filter(S), key=sorted)
-        assert enumerate_nsub(cmon_context(), S) == lattice_by_closures(S)
+        assert enumerate_nsub(S) == lattice_by_closures(S)
 
 
 def _tables(lat):
@@ -173,20 +172,20 @@ def _tables(lat):
 
 
 class TestModularity:
-    def test_pentagon_not_modular_with_witness(self, cmon, N5):
-        lat = enumerate_nsub(cmon, N5)
+    def test_pentagon_not_modular_with_witness(self, N5):
+        lat = enumerate_nsub(N5)
         ok, witness = is_modular(lat)
         assert not ok
         assert witness.kind == "pentagon"
         assert set(witness.names) == {"{0}", "{0,C}", "{0,D}", "{0,C,B}", "{0,C,D,B,A}"}
 
-    def test_diamond_is_modular(self, cmon, M3):
-        ok, witness = is_modular(enumerate_nsub(cmon, M3))
+    def test_diamond_is_modular(self, M3):
+        ok, witness = is_modular(enumerate_nsub(M3))
         assert ok and witness is None
 
-    def test_chains_are_modular(self, cmon, commutative_fixtures):
+    def test_chains_are_modular(self, commutative_fixtures):
         for name in ("chain2", "chain3", "chain4"):
-            ok, _ = is_modular(enumerate_nsub(cmon, commutative_fixtures[name]))
+            ok, _ = is_modular(enumerate_nsub(commutative_fixtures[name]))
             assert ok
 
     def test_methods_agree_on_census(self):
@@ -220,16 +219,16 @@ class TestModularity:
 
 
 class TestDistributivity:
-    def test_diamond_fails_with_diamond_witness(self, cmon, M3):
-        ok, witness = is_distributive(enumerate_nsub(cmon, M3))
+    def test_diamond_fails_with_diamond_witness(self, M3):
+        ok, witness = is_distributive(enumerate_nsub(M3))
         assert not ok and witness.kind == "diamond"
 
-    def test_pentagon_fails(self, cmon, N5):
-        ok, witness = is_distributive(enumerate_nsub(cmon, N5))
+    def test_pentagon_fails(self, N5):
+        ok, witness = is_distributive(enumerate_nsub(N5))
         assert not ok and witness.kind == "pentagon"
 
-    def test_bool2_is_distributive(self, cmon, commutative_fixtures):
-        ok, _ = is_distributive(enumerate_nsub(cmon, commutative_fixtures["bool2"]))
+    def test_bool2_is_distributive(self, commutative_fixtures):
+        ok, _ = is_distributive(enumerate_nsub(commutative_fixtures["bool2"]))
         assert ok
 
     def test_distributive_implies_modular_on_census(self):
@@ -265,8 +264,8 @@ class TestVerdictsMatchLawScans:
         }
 
     @pytest.mark.parametrize("name", NSUB_POOL)
-    def test_nsub_lattices(self, cmon, name):
-        lat = enumerate_nsub(cmon, NSUB_POOL[name])
+    def test_nsub_lattices(self, name):
+        lat = enumerate_nsub(NSUB_POOL[name])
         assert lattice_verdicts(lat) == _law_scan_verdicts(lat)
 
     def test_products_of_census_pairs(self):
@@ -333,7 +332,7 @@ class TestCokerSquare:
 
     def test_exhaustive_over_fixture_squares(self, cmon, commutative_fixtures):
         for L in (commutative_fixtures["bool2"], commutative_fixtures["N5"], commutative_fixtures["V4"]):
-            lat = enumerate_nsub(cmon, L)
+            lat = enumerate_nsub(L)
             for iw in range(lat.size):
                 for ix in range(lat.size):
                     for iy in range(lat.size):
@@ -350,8 +349,8 @@ class TestPhiPsi:
         # both sides of the correspondence are 2-chains: the quotient up(D)
         # has two subobjects, and only downD and N5 itself contain downD
         q = cmon.cokernel(cmon.subobject_mono(N5, down(N5, "D")))
-        assert enumerate_nsub(cmon, cmon.cod(q)).size == 2
-        lat = enumerate_nsub(cmon, N5)
+        assert enumerate_nsub(cmon.cod(q)).size == 2
+        lat = enumerate_nsub(N5)
         d_idx = lat.index_of_key(down(N5, "D"))
         assert sum(1 for i in range(lat.size) if lat.join[d_idx][i] == i) == 2
 
@@ -375,9 +374,9 @@ class TestLatticeTables:
         # lattice, the subobject lattice of each of its quotients (phi_psi),
         # and the lattice of its own join table
         for L in commutative_fixtures.values():
-            lats = [enumerate_nsub(cmon, L)]
+            lats = [enumerate_nsub(L)]
             lats += [
-                enumerate_nsub(cmon, cmon.cod(cmon.cokernel(m)))
+                enumerate_nsub(cmon.cod(cmon.cokernel(m)))
                 for m in cmon.normal_subobject_monos(L)
             ]
             for lat in lats:

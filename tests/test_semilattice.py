@@ -286,9 +286,9 @@ class TestBitmaskOrderMatchesMatrixReference:
             covers = lattice_of_semilattice(L).covers
             assert list(covers) == matrix_covers_of(table_order(L.table)), L.table
 
-    def test_covers_of_fixture_lattices_match_betweenness(self, cmon, commutative_fixtures):
+    def test_covers_of_fixture_lattices_match_betweenness(self, commutative_fixtures):
         for name, L in commutative_fixtures.items():
-            lat = enumerate_nsub(cmon, L)
+            lat = enumerate_nsub(L)
             assert list(lat.covers) == matrix_covers_of(inclusion_order(lat.keys)), name
 
 

@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 289 CLI calls, one line per call.
+"""Digest the output of a fixed set of 293 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -51,8 +51,9 @@ file; ``validate`` and ``nsub`` on chain12; and ``validate`` on a cover
 file of the Boolean lattice 2^5 with its elements renumbered; ``nsub``
 and ``check --property distributive`` on (Z12, *), truncated {0..4} and
 (Z3, *) x (Z4, *); ``validate`` on chain256 and chain257, one on each
-side of the largest chain fixture; and ``validate`` on a 40-element cover
-file that lists no cover (exit 2).
+side of the largest chain fixture; ``validate`` on a 40-element cover
+file that lists no cover (exit 2); and ``hsd`` and ``dpn`` at depths 1
+and 2 on Z2^4, whose 67-element lattice is modular and not distributive.
 Every call runs in a fresh interpreter with
 ``COLUMNS=80``, so help wraps alike on every terminal; the input files are
 written to a temporary directory that is the calls' working directory, so
@@ -289,6 +290,8 @@ def calls() -> list[tuple[str, ...]]:
         path = f"{name}.txt"
         out += [("nsub", path), ("check", "--property", "distributive", path)]
     out += [("validate", "chain256"), ("validate", "chain257"), ("validate", "headeronly.txt")]
+    for depth, prop in product(("1", "2"), ("hsd", "dpn")):
+        out.append(("check", "--property", prop, "--ses-depth", depth, "Z2x2x2x2.txt"))
     return out
 
 
