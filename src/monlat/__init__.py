@@ -13,16 +13,6 @@ from .checks import (
     second_iso_check,
     third_iso_check,
 )
-from .context import (
-    CmonContext,
-    SesContext,
-    SesHom,
-    SesObject,
-    antinormal_composite,
-    cmon_context,
-    make_ses,
-    ses_context,
-)
 from .monoid import (
     FinMonoid,
     InvalidMonoid,
@@ -38,10 +28,12 @@ from .monoid import (
 from .nsub import (
     LatticeWitness,
     NSubLattice,
+    SesObject,
     enumerate_nsub,
     is_distributive,
     is_modular,
     lattice_of_semilattice,
+    make_ses,
 )
 from .semilattice import (
     CoverGraph,

@@ -62,9 +62,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .context import innermost
 from .monoid import cokernel_by_submonoid
-from .nsub import enumerate_nsub, is_distributive, is_modular
+from .nsub import enumerate_nsub, innermost, is_distributive, is_modular
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Kernel/cokernel contexts, the reference the test oracles build maps with.
 
-An object is a commutative monoid or a ``SesObject``, a short exact sequence
-of any depth stored flat as its innermost monoid and one normal member set
-per level; the checkers, the lattice and the scenarios take it alone. A
-context bundles composition, kernels, cokernels, the two factorization maps,
-normality tests, and enumeration of normal subobjects. ``cmon_context()`` is
-the context of finite commutative monoids; ``ses_context(ctx)`` the context
-of short exact sequences one level above ctx, of the same shape, so it can
-be iterated.
+The objects are those of ``nsub``: a commutative monoid, or a ``SesObject``
+stored flat as its innermost monoid and one normal member set per level.
+The checkers, the lattice, ``make_ses`` and the scenarios take an object
+alone, so no module the CLI runs imports this one; the tests and the
+benchmark's tracer do. A context bundles composition, kernels, cokernels,
+the two factorization maps, normality tests, and enumeration of normal
+subobjects. ``cmon_context()`` is the context of finite commutative
+monoids; ``ses_context(ctx)`` the context of short exact sequences one
+level above ctx, of the same shape, so it can be iterated.
 
 Contexts are immutable bundles of pure functions over immutable values and
 keep no caches; results are memoized by the cached functions of ``monoid``.
@@ -26,15 +27,7 @@ from .monoid import (
     MonoidHom,
     _hom_unchecked,
 )
-
-
-class SesInvariantError(RuntimeError):
-    """A constructed short exact sequence violated its defining invariant.
-
-    This never fires on correct inputs; it exists so a misreading of the
-    kernel/cokernel recipes would be reported loudly instead of silently
-    producing a malformed object.
-    """
+from .nsub import SesObject, enumerate_nsub
 
 
 class Span(NamedTuple):
@@ -152,8 +145,8 @@ class CmonContext:
 
     def normal_subobject_monos(self, X: FinMonoid) -> tuple[MonoidHom, ...]:
         """All normal subobjects, as the inclusions of the normal submonoids
-        in ``monoid.normal_submonoids`` order."""
-        return tuple(mn.inclusion_hom(X, k) for k in mn.normal_submonoids(X))
+        in the order of X's lattice."""
+        return tuple(mn.inclusion_hom(X, k) for k in enumerate_nsub(X).keys)
 
     # -- pullbacks
 
@@ -180,41 +173,6 @@ def cmon_context() -> CmonContext:
 
 # ---------------------------------------------------------------------------
 # short exact sequences
-
-
-class SesObject(NamedTuple):
-    """A short exact sequence at depth d = len(marks), stored flat.
-
-    ``monoid`` is the innermost commutative monoid M and ``marks`` the
-    member sets (K1, ..., Kd) of normal submonoids of M, innermost level
-    first: the object at level i is the one at level i-1 with the sub whose
-    innermost members are Ki. Every leg of the nested sequence is read off
-    these sets: at level i the sub is the submonoid on Ki with the marks
-    Kj & Ki (j < i), and the quotient is M/Ki with the normal closures of
-    the images of those Kj.
-    """
-
-    monoid: FinMonoid
-    marks: tuple[frozenset[int], ...]
-
-
-def innermost(X) -> tuple[FinMonoid, tuple[frozenset[int], ...]]:
-    """An object's innermost monoid and its marks: a monoid has none."""
-    return (X.monoid, X.marks) if isinstance(X, SesObject) else (X, ())
-
-
-def make_ses(base, key) -> SesObject:
-    """The short exact sequence over ``base``, a monoid or a SesObject, whose
-    sub is the one on ``key``, a normal member set of base's innermost
-    monoid M: base with one more mark. The sub leg is re-checked to be a
-    normal mono (its mark squares are pullbacks by construction, so M decides)
-    and the kernel of its cokernel; a violation raises SesInvariantError."""
-    M, marks = innermost(base)
-    if not mn.is_normal_submonoid(M, key)[0]:
-        raise SesInvariantError("sub leg is not a normal mono: image-not-normal")
-    if mn.kernel_subset(mn.cokernel_by_submonoid(M, key)[1]) != key:
-        raise SesInvariantError("sub leg is not the kernel of the quotient leg")
-    return SesObject(M, marks + (key,))
 
 
 @dataclass(frozen=True)

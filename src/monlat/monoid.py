@@ -435,7 +435,6 @@ def normal_closure(M: FinMonoid, seed: frozenset) -> frozenset[int]:
     return _saturation(t, generated)
 
 
-@lru_cache(maxsize=None)
 def normal_submonoids(M: FinMonoid) -> tuple[frozenset[int], ...]:
     """Every normal submonoid of a commutative monoid, ordered by size and
     then by sorted members.

@@ -1,15 +1,18 @@
-"""The lattice of normal subobjects of an object at any depth.
+"""Objects of the tower and the lattice of normal subobjects of each.
 
-Every object of the tower shares the lattice of its innermost
-commutative monoid, built once per monoid from inclusion of its normal
-submonoids and returned as that one cached value. A lattice is its join
-and meet tables: a <= b when a v b = b. Every lattice here, that one or a
-semilattice's own, is built from up-set bitmasks of its order by one
-function: the up-set of a v b is the intersection of those of a and b, the
-down-set of a ^ b that of their down-sets, so each bound is one lookup
-keyed by a mask. Modularity and distributivity are decided in O(n²) from
-the lattice's masks and covers, by heights and join-irreducibles; a failing
-lattice then gets its first pentagon or diamond sublattice as the witness.
+An object is a commutative monoid (depth 0) or a ``SesObject``, a short
+exact sequence of any depth stored flat as its innermost monoid and one
+normal member set per level; ``make_ses`` adds a level. Every object of the
+tower shares the lattice of its innermost commutative monoid, built once
+per monoid from inclusion of its normal submonoids and returned as that one
+cached value. A lattice is its join and meet tables: a <= b when a v b = b.
+Every lattice here, that one or a semilattice's own, is built from up-set
+bitmasks of its order by one function: the up-set of a v b is the
+intersection of those of a and b, the down-set of a ^ b that of their
+down-sets, so each bound is one lookup keyed by a mask. Modularity and
+distributivity are decided in O(n²) from the lattice's masks and covers, by
+heights and join-irreducibles; a failing lattice then gets its first
+pentagon or diamond sublattice as the witness.
 """
 
 from __future__ import annotations
@@ -17,10 +20,58 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from . import monoid as mn
-from .context import innermost
 from .semilattice import down_sets, is_cover, up_sets
+
+
+class SesInvariantError(RuntimeError):
+    """A constructed short exact sequence violated its defining invariant.
+
+    This never fires on correct inputs; it exists so a misreading of the
+    kernel/cokernel recipes would be reported loudly instead of silently
+    producing a malformed object.
+    """
+
+
+class SesObject(NamedTuple):
+    """A short exact sequence at depth d = len(marks), stored flat.
+
+    ``monoid`` is the innermost commutative monoid M and ``marks`` the
+    member sets (K1, ..., Kd) of normal submonoids of M, innermost level
+    first: the object at level i is the one at level i-1 with the sub whose
+    innermost members are Ki. Every leg of the nested sequence is read off
+    these sets: at level i the sub is the submonoid on Ki with the marks
+    Kj & Ki (j < i), and the quotient is M/Ki with the normal closures of
+    the images of those Kj.
+    """
+
+    monoid: mn.FinMonoid
+    marks: tuple[frozenset[int], ...]
+
+
+def innermost(X) -> tuple[mn.FinMonoid, tuple[frozenset[int], ...]]:
+    """An object's innermost monoid and its marks: a monoid has none."""
+    return (X.monoid, X.marks) if isinstance(X, SesObject) else (X, ())
+
+
+def make_ses(base, key) -> SesObject:
+    """The short exact sequence over ``base``, a monoid or a SesObject, whose
+    sub is the one on ``key``, a normal member set of base's innermost
+    monoid M: base with one more mark. The sub leg is re-checked to be a
+    normal mono (its mark squares are pullbacks by construction, so M decides)
+    and the kernel of its cokernel; a violation raises SesInvariantError."""
+    M, marks = innermost(base)
+    if not mn.is_normal_submonoid(M, key)[0]:
+        raise SesInvariantError("sub leg is not a normal mono: image-not-normal")
+    if mn.kernel_subset(mn.cokernel_by_submonoid(M, key)[1]) != key:
+        raise SesInvariantError("sub leg is not the kernel of the quotient leg")
+    return SesObject(M, marks + (key,))
+
+
+# ---------------------------------------------------------------------------
+# the lattice of normal subobjects
 
 
 @dataclass(frozen=True)
@@ -28,9 +79,6 @@ class LatticeWitness:
     kind: str  # pentagon | diamond
     elements: tuple[int, ...]
     names: tuple[str, ...]
-
-    def render(self) -> str:
-        return f"{self.kind}[{';'.join(self.names)}]"
 
 
 @dataclass(frozen=True)

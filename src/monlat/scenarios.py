@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checks import diexact_check, dpn_check, third_iso_check
-from .context import make_ses
 from .monoid import FinMonoid, cokernel_by_submonoid, compose, inclusion_hom
-from .nsub import enumerate_nsub, is_distributive, is_modular
+from .nsub import enumerate_nsub, is_distributive, is_modular, make_ses
 from .semilattice import klein_four, pentagon, principal_downset, six_lattice
 
 

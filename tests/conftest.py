@@ -3,7 +3,8 @@ from itertools import product
 import pytest
 from hypothesis import strategies as st
 
-from monlat import cmon_context, lattices_of_size, ses_context
+from monlat import lattices_of_size
+from monlat.context import cmon_context, ses_context
 from monlat.monoid import FinMonoid, cokernel_by_submonoid, normal_submonoids, submonoid
 from monlat.semilattice import (
     bool2,

@@ -22,11 +22,9 @@ from monlat.checks import (
 )
 from monlat.context import (
     SesHom,
-    SesObject,
     antinormal_composite,
     cmon_context,
     generic_pullback_of_monos,
-    make_ses,
     ses_context,
 )
 from monlat.monoid import (
@@ -55,10 +53,12 @@ from monlat.semilattice import (
 )
 from monlat.nsub import (
     NSubLattice,
+    SesObject,
     _find_sublattice,
     enumerate_nsub,
     is_distributive,
     is_modular,
+    make_ses,
 )
 
 from lemmas import join_via_uniinter, pullback_epi_along_mono

@@ -13,13 +13,15 @@ from monlat.checks import (
     pullback_stability_check,
     third_iso_check,
 )
-from monlat.context import SesObject, antinormal_composite, cmon_context, make_ses
+from monlat.context import antinormal_composite, cmon_context
 from monlat.monoid import cokernel_by_submonoid, normal_closure
 from monlat.nsub import (
+    SesObject,
     enumerate_nsub,
     is_distributive,
     is_modular,
     lattice_of_semilattice,
+    make_ses,
 )
 from monlat.scenarios import (
     scenario_klein_four_ses_diexact,

@@ -11,6 +11,7 @@ from monlat import checks, cli
 from monlat.census import lattices_of_size
 from monlat.checks import (
     CHECKS,
+    _antinormal_at_mark,
     _antinormal_failures,
     diexact_check,
     dpn_check,
@@ -24,10 +25,9 @@ from monlat.context import (
     SesContext,
     antinormal_composite,
     cmon_context,
-    make_ses,
     ses_context,
 )
-from monlat.nsub import enumerate_nsub, is_distributive, is_modular
+from monlat.nsub import enumerate_nsub, is_distributive, is_modular, make_ses
 from monlat.scenarios import run_reference_scenarios
 
 from conftest import (
@@ -613,6 +613,25 @@ class TestLatticeCharacterizations:
             distributive, _ = is_distributive(enumerate_nsub(M))
             expected = run_check("diexact", M, 0, name)[0].passed and distributive
             assert all(r.passed for r in run_check("diexact", M, 1, name)) == expected, name
+
+    def test_dpn_holds_at_depth_one_iff_modular(self):
+        for name, M in CHARACTERIZATION_CASES:
+            modular, _ = is_modular(enumerate_nsub(M))
+            assert all(r.passed for r in run_check("dpn", M, 1, name)) == modular, name
+
+    def test_antinormal_tables_are_symmetric_on_modular_lattices(self):
+        # on a modular lattice Y >-> M ->> M/Z fails to be normal exactly
+        # when Z >-> M ->> M/Y does, at depth 0 and at every mark
+        def symmetric(table):
+            return all((z, y) in table for y, z in table)
+
+        for name, M in CHARACTERIZATION_CASES:
+            lat = enumerate_nsub(M)
+            if not is_modular(lat)[0]:
+                continue
+            assert symmetric(_antinormal_failures(M, lat)), name
+            for k in range(lat.size):
+                assert symmetric(_antinormal_at_mark(lat, k)), (name, k)
 
 
 class TestMixedMonoids:

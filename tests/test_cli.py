@@ -616,6 +616,20 @@ class TestGrammar:
         )
         assert (proc.returncode, proc.stdout) == (0, "False\n")
 
+    def test_production_path_loads_no_context(self):
+        # the kernel/cokernel contexts are the tests' reference: importing
+        # the package and the CLI, and running a depth-1 check and the
+        # scenarios, leaves them unloaded
+        code = (
+            "import contextlib, io, sys, monlat, monlat.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    monlat.cli.main(['check', '--property', 'dpn', '--ses-depth', '1', 'N5'])\n"
+            "    monlat.cli.main(['paper-examples'])\n"
+            "print('monlat.context' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+
     @pytest.mark.parametrize(
         "argv, code, out, err",
         [

@@ -7,15 +7,12 @@ from monlat.checks import run_check
 from monlat.context import (
     SesContext,
     SesHom,
-    SesInvariantError,
-    SesObject,
     antinormal_composite,
     cmon_context,
     generic_pullback_of_monos,
-    make_ses,
     ses_context,
 )
-from monlat.nsub import enumerate_nsub
+from monlat.nsub import SesInvariantError, SesObject, enumerate_nsub, make_ses
 from monlat.monoid import (
     MonoidError,
     MonoidHom,

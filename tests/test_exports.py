@@ -3,15 +3,14 @@ from types import ModuleType
 
 # every public name the ``monlat`` package exports
 EXPORTS = (
-    "CheckReport", "CheckWitness", "CmonContext", "CoverGraph", "FinMonoid", "InvalidMonoid",
-    "LatticeWitness", "MonoidError", "MonoidHom", "NSubLattice", "SesContext", "SesHom",
-    "SesObject", "Subset", "antinormal_composite", "bool2", "chain", "cmon_context",
-    "cokernel_by_submonoid", "diamond", "diexact_check", "dpn_check", "enumerate_nsub",
-    "fixture", "is_distributive", "is_modular", "is_normal_submonoid", "kernel_subset",
-    "klein_four", "lattice_of_semilattice", "lattices_of_size", "lattices_up_to", "make_ses",
-    "normal_closure", "pentagon", "principal_downset",
+    "CheckReport", "CheckWitness", "CoverGraph", "FinMonoid", "InvalidMonoid",
+    "LatticeWitness", "MonoidError", "MonoidHom", "NSubLattice", "SesObject", "Subset",
+    "bool2", "chain", "cokernel_by_submonoid", "diamond", "diexact_check", "dpn_check",
+    "enumerate_nsub", "fixture", "is_distributive", "is_modular", "is_normal_submonoid",
+    "kernel_subset", "klein_four", "lattice_of_semilattice", "lattices_of_size",
+    "lattices_up_to", "make_ses", "normal_closure", "pentagon", "principal_downset",
     "pullback_stability_check", "run_check", "second_iso_check", "semilattice_from_covers",
-    "ses_context", "six_lattice", "third_iso_check", "validate_monoid",
+    "six_lattice", "third_iso_check", "validate_monoid",
 )
 
 

@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 293 CLI calls, one line per call.
+"""Digest the output of a fixed set of 295 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -15,7 +15,7 @@ The calls: ``check`` of every property at depths 0-3 on bool2 and chain4
 (``stability`` at depth 0 only) and at depths 0-2 on N5, V4 and L6;
 ``hsd``, ``secondiso``, ``dpn`` and ``diexact`` at depth 3 on N5, V4 and
 L6; ``stability`` on N5, V4 and L6; ``nsub`` on the nine named fixtures;
-``paper-examples`` at depths 1 and 2; ``enumerate --max-size 8``, also
+``paper-examples`` at depths 0-3; ``enumerate --max-size 8``, also
 with ``--filter nonmodular``, with ``--filter nondistributive`` and with
 ``--format tsv``; ``nsub``,
 ``modular`` and ``distributive`` on Z2^3, Z2xZ4, Z3^3, Z2^4 and Z6xZ2^2;
@@ -230,7 +230,7 @@ def calls() -> list[tuple[str, ...]]:
         out += [("check", "--property", prop, "--ses-depth", "3", name) for prop in SES_CHECKS]
     out += [("check", "--property", "stability", name) for name in ("N5", "V4", "L6")]
     out += [("nsub", name) for name in FIXTURES]
-    out += [("paper-examples", "--ses-depth", str(d)) for d in (1, 2)]
+    out += [("paper-examples", "--ses-depth", str(d)) for d in range(4)]
     out.append(("enumerate", "--max-size", "8"))
     out += [("enumerate", "--max-size", "8", "--filter", f) for f in ("nonmodular", "nondistributive")]
     out.append(("--format", "tsv", "enumerate", "--max-size", "8"))
