@@ -55,6 +55,26 @@ compares are equal. So a mark K fails the pair when:
 - secondiso dual: ((Kv(Y^Z))^Z)vY != (KvY)^(YvZ), the marks of the kernel
   Z/(Y^Z) of M/(Y^Z) ->> M/Z carried into M/Y, and of the kernel (YvZ)/Y
   of M/Y ->> M/(YvZ).
+
+Laws of L decide these identities for every mark at once, so a sweep with
+marks reads ``lattice_verdicts`` before it builds any mark table, and
+where a law applies gives every object the depth-0 report:
+
+- L distributive: no mark fails a pair of hsd, secondiso, dpn or diexact.
+  hsd's identity is the modular law. dpn's and diexact's is the dual
+  distributive law, (YvZ)^(KvZ) = (Y^K)vZ. In secondiso's primal identity
+  ((YvZ)^K)vZ = (Y^K)v(Z^K)vZ = (Y^K)vZ, and both sides of the dual one
+  are (K^Z)vY: (Kv(Y^Z))^Z = (K^Z)v(Y^Z), and (KvY)^(YvZ) = Yv(K^Z).
+- L modular: no mark fails a pair of hsd, by the modular law.
+- L modular: each mark's dpn table is symmetric. (Y^K)vZ <= (YvZ)^(KvZ)
+  in any lattice. In a modular one the height h (the longest chain from
+  the bottom) is strictly monotone and h(a)+h(b) = h(avb)+h(a^b), so the
+  two sides are equal when their heights are, and the heights differ by
+  h(Y)+h(Z)+h(K) - h(Y^Z) - h(Y^K) - h(K^Z) - h(YvZvK) + h(Y^Z^K), which
+  is symmetric in Y and Z (Gratzer, General Lattice Theory, I.3-4). A dpn
+  witness is a pair failing one way only, so when the depth-0 table is
+  symmetric as well no object fails. When it is not, every mark table is
+  built.
 """
 
 from __future__ import annotations
@@ -63,7 +83,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .monoid import cokernel_by_submonoid
-from .nsub import enumerate_nsub, innermost, is_distributive, is_modular
+from .nsub import enumerate_nsub, innermost, is_distributive, is_modular, lattice_verdicts
 
 
 @dataclass(frozen=True)
@@ -324,14 +344,30 @@ _RULES = {
 }
 
 
+def _marks_change_nothing(prop, lat, bottom) -> bool:
+    """Whether a law of ``lat`` gives every object over M the depth-0
+    report, ``bottom`` being M's table (see the module docstring)."""
+    if prop not in ("hsd", "secondiso", "dpn", "diexact"):
+        return False
+    modular, distributive = lattice_verdicts(lat)
+    if distributive or modular and prop == "hsd":
+        return True
+    return modular and prop == "dpn" and all((z, y) in bottom for y, z in bottom)
+
+
 def _sweep(prop, M, lat, objects) -> list[CheckReport]:
     """The reports of ``prop`` on the objects (M, (K1, ..., Kd)), given as
     (name, marks) pairs, each mark an index into ``lat``, the lattice of M.
-    The table of M is built once, and that of each mark on its first use."""
+    The table of M is built once, and that of each mark on its first use,
+    unless a lattice law makes every report the depth-0 one."""
     base, at_mark, witnesses, count_cases, combine = _RULES[prop]
-    bottom, tables = base(M, lat), {}
-    cases = count_cases(lat)
-    reports = []
+    bottom, cases = base(M, lat), count_cases(lat)
+    if any(marks for _, marks in objects) and _marks_change_nothing(prop, lat, bottom):
+        found = tuple(witnesses(lat, combine([bottom])))
+        return [
+            CheckReport(prop, name, len(marks), not found, found, cases) for name, marks in objects
+        ]
+    tables, reports = {}, []
     for name, marks in objects:
         for k in marks:
             if k not in tables:
@@ -367,7 +403,8 @@ def run_check(prop: str, X, depth: int = 0, name: str = "object") -> list[CheckR
     Depth 0 (or less) runs the property's checker on X. At depth d >= 1 the
     sweep builds no object: it reads the depth-0 table of X and the table of
     each mark once, by the lattice identities of the module docstring, and
-    combines them for every object as the checker on it does.
+    combines them for every object as the checker on it does. Where a law
+    of the lattice decides every mark, it builds no mark table.
     """
     if depth <= 0:
         return [CHECKS[prop](X, name)]

@@ -10,7 +10,6 @@ up-set of an element, which is then their join.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .monoid import FinMonoid, MonoidError, Subset, _monoid_unchecked
@@ -234,14 +233,23 @@ _FIXTURE_BUILDERS = {
 CHAIN_FIXTURE_MAX = 256
 
 
+def _chain_digits(name: str) -> str | None:
+    """The digits N of a name spelled chainN or chain(N), either parenthesis
+    optional, or None. Digits are Unicode decimals, as a regex's \\d."""
+    if not name.startswith("chain"):
+        return None
+    digits = name.removeprefix("chain").removeprefix("(").removesuffix(")")
+    return digits if digits.isdecimal() else None
+
+
 def fixture(name: str) -> FinMonoid:
     """Look up a named fixture; chains are spelled chainN or chain(N), for
     N up to ``CHAIN_FIXTURE_MAX``."""
     if name in _FIXTURE_BUILDERS:
         return _FIXTURE_BUILDERS[name]()
-    m = re.fullmatch(r"chain\(?(\d+)\)?", name)
-    if m:
-        digits = m.group(1).lstrip("0") or "0"
+    digits = _chain_digits(name)
+    if digits is not None:
+        digits = digits.lstrip("0") or "0"
         if len(digits) > len(str(CHAIN_FIXTURE_MAX)) or int(digits) > CHAIN_FIXTURE_MAX:
             raise SemilatticeError(f"chain fixtures go up to chain{CHAIN_FIXTURE_MAX}")
         return chain(int(digits))

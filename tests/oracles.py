@@ -1247,6 +1247,25 @@ def categorical_check(prop, ctx, X, name="object") -> CheckReport:
     return CheckReport(prop, name, ctx.depth, not found, found, count_cases(lat))
 
 
+def mark_table_sweep(prop, M, depth, name="object") -> list[CheckReport]:
+    """The reports of ``run_check(prop, M, depth, name)`` at depth >= 1,
+    from the failure tables alone: that of M and of every mark, combined
+    for each object as the checker on it does. The package skips the mark
+    tables where a law of the lattice decides them."""
+    lat = enumerate_nsub(M)
+    base, at_mark, witnesses, count_cases, combine = _RULES[prop]
+    bottom, tables, cases = base(M, lat), {}, count_cases(lat)
+    reports = []
+    for marks in product(range(lat.size), repeat=depth):
+        for k in marks:
+            if k not in tables:
+                tables[k] = at_mark(lat, k)
+        found = tuple(witnesses(lat, combine([bottom] + [tables[k] for k in marks])))
+        obj = name + "".join(f"|sub={lat.names[k]}" for k in marks)
+        reports.append(CheckReport(prop, obj, depth, not found, found, cases))
+    return reports
+
+
 # ---------------------------------------------------------------------------
 # the second isomorphism property and di-exactness, in any context
 

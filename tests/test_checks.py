@@ -27,7 +27,14 @@ from monlat.context import (
     cmon_context,
     ses_context,
 )
-from monlat.nsub import enumerate_nsub, is_distributive, is_modular, make_ses
+from monlat.monoid import FinMonoid
+from monlat.nsub import (
+    enumerate_nsub,
+    is_distributive,
+    is_modular,
+    lattice_verdicts,
+    make_ses,
+)
 from monlat.scenarios import run_reference_scenarios
 
 from conftest import (
@@ -46,6 +53,7 @@ from oracles import (
     diexact_disagreement,
     hsd_failures,
     is_normal_map_in,
+    mark_table_sweep,
     objects_at_depth,
     pairwise_diexact_check,
     pairwise_dpn_check,
@@ -63,6 +71,7 @@ CENSUS_CASES = [(f"c{n}_{i}", L) for n in range(1, 8) for i, L in enumerate(latt
 
 # the properties that lift to every depth; stability is defined at depth 0 only
 EVERY_DEPTH = ("hsd", "secondiso", "dpn", "diexact", "modular", "distributive")
+MARKED_PROPERTIES = ("hsd", "secondiso", "dpn", "diexact")  # those with a table per mark
 
 
 def _antinormal_cases():
@@ -603,21 +612,25 @@ class TestLatticeCharacterizations:
     """At depth 1 the ses verdicts are lattice properties of the input's
     normal submonoids."""
 
+    # mark_table_sweep builds every mark table: run_check skips them by
+    # these characterizations, so on it the tests would check themselves
+
     def test_hsd_holds_at_depth_one_iff_modular(self):
         for name, M in CHARACTERIZATION_CASES:
             modular, _ = is_modular(enumerate_nsub(M))
-            assert all(r.passed for r in run_check("hsd", M, 1, name)) == modular, name
+            assert all(r.passed for r in mark_table_sweep("hsd", M, 1, name)) == modular, name
 
     def test_diexact_holds_at_depth_one_iff_diexact_and_distributive(self):
         for name, M in CHARACTERIZATION_CASES:
             distributive, _ = is_distributive(enumerate_nsub(M))
             expected = run_check("diexact", M, 0, name)[0].passed and distributive
-            assert all(r.passed for r in run_check("diexact", M, 1, name)) == expected, name
+            reports = mark_table_sweep("diexact", M, 1, name)
+            assert all(r.passed for r in reports) == expected, name
 
     def test_dpn_holds_at_depth_one_iff_modular(self):
         for name, M in CHARACTERIZATION_CASES:
             modular, _ = is_modular(enumerate_nsub(M))
-            assert all(r.passed for r in run_check("dpn", M, 1, name)) == modular, name
+            assert all(r.passed for r in mark_table_sweep("dpn", M, 1, name)) == modular, name
 
     def test_antinormal_tables_are_symmetric_on_modular_lattices(self):
         # on a modular lattice Y >-> M ->> M/Z fails to be normal exactly
@@ -632,6 +645,54 @@ class TestLatticeCharacterizations:
             assert symmetric(_antinormal_failures(M, lat)), name
             for k in range(lat.size):
                 assert symmetric(_antinormal_at_mark(lat, k)), (name, k)
+
+
+def _xor_group(bits):
+    """Z2^bits, element i the bit vector i."""
+    return FinMonoid(tuple(tuple(a ^ b for b in range(1 << bits)) for a in range(1 << bits)))
+
+
+class TestLatticeLawsDecideSweeps:
+    """Where a law of the lattice decides every mark (the ``checks``
+    docstring), a sweep gives the reports of the one that builds every
+    mark table, and builds none."""
+
+    @pytest.mark.parametrize("prop", MARKED_PROPERTIES)
+    def test_depth_one_matches_the_mark_tables(self, prop):
+        for name, M in CHARACTERIZATION_CASES:
+            assert run_check(prop, M, 1, name) == mark_table_sweep(prop, M, 1, name), name
+
+    @pytest.mark.parametrize("prop", MARKED_PROPERTIES)
+    def test_depth_two_matches_the_mark_tables(self, prop):
+        for name, M in CHARACTERIZATION_CASES:
+            if enumerate_nsub(M).size <= 10:
+                assert run_check(prop, M, 2, name) == mark_table_sweep(prop, M, 2, name), name
+
+    def test_decided_sweeps_build_no_mark_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a mark table was built")
+
+        for prop in MARKED_PROPERTIES:
+            base, _, *rest = checks._RULES[prop]
+            monkeypatch.setitem(checks._RULES, prop, (base, refuse, *rest))
+        decided = Counter()
+        for name, M in CHARACTERIZATION_CASES:
+            modular, distributive = lattice_verdicts(enumerate_nsub(M))
+            for prop in MARKED_PROPERTIES:
+                if distributive or modular and prop in ("hsd", "dpn"):
+                    assert len(run_check(prop, M, 1, name)) == enumerate_nsub(M).size, name
+                    decided[prop] += 1
+        assert decided == {"hsd": 66, "secondiso": 43, "dpn": 66, "diexact": 43}
+
+    def test_z2_to_the_fifth_at_depth_one(self):
+        Z2_5 = _xor_group(5)
+        for prop in ("hsd", "dpn"):
+            reports = run_check(prop, Z2_5, 1, "Z2^5")
+            assert len(reports) == 374 and all(r.passed for r in reports), prop
+
+    def test_z2_to_the_fourth_at_depth_two(self):
+        reports = run_check("dpn", _xor_group(4), 2, "Z2^4")
+        assert len(reports) == 67**2 and all(r.passed for r in reports)
 
 
 class TestMixedMonoids:

@@ -1,4 +1,6 @@
 import random
+import re
+from itertools import product
 
 import pytest
 
@@ -19,6 +21,7 @@ from monlat.semilattice import (
     NotAPartialOrder,
     NotHasse,
     SemilatticeError,
+    _chain_digits,
     chain,
     pentagon,
     principal_downset,
@@ -324,6 +327,17 @@ class TestFixtures:
         for name in (f"chain{CHAIN_FIXTURE_MAX + 1}", "chain" + "9" * 5000):
             with pytest.raises(SemilatticeError, match=f"up to chain{CHAIN_FIXTURE_MAX}$"):
                 fixture(name)
+
+    def test_chain_names_match_the_regular_expression(self):
+        # every string of up to 5 tokens, ASCII and Arabic-Indic digits and
+        # whitespace included, against the pattern the names are spelled by
+        pattern = re.compile(r"chain\(?(\d+)\)?")
+        tokens = ("chain", "(", ")", "0", "5", "x", "\u0663", "\n", " ")
+        for n in range(6):
+            for parts in product(tokens, repeat=n):
+                name = "".join(parts)
+                match = pattern.fullmatch(name)
+                assert _chain_digits(name) == (match and match.group(1)), name
 
     def test_klein_four_is_a_group_not_semilattice(self, V4):
         assert V4.commutative and not V4.idempotent
