@@ -317,7 +317,7 @@ def _ordered_pairs(lat) -> int:
 
 
 def _nested_pairs(lat) -> int:  # the pairs X <= Y
-    return sum(t == y for row in lat.join for y, t in enumerate(row))
+    return sum(mask.bit_count() for mask in lat.up)
 
 
 def _triples(lat) -> int:

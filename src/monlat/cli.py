@@ -59,8 +59,8 @@ def _input_error(source: str, exc: Exception) -> int:
 
 
 def _internal_error(source: str, exc: Exception) -> int:
-    """A broken internal invariant (SesInvariantError, a quotient partition
-    that is not a congruence) or memory running out: never expected,
+    """A broken internal invariant (SesInvariantError, the census's or the
+    order builder's RuntimeError) or memory running out: never expected,
     reported in one line."""
     reason = "out of memory" if isinstance(exc, MemoryError) else exc
     print(f"{source}: internal error: {reason}", file=sys.stderr)

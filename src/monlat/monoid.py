@@ -314,58 +314,41 @@ def kernel_hom(f: MonoidHom) -> MonoidHom:
     return inclusion_hom(f.dom, kernel_subset(f))
 
 
-def _quotient_by_classes(M: FinMonoid, classes: list[tuple[int, ...]]):
-    """Quotient monoid from a partition, classes relabelled by minimal member.
-
-    The partition must be a congruence; compatibility with the operation is
-    re-checked and an incompatible partition is a hard internal error.
-    """
-    classes = sorted((tuple(sorted(c)) for c in classes), key=lambda c: c[0])
-    if classes[0][0] != 0:
-        raise RuntimeError("partition does not single out the identity class")
-    class_of = [None] * M.size
-    for ci, cls in enumerate(classes):
-        for m in cls:
-            class_of[m] = ci
-    if any(c is None for c in class_of):
-        raise RuntimeError("partition does not cover the monoid")
-    for cls in classes:
-        rep = cls[0]
-        for other in cls[1:]:
-            for c in range(M.size):
-                if class_of[M.op(rep, c)] != class_of[M.op(other, c)] or class_of[M.op(c, rep)] != class_of[M.op(c, other)]:
-                    raise RuntimeError("partition is not a congruence")
-    table = tuple(
-        tuple(class_of[M.op(a[0], b[0])] for b in classes) for a in classes
-    )
-    labels = tuple("{" + ",".join(M.label(m) for m in cls) + "}" for cls in classes)
-    Q = _monoid_unchecked(table, labels)
-    return Q, _hom_unchecked(M, Q, tuple(class_of))
-
-
 @lru_cache(maxsize=None)
 def cokernel_by_submonoid(M: FinMonoid, members: frozenset) -> tuple[FinMonoid, MonoidHom]:
     """Quotient of a commutative monoid by the congruence generated by a submonoid.
 
     Two elements m, n are identified when m+k = n+l for some k, l in the
-    submonoid; for a submonoid this relation is already transitive. The
+    submonoid K. This is a congruence: from m+k = n+l and n+k' = p+l' comes
+    m+(k+k') = p+(l+l'), and from m+k = n+l comes (m+c)+k = (n+c)+l. The
     projection is a normal epimorphism and its kernel is the normal closure
     of the submonoid.
+
+    One pass numbers the classes. Each sum m+k lies in the class of m, so m
+    joins the class of the first of its sums seen before, or else opens a
+    new class as its least member; classes are numbered by least member and
+    labelled by their members in ascending order.
     """
     if not M.commutative:
         raise NotCommutative("cokernel congruence needs a commutative monoid")
     _require_submonoid(M, members)
     t = M.table
-    translates = [frozenset(t[m][k] for k in members) for m in range(M.size)]
+    seen: dict[int, int] = {}  # every sum m+k met so far -> the class of m
     classes: list[list[int]] = []
-    for m in range(M.size):
-        for cls in classes:
-            if translates[m] & translates[cls[0]]:
-                cls.append(m)
-                break
-        else:
-            classes.append([m])
-    return _quotient_by_classes(M, [tuple(c) for c in classes])
+    class_of: list[int] = []
+    for m, row in enumerate(t):
+        sums = [row[k] for k in members]
+        ci = next((seen[s] for s in sums if s in seen), len(classes))
+        if ci == len(classes):
+            classes.append([])
+        classes[ci].append(m)
+        class_of.append(ci)
+        seen.update(dict.fromkeys(sums, ci))
+    reps = [cls[0] for cls in classes]
+    table = tuple(tuple(class_of[t[a][b]] for b in reps) for a in reps)
+    labels = tuple("{" + ",".join(map(M.label, cls)) + "}" for cls in classes)
+    Q = _monoid_unchecked(table, labels)
+    return Q, _hom_unchecked(M, Q, tuple(class_of))
 
 
 def cokernel_of_hom(f: MonoidHom) -> MonoidHom:

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import monoid as mn
-from .semilattice import down_sets, is_cover, up_sets
+from .semilattice import down_sets, is_cover, require_semilattice, up_sets
 
 
 class SesInvariantError(RuntimeError):
@@ -162,8 +162,7 @@ def lattice_from_join_table(table, names=None) -> NSubLattice:
 
 
 def lattice_of_semilattice(L: mn.FinMonoid) -> NSubLattice:
-    if not L.is_semilattice:
-        raise mn.MonoidError("expected a commutative idempotent monoid")
+    require_semilattice(L)
     return lattice_from_join_table(L.table, tuple(L.label(i) for i in range(L.size)))
 
 

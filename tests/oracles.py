@@ -33,7 +33,7 @@ from monlat.monoid import (
     MonoidError,
     Subset,
     _hom_unchecked,
-    _quotient_by_classes,
+    _monoid_unchecked,
     cokernel_by_submonoid,
     cokernel_of_hom,
     compose,
@@ -934,6 +934,35 @@ def all_normal_subobjects_semilattice(L: FinMonoid) -> list[Subset]:
 
 class NotNormalSubmonoid(MonoidError):
     pass
+
+
+def _quotient_by_classes(M: FinMonoid, classes: list[tuple[int, ...]]):
+    """Quotient monoid from a partition, classes relabelled by minimal member.
+
+    The partition must be a congruence; compatibility with the operation is
+    re-checked and an incompatible partition is a hard internal error.
+    """
+    classes = sorted((tuple(sorted(c)) for c in classes), key=lambda c: c[0])
+    if classes[0][0] != 0:
+        raise RuntimeError("partition does not single out the identity class")
+    class_of = [None] * M.size
+    for ci, cls in enumerate(classes):
+        for m in cls:
+            class_of[m] = ci
+    if any(c is None for c in class_of):
+        raise RuntimeError("partition does not cover the monoid")
+    for cls in classes:
+        rep = cls[0]
+        for other in cls[1:]:
+            for c in range(M.size):
+                if class_of[M.op(rep, c)] != class_of[M.op(other, c)] or class_of[M.op(c, rep)] != class_of[M.op(c, other)]:
+                    raise RuntimeError("partition is not a congruence")
+    table = tuple(
+        tuple(class_of[M.op(a[0], b[0])] for b in classes) for a in classes
+    )
+    labels = tuple("{" + ",".join(M.label(m) for m in cls) + "}" for cls in classes)
+    Q = _monoid_unchecked(table, labels)
+    return Q, _hom_unchecked(M, Q, tuple(class_of))
 
 
 def syntactic_quotient(M: FinMonoid, members: frozenset) -> tuple[FinMonoid, MonoidHom]:

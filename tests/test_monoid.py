@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,11 +27,18 @@ from monlat.monoid import (
     zero_hom,
 )
 
-from conftest import abelian_group, closure_oracle_families, down, named_commutative_monoids
+from conftest import (
+    abelian_group,
+    closure_oracle_families,
+    down,
+    mixed_monoids,
+    named_commutative_monoids,
+)
 from oracles import (
     NormalDecomposition,
     NotNormal,
     NotNormalSubmonoid,
+    _quotient_by_classes,
     all_homs,
     fixpoint_normal_closure,
     normal_decomposition,
@@ -423,29 +432,58 @@ class TestIsomorphism:
         MonoidHom(M3, FinMonoid(M3.table), phi.mapping)
 
 
+def _generated(M, seed):
+    """The submonoid of M generated by the seed."""
+    t = M.table
+    out, todo = {0}, list(seed)
+    while todo:
+        a = todo.pop()
+        if a not in out:
+            out.add(a)
+            todo += [t[a][b] for b in out] + [t[b][a] for b in out]
+    return frozenset(out)
+
+
 def _all_submonoids(M):
     """Every submonoid of M: grown from {0} one generator at a time."""
-    t = M.table
-
-    def generated(seed):
-        out, todo = {0}, list(seed)
-        while todo:
-            a = todo.pop()
-            if a not in out:
-                out.add(a)
-                todo += [t[a][b] for b in out] + [t[b][a] for b in out]
-        return frozenset(out)
-
     found = {frozenset({0})}
     frontier = list(found)
     while frontier:
         S = frontier.pop()
         for x in range(M.size):
-            T = generated(S | {x})
+            T = _generated(M, S | {x})
             if T not in found:
                 found.add(T)
                 frontier.append(T)
     return found
+
+
+class TestCokernelPartition:
+    def test_matches_the_brute_force_congruence(self, commutative_fixtures):
+        # every submonoid K generated by at most two elements, normal or
+        # not (cokernel_of_hom passes images), of every commutative fixture
+        # and mixed monoid of at most 12 elements. The reference relates m
+        # and n when m+k = n+l for some k, l in K, and the oracle quotient
+        # re-checks that its classes single out the identity, cover the
+        # monoid and form a congruence.
+        monoids = (*commutative_fixtures.values(), *mixed_monoids().values())
+        monoids = [M for M in monoids if M.size <= 12]
+        cases = 0
+        for M in monoids:
+            t = M.table
+            pairs = combinations_with_replacement(range(M.size), 2)
+            for K in {_generated(M, pair) for pair in pairs}:
+                classes = {
+                    tuple(n for n in range(M.size) if any(t[m][k] == t[n][l] for k in K for l in K))
+                    for m in range(M.size)
+                }
+                assert sum(map(len, classes)) == M.size, (M, sorted(K))  # disjoint
+                Q, proj = _quotient_by_classes(M, list(classes))
+                got, got_proj = cokernel_by_submonoid(M, K)
+                assert (got.table, got.labels) == (Q.table, Q.labels), (M, sorted(K))
+                assert got_proj.mapping == proj.mapping, (M, sorted(K))
+                cases += 1
+        assert (len(monoids), cases) == (29, 440)
 
 
 class TestUncheckedTables:

@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 295 CLI calls, one line per call.
+"""Digest the output of a fixed set of 299 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -53,7 +53,10 @@ and ``check --property distributive`` on (Z12, *), truncated {0..4} and
 (Z3, *) x (Z4, *); ``validate`` on chain256 and chain257, one on each
 side of the largest chain fixture; ``validate`` on a 40-element cover
 file that lists no cover (exit 2); and ``hsd`` and ``dpn`` at depths 1
-and 2 on Z2^4, whose 67-element lattice is modular and not distributive.
+and 2 on Z2^4, whose 67-element lattice is modular and not distributive;
+and ``secondiso`` and ``diexact`` at depth 0 on Z2^5 and on
+(Z3, *) x (Z4, *), whose tables count the classes of a cokernel for every
+normal submonoid.
 Every call runs in a fresh interpreter with
 ``COLUMNS=80``, so help wraps alike on every terminal; the input files are
 written to a temporary directory that is the calls' working directory, so
@@ -292,6 +295,8 @@ def calls() -> list[tuple[str, ...]]:
     out += [("validate", "chain256"), ("validate", "chain257"), ("validate", "headeronly.txt")]
     for depth, prop in product(("1", "2"), ("hsd", "dpn")):
         out.append(("check", "--property", prop, "--ses-depth", depth, "Z2x2x2x2.txt"))
+    for path, prop in product(("Z2x2x2x2x2.txt", "Z3mulxZ4mul.txt"), ("secondiso", "diexact")):
+        out.append(("check", "--property", prop, "--ses-depth", "0", path))
     return out
 
 
