@@ -45,11 +45,14 @@ mark a checker meets is named by an element of L, and a bijective map is an
 isomorphism (a square a pullback) when the elements naming the marks it
 compares are equal. So a mark K fails the pair when:
 
-- hsd, X <= Y: (Y^K)vX != Y^(KvX), the modular law: Y/X has the mark
-  (Y^K)vX and M/X the mark KvX;
+- hsd, X <= Y: (Y^K)vX != Y^(KvX), as Y/X has the mark (Y^K)vX and M/X the
+  mark KvX; since YvX = Y, this is the antinormal identity at (Y, X). No
+  pair fails exactly when K is a modular element of L (Stern, 1999);
 - dpn and diexact, (Y, Z): (Y^K)vZ != (YvZ)^(KvZ), the marks of Y/(Y^Z)
-  carried into M/Z and of the kernel (YvZ)/Z of the cokernel; the note is
-  'induced map not invertible' where the depth-0 entry passes;
+  carried into M/Z and of the kernel (YvZ)/Z of the cokernel, noted
+  'induced map not invertible' where the depth-0 entry passes. No pair fails
+  exactly when K is dually standard; in a modular L, standard, dually
+  standard and neutral coincide (Gratzer, General Lattice Theory, III.2);
 - secondiso primal: (Y^K)vZ != ((YvZ)^K)vZ, the latter the mark of the
   cokernel (YvZ)/Z of Z >-> YvZ;
 - secondiso dual: ((Kv(Y^Z))^Z)vY != (KvY)^(YvZ), the marks of the kernel
@@ -135,7 +138,7 @@ def third_iso_check(Z, name="object") -> CheckReport:
     induced map Y/X -> Z/X must be a normal mono (equivalently, Y/X is a
     kernel of Z/X -> Z/Y). The witness note localizes which normality clause
     broke."""
-    return _check("hsd", Z, name)
+    return _sweep("hsd", Z, 0, name)[0]
 
 
 def second_iso_check(X, name="object") -> CheckReport:
@@ -158,7 +161,7 @@ def second_iso_check(X, name="object") -> CheckReport:
     while the canonical map collapses two classes, and it is the canonical
     map that the exactness of the corresponding grid needs.
     """
-    return _check("secondiso", X, name)
+    return _sweep("secondiso", X, 0, name)[0]
 
 
 def _antinormal_failures(M, lat) -> dict[tuple[int, int], str]:
@@ -194,14 +197,14 @@ def dpn_check(X, name="object") -> CheckReport:
     """Dinversion preserves normal maps, tested on one object: for each
     ordered pair (Y, Z), the composite Z >-> X ->> X/Y is normal exactly when
     its dinverse Y >-> X ->> X/Z is; both are read off diexact's table."""
-    return _check("dpn", X, name)
+    return _sweep("dpn", X, 0, name)[0]
 
 
 def diexact_check(X, name="object") -> CheckReport:
     """Local di-exactness: every antinormal composite Y >-> X ->> X/Z through
     this object is a normal map. A witness note is how its comparison
     Y/(Y^Z) -> (YvZ)/Z fails to be an isomorphism."""
-    return _check("diexact", X, name)
+    return _sweep("diexact", X, 0, name)[0]
 
 
 def pullback_stability_check(X, name="object") -> CheckReport:
@@ -209,15 +212,15 @@ def pullback_stability_check(X, name="object") -> CheckReport:
     K <= T normal in X, the pullback of X ->> X/K along T/K >-> X/K. On a
     commutative monoid no pair fails, as the module docstring proves; an
     object above depth 0 raises ValueError."""
-    return _check("stability", X, name)
+    return _sweep("stability", X, 0, name)[0]
 
 
 def modular_check(X, name="object") -> CheckReport:
-    return _check("modular", X, name)
+    return _sweep("modular", X, 0, name)[0]
 
 
 def distributive_check(X, name="object") -> CheckReport:
-    return _check("distributive", X, name)
+    return _sweep("distributive", X, 0, name)[0]
 
 
 def _lattice_witnesses(lat, verdict) -> list[CheckWitness]:
@@ -230,7 +233,7 @@ def _lattice_witnesses(lat, verdict) -> list[CheckWitness]:
 
 
 def _no_failures(*_) -> dict:
-    """hsd's and stability's depth-0 table, and a lattice property's at a mark."""
+    """hsd's and stability's depth-0 table."""
     return {}
 
 
@@ -307,11 +310,6 @@ def _first_failing_level(tables) -> dict:
     return _merged([dict.fromkeys(table, "beta-not-normal-mono") for table in lower] + [top])
 
 
-def _unmarked(tables):
-    """A lattice verdict: every object over X has the lattice of X."""
-    return tables[0]
-
-
 def _ordered_pairs(lat) -> int:
     return lat.size**2
 
@@ -327,6 +325,7 @@ def _triples(lat) -> int:
 # How each property is decided: (the failure table of the innermost monoid M,
 # that of one mark, the witnesses, the case count, and how the table of M and
 # those of the marks K1, ..., Kd combine into the table of (M, (K1, ..., Kd))).
+# A verdict on the lattice has neither mark entry; stability's mark rule raises.
 _RULES = {
     "hsd": (_no_failures, _hsd_at_mark, _pair_witnesses, _nested_pairs, _first_failing_level),
     "secondiso": (
@@ -334,13 +333,9 @@ _RULES = {
     ),
     "dpn": (_antinormal_failures, _antinormal_at_mark, _dpn_witnesses, _ordered_pairs, _merged),
     "diexact": (_antinormal_failures, _antinormal_at_mark, _pair_witnesses, _ordered_pairs, _merged),
-    "modular": (
-        lambda M, lat: is_modular(lat), _no_failures, _lattice_witnesses, _triples, _unmarked
-    ),
-    "distributive": (
-        lambda M, lat: is_distributive(lat), _no_failures, _lattice_witnesses, _triples, _unmarked
-    ),
-    "stability": (_no_failures, _base_context_only, _pair_witnesses, _nested_pairs, _unmarked),
+    "modular": (lambda M, lat: is_modular(lat), None, _lattice_witnesses, _triples, None),
+    "distributive": (lambda M, lat: is_distributive(lat), None, _lattice_witnesses, _triples, None),
+    "stability": (_no_failures, _base_context_only, _pair_witnesses, _nested_pairs, None),
 }
 
 
@@ -355,32 +350,33 @@ def _marks_change_nothing(prop, lat, bottom) -> bool:
     return modular and prop == "dpn" and all((z, y) in bottom for y, z in bottom)
 
 
-def _sweep(prop, M, lat, objects) -> list[CheckReport]:
-    """The reports of ``prop`` on the objects (M, (K1, ..., Kd)), given as
-    (name, marks) pairs, each mark an index into ``lat``, the lattice of M.
-    The table of M is built once, and that of each mark on its first use,
-    unless a lattice law makes every report the depth-0 one."""
+def _sweep(prop, X, depth, name) -> list[CheckReport]:
+    """The reports of ``prop`` on the objects over X with ``depth`` more
+    marks, in ``run_check``'s order. The table of X's innermost monoid M is
+    built once. Where no mark can change the depth-0 report (the objects
+    have none, the property is a verdict on the lattice, or a law of the
+    lattice decides every mark) every object gets it; otherwise the table of
+    each mark is built on its first use."""
+    M, keys = innermost(X)
+    lat = enumerate_nsub(M)
     base, at_mark, witnesses, count_cases, combine = _RULES[prop]
     bottom, cases = base(M, lat), count_cases(lat)
-    if any(marks for _, marks in objects) and _marks_change_nothing(prop, lat, bottom):
-        found = tuple(witnesses(lat, combine([bottom])))
-        return [
-            CheckReport(prop, name, len(marks), not found, found, cases) for name, marks in objects
-        ]
+    own, labels = tuple(map(lat.index_of_key, keys)), [f"|sub={label}" for label in lat.names]
+    objects = [
+        (name + "".join([labels[k] for k in marks]), own + marks)
+        for marks in product(range(lat.size), repeat=depth)
+    ]
+    if not (own or depth) or at_mark is None or _marks_change_nothing(prop, lat, bottom):
+        found = tuple(witnesses(lat, bottom))
+        return [CheckReport(prop, nm, len(marks), not found, found, cases) for nm, marks in objects]
     tables, reports = {}, []
-    for name, marks in objects:
+    for nm, marks in objects:
         for k in marks:
             if k not in tables:
                 tables[k] = at_mark(lat, k)
         found = tuple(witnesses(lat, combine([bottom] + [tables[k] for k in marks])))
-        reports.append(CheckReport(prop, name, len(marks), not found, found, cases))
+        reports.append(CheckReport(prop, nm, len(marks), not found, found, cases))
     return reports
-
-
-def _check(prop, X, name) -> CheckReport:
-    M, marks = innermost(X)
-    lat = enumerate_nsub(M)
-    return _sweep(prop, M, lat, [(name, tuple(map(lat.index_of_key, marks)))])[0]
 
 
 CHECKS = {
@@ -396,22 +392,17 @@ CHECKS = {
 
 def run_check(prop: str, X, depth: int = 0, name: str = "object") -> list[CheckReport]:
     """Run one named property on every ses object over X at the given depth:
-    the objects (X, (K1, ..., Kd)), the marks running through
-    ``itertools.product`` of the normal submonoids of X, the last mark
+    the objects (M, (K1, ..., Kd)) over X's innermost monoid M whose marks
+    are X's own and then ``depth`` more, those running through
+    ``itertools.product`` of the normal submonoids of M, the last mark
     fastest.
 
-    Depth 0 (or less) runs the property's checker on X. At depth d >= 1 the
-    sweep builds no object: it reads the depth-0 table of X and the table of
+    Depth 0 (or less) runs the property's checker on X. At depth >= 1 the
+    sweep builds no object: it reads the depth-0 table of M and the table of
     each mark once, by the lattice identities of the module docstring, and
     combines them for every object as the checker on it does. Where a law
     of the lattice decides every mark, it builds no mark table.
     """
     if depth <= 0:
         return [CHECKS[prop](X, name)]
-    lat = enumerate_nsub(X)
-    labels = [f"|sub={label}" for label in lat.names]
-    objects = [
-        (name + "".join([labels[k] for k in marks]), marks)
-        for marks in product(range(lat.size), repeat=depth)
-    ]
-    return _sweep(prop, X, lat, objects)
+    return _sweep(prop, X, depth, name)

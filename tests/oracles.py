@@ -1272,7 +1272,8 @@ def categorical_check(prop, ctx, X, name="object") -> CheckReport:
     off lattice identities."""
     lat = enumerate_nsub(ctx.innermost_object(X))
     _, _, witnesses, count_cases, combine = _RULES[prop]
-    found = tuple(witnesses(lat, combine([CATEGORICAL_FAILURES[prop](ctx, X, lat)])))
+    table = CATEGORICAL_FAILURES[prop](ctx, X, lat)
+    found = tuple(witnesses(lat, combine([table]) if combine else table))
     return CheckReport(prop, name, ctx.depth, not found, found, count_cases(lat))
 
 

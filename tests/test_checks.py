@@ -13,6 +13,7 @@ from monlat.checks import (
     CHECKS,
     _antinormal_at_mark,
     _antinormal_failures,
+    _hsd_at_mark,
     diexact_check,
     dpn_check,
     pullback_stability_check,
@@ -580,6 +581,23 @@ class TestRunCheck:
         with pytest.raises(ValueError):
             run_check("stability", N5, 1, "N5")
 
+    @pytest.mark.parametrize("name", ("V4", "N5", "L6", "M3"))
+    def test_sweep_over_a_sequence_keeps_its_marks(self, name):
+        # the sweep over S = (X, K) is the slice of the depth-2 sweep over X
+        # whose first mark is K
+        X = named_commutative_monoids()[name]
+        lat = enumerate_nsub(X)
+        n = lat.size
+        for prop in EVERY_DEPTH:
+            over_x = run_check(prop, X, 2, name)
+            for i, (key, label) in enumerate(zip(lat.keys, lat.names)):
+                S, nm = make_ses(X, key), f"{name}|sub={label}"
+                assert run_check(prop, S, 1, nm) == over_x[i * n : (i + 1) * n], (prop, nm)
+                assert run_check(prop, S, 0, nm) == [CHECKS[prop](S, nm)], (prop, nm)
+        for key in lat.keys:
+            with pytest.raises(ValueError):
+                run_check("stability", make_ses(X, key), 0, name)
+
     def test_result_line_format(self, N5):
         line = run_check("dpn", N5, 0, "N5")[0].result_line()
         fields = line.split("\t")
@@ -645,6 +663,38 @@ class TestLatticeCharacterizations:
             assert symmetric(_antinormal_failures(M, lat)), name
             for k in range(lat.size):
                 assert symmetric(_antinormal_at_mark(lat, k)), (name, k)
+
+    def test_a_mark_passes_hsd_iff_it_is_a_modular_element(self):
+        # k is a modular element when x v (k ^ y) = (x v k) ^ y for all x <= y
+        marks = Counter()
+        for name, M in CHARACTERIZATION_CASES:
+            lat = enumerate_nsub(M)
+            J, W = lat.join, lat.meet
+            nested = [(x, y) for x, y in product(range(lat.size), repeat=2) if J[x][y] == y]
+            for k in range(lat.size):
+                modular_element = all(J[x][W[k][y]] == W[J[x][k]][y] for x, y in nested)
+                assert (not _hsd_at_mark(lat, k)) == modular_element, (name, k)
+                marks[modular_element] += 1
+        assert marks == {True: 697, False: 86}
+
+    def test_a_mark_passes_diexact_on_a_modular_lattice_iff_it_is_neutral(self):
+        # by the median identity, k is neutral when
+        # (k^x)v(x^y)v(y^k) = (kvx)^(xvy)^(yvk) for all x, y (Gratzer, III.2)
+        marks = Counter()
+        for name, M in CHARACTERIZATION_CASES:
+            lat = enumerate_nsub(M)
+            if not lattice_verdicts(lat)[0]:
+                continue
+            J, W = lat.join, lat.meet
+            pairs = list(product(range(lat.size), repeat=2))
+            for k in range(lat.size):
+                neutral = all(
+                    J[J[W[k][x]][W[x][y]]][W[y][k]] == W[W[J[k][x]][J[x][y]]][J[y][k]]
+                    for x, y in pairs
+                )
+                assert (not _antinormal_at_mark(lat, k)) == neutral, (name, k)
+                marks[neutral] += 1
+        assert marks == {True: 266, False: 206}
 
 
 def _xor_group(bits):

@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 299 CLI calls, one line per call.
+"""Digest the output of a fixed set of 307 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -56,7 +56,9 @@ file that lists no cover (exit 2); and ``hsd`` and ``dpn`` at depths 1
 and 2 on Z2^4, whose 67-element lattice is modular and not distributive;
 and ``secondiso`` and ``diexact`` at depth 0 on Z2^5 and on
 (Z3, *) x (Z4, *), whose tables count the classes of a cokernel for every
-normal submonoid.
+normal submonoid; ``secondiso`` and ``diexact`` at depth 1 on Z2^4, where
+65 of the 67 objects fail; and ``hsd``, ``modular`` and ``distributive`` at
+depth 1 on the two census lattices, which are not modular.
 Every call runs in a fresh interpreter with
 ``COLUMNS=80``, so help wraps alike on every terminal; the input files are
 written to a temporary directory that is the calls' working directory, so
@@ -297,6 +299,10 @@ def calls() -> list[tuple[str, ...]]:
         out.append(("check", "--property", prop, "--ses-depth", depth, "Z2x2x2x2.txt"))
     for path, prop in product(("Z2x2x2x2x2.txt", "Z3mulxZ4mul.txt"), ("secondiso", "diexact")):
         out.append(("check", "--property", prop, "--ses-depth", "0", path))
+    for prop in ("secondiso", "diexact"):
+        out.append(("check", "--property", prop, "--ses-depth", "1", "Z2x2x2x2.txt"))
+    for name, prop in product(CENSUS_FILES, ("hsd", "modular", "distributive")):
+        out.append(("check", "--property", prop, "--ses-depth", "1", f"{name}.txt"))
     return out
 
 
