@@ -33,8 +33,9 @@ where two extensions first differ, the element x the second puts there
 comes later in the first, and each element between is neither below x (the
 second puts x before it) nor above x (the first puts it before x), so x
 moves forward past incomparable neighbours until the two agree one place
-further. A swap is one ``itemgetter`` that exchanges rows and columns i and
-i+1 and one ``translate`` that exchanges the labels.
+further. A swap is one ``translate`` that exchanges the labels, then two
+slice exchanges that exchange rows and columns i and i+1. It undoes itself,
+so the walk never tries the swap that reached a table on that table.
 
 Each representative is built once, as the lattice of its order, and that
 lattice's joins must be the emitted table: the one check that the search
@@ -108,33 +109,36 @@ def _natural_tables(n: int) -> list[bytes]:
     return found
 
 
-def _swaps(n: int) -> list[tuple[int, int, itemgetter, bytes]]:
-    """For each i < n - 2: the entry (i, i+1), the label i+1, and the
-    row-and-column exchange and label translation that swap i and i+1. The
-    top, n - 1, is comparable to everything, so it never swaps."""
+def _swaps(n: int) -> list[tuple[int, int, bytes, slice, slice, slice, slice]]:
+    """For each i < n - 2: i, the entry (i, i+1), the translation that
+    exchanges labels i and i+1, and the slices of rows and columns i and
+    i+1. The top, n - 1, is comparable to everything, so it never swaps."""
     out = []
     for i in range(n - 2):
-        swap = list(range(n))
-        swap[i], swap[i + 1] = i + 1, i
-        where = itemgetter(*(swap[a] * n + swap[b] for a in range(n) for b in range(n)))
-        out.append((i * n + i + 1, i + 1, where, bytes.maketrans(bytes(swap), bytes(range(n)))))
+        labels = bytes.maketrans(bytes([i, i + 1]), bytes([i + 1, i]))
+        rows = slice(i * n, (i + 1) * n), slice((i + 1) * n, (i + 2) * n)
+        out.append((i, i * n + i + 1, labels, *rows, slice(i, None, n), slice(i + 1, None, n)))
     return out
 
 
 def _relabellings(table: bytes, swaps) -> set[bytes]:
     """Tables of every natural labelling of a naturally labelled lattice,
-    reached from ``table`` by swapping adjacent incomparable labels."""
+    reached from ``table`` by swapping adjacent incomparable labels. A swap
+    is its own inverse, so the swap that reached a table is not tried on it."""
     seen = {table}
-    todo = [table]
+    todo = [(table, -1)]
     while todo:
-        t = todo.pop()
-        for entry, above, where, labels in swaps:
+        t, came = todo.pop()
+        for i, entry, labels, row, row1, col, col1 in swaps:
             # i and i+1 are comparable exactly when their join is i+1
-            if t[entry] != above:
-                u = bytes(where(t)).translate(labels)
+            if i != came and t[entry] != i + 1:
+                u = bytearray(t.translate(labels))
+                u[row], u[row1] = u[row1], u[row]
+                u[col], u[col1] = u[col1], u[col]
+                u = bytes(u)
                 if u not in seen:
                     seen.add(u)
-                    todo.append(u)
+                    todo.append((u, i))
     return seen
 
 

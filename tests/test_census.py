@@ -89,7 +89,7 @@ class TestEmittedStructures:
                 for b in group[i + 1 :]:
                     assert not are_isomorphic(a, b)
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_tables_match_isomorphism_search_oracle(self, n):
         assert [L.table for L in lattices_of_size(n)] == census_oracle(n)
 
@@ -119,6 +119,14 @@ class TestSwapWalk:
         swaps = _swaps(n)
         for L in lattices_of_size(n):
             assert _relabellings(_flat(L), swaps) == relabellings_by_extensions(_flat(L))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_reaches_the_whole_class_from_any_natural_labelling(self, n):
+        # the walk never steps back along the swap that reached a table, so
+        # it must still reach every relabelling from wherever it starts
+        swaps = _swaps(n)
+        for t in _natural_tables(n):
+            assert _relabellings(t, swaps) == relabellings_by_extensions(t)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_classes_partition_the_natural_tables(self, n):
