@@ -50,8 +50,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .monoid import FinMonoid, _monoid_unchecked
-from .nsub import NSubLattice, _lattice_from_order
-from .semilattice import up_sets
+from .nsub import NSubLattice, lattice_from_join_table
 
 
 def _feasible(join: bytes, pairs, allowed: frozenset) -> bool:
@@ -148,7 +147,7 @@ def _lattice(table: bytes, n: int) -> NSubLattice:
     the pair."""
     rows = tuple(tuple(table[a * n : (a + 1) * n]) for a in range(n))
     try:
-        lat = _lattice_from_order(up_sets(rows), map(str, range(n)))
+        lat = lattice_from_join_table(rows)
     except RuntimeError:
         raise RuntimeError("search emitted a non-lattice") from None
     if lat.join != rows:

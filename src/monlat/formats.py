@@ -73,7 +73,7 @@ def _parse_labels(entries, n):
         if labels[idx] is not None:
             raise ParseError(lineno, f"duplicate label for element {idx}")
         labels[idx] = name
-    # names render subsets in witnesses, (A;B):note and pentagon[A;B;...],
+    # names render subsets in witnesses, (A;B):note and (A;B;C;D;E):pentagon,
     # so no two elements may share one and none may hold a delimiter (braces
     # and commas stay allowed: exported lattices name elements {0,A})
     taken = {str(i) for i, lab in enumerate(labels) if lab is None}

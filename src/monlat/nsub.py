@@ -11,15 +11,14 @@ bitmasks of its order by one function: the up-set of a v b is the
 intersection of those of a and b, the down-set of a ^ b that of their
 down-sets, so each bound is one lookup keyed by a mask. Modularity and
 distributivity are decided in O(n²) from the lattice's masks and covers, by
-heights and join-irreducibles; a failing lattice then gets its first
-pentagon or diamond sublattice as the witness.
+heights and join-irreducibles. A failing lattice's witness, its first
+pentagon or diamond sublattice, is read off a pair and a third in O(n³).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 from . import monoid as mn
@@ -211,27 +210,27 @@ def lattice_verdicts(lat) -> tuple[bool, bool]:
     return True, all(ji[t] == a | b for a, Jx in zip(ji, lat.join) for b, t in zip(ji, Jx))
 
 
-def _sublattice_shape(lat, combo) -> str | None:
-    """Classify a closed 5-subset: 'pentagon', 'diamond', or neither."""
-    J = lat.join
-    subset = set(combo)
-    for a, b in combinations(combo, 2):
-        if J[a][b] not in subset or lat.meet[a][b] not in subset:
-            return None
-    bot = next(x for x in combo if all(J[x][y] == y for y in combo))
-    top = next(x for x in combo if all(J[y][x] == x for y in combo))
-    mids = [x for x in combo if x not in (bot, top)]
-    comparable = sum(1 for a, b in combinations(mids, 2) if J[a][b] in (a, b))
-    return {0: "diamond", 1: "pentagon"}.get(comparable)
-
-
 def _find_sublattice(lat, kind: str) -> LatticeWitness | None:
-    """The lexicographically first 5-subset forming the given sublattice. A
-    failing verdict finds none only on tables that are not a lattice."""
-    for combo in combinations(range(lat.size), 5):
-        if _sublattice_shape(lat, combo) == kind:
-            return LatticeWitness(kind, combo, tuple(lat.names[e] for e in combo))
-    return None
+    """The lexicographically first pentagon or diamond sublattice, read off
+    as {x ^ z, x, y, z, x v z}. Pentagon: x < y, x ^ z = y ^ z and x v z =
+    y v z, so z is beside both and the five are distinct and closed.
+    Diamond: x, y incomparable, and z meets and joins each as they meet and
+    join each other. Each such sublattice arises this way, so the least
+    sorted set is the first 5-subset of the kind. Only a table that is not a
+    lattice fails a verdict with none: there fewer than five may coincide."""
+    pentagon = kind == "pentagon"
+
+    def spans():
+        for x, (Jx, Mx) in enumerate(zip(lat.join, lat.meet)):
+            for y, (Jy, My) in enumerate(zip(lat.join, lat.meet)):
+                if (x != y and Jx[y] == y) if pentagon else (x < y and Jx[y] not in (x, y)):
+                    bounds = None if pentagon else (Mx[y], Jx[y])
+                    for z, m, m1, j, j1 in zip(range(lat.size), Mx, My, Jx, Jy):
+                        if m == m1 and j == j1 and bounds in (None, (m, j)):
+                            yield tuple(sorted({m, x, y, z, j}))
+
+    first = min((five for five in spans() if len(five) == 5), default=None)
+    return first and LatticeWitness(kind, first, tuple(lat.names[e] for e in first))
 
 
 def is_modular(lat: NSubLattice) -> tuple[bool, LatticeWitness | None]:

@@ -67,10 +67,6 @@ def commutative_fixtures():
     return named_commutative_monoids()
 
 
-def elem(M, name):
-    return M.element(name)
-
-
 def down(M, *names):
     """Member set of the down-set generated by the named elements (for a
     semilattice this is the principal down-set of their join)."""

@@ -8,7 +8,7 @@ each verdict one way only; the tests compare it against these.
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Any
 
 from monlat.census import _natural_tables
@@ -52,9 +52,9 @@ from monlat.semilattice import (
     require_semilattice,
 )
 from monlat.nsub import (
+    LatticeWitness,
     NSubLattice,
     SesObject,
-    _find_sublattice,
     enumerate_nsub,
     is_distributive,
     is_modular,
@@ -625,15 +625,38 @@ def first_interval_failure(lat) -> tuple[int, int] | None:
     return None
 
 
+def _sublattice_shape(lat, combo) -> str | None:
+    """Classify a closed 5-subset: 'pentagon', 'diamond', or neither."""
+    J = lat.join
+    subset = set(combo)
+    for a, b in combinations(combo, 2):
+        if J[a][b] not in subset or lat.meet[a][b] not in subset:
+            return None
+    bot = next(x for x in combo if all(J[x][y] == y for y in combo))
+    top = next(x for x in combo if all(J[y][x] == x for y in combo))
+    mids = [x for x in combo if x not in (bot, top)]
+    comparable = sum(1 for a, b in combinations(mids, 2) if J[a][b] in (a, b))
+    return {0: "diamond", 1: "pentagon"}.get(comparable)
+
+
+def first_sublattice_by_subsets(lat, kind: str) -> LatticeWitness | None:
+    """The lexicographically first 5-subset forming the given sublattice,
+    by testing every 5-subset in order."""
+    for combo in combinations(range(lat.size), 5):
+        if _sublattice_shape(lat, combo) == kind:
+            return LatticeWitness(kind, combo, tuple(lat.names[e] for e in combo))
+    return None
+
+
 def modular_by_sublattice(lat) -> bool:
     """Dedekind: modular exactly when no sublattice is a pentagon."""
-    return _find_sublattice(lat, "pentagon") is None
+    return first_sublattice_by_subsets(lat, "pentagon") is None
 
 
 def distributive_by_sublattice(lat) -> bool:
     """Birkhoff: distributive exactly when modular and no sublattice is a
     diamond."""
-    return modular_by_sublattice(lat) and _find_sublattice(lat, "diamond") is None
+    return modular_by_sublattice(lat) and first_sublattice_by_subsets(lat, "diamond") is None
 
 
 def lattice_method_disagreements(lat) -> list[str]:

@@ -1,12 +1,14 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monlat.census import lattices_up_to
+from monlat.census import census_lattices, lattices_up_to
 from monlat.monoid import FinMonoid, normal_closure, normal_submonoids
 from monlat.nsub import (
+    _find_sublattice,
     _lattice_from_order,
-    _sublattice_shape,
     enumerate_nsub,
     is_distributive,
     is_modular,
@@ -14,22 +16,26 @@ from monlat.nsub import (
     lattice_of_semilattice,
     lattice_verdicts,
 )
+from monlat.semilattice import chain, pentagon
 
 from conftest import (
     abelian_group,
     closure_oracle_families,
     down,
     drawn_submonoids,
+    mixed_monoids,
     named_commutative_monoids,
     product_monoid,
     products_and_quotients,
 )
 from lemmas import cokersquare_check, join_agreement_check, join_via_uniinter, phi_psi
 from oracles import (
+    _sublattice_shape,
     categorical_lattice,
     find_lattice_isomorphism,
     first_distributive_law_violation,
     first_modular_law_violation,
+    first_sublattice_by_subsets,
     fixpoint_normal_closure,
     inclusion_order,
     lattice_axiom_failure,
@@ -238,6 +244,47 @@ class TestDistributivity:
             lat = lattice_of_semilattice(L)
             if is_distributive(lat)[0]:
                 assert is_modular(lat)[0]
+
+
+N5x3 = product_monoid(pentagon(), chain(3))
+WITNESS_POOL = {
+    **NSUB_POOL,
+    **mixed_monoids(),
+    "N5x3": N5x3,
+    "N5x3x3": product_monoid(N5x3, chain(3)),
+}
+
+
+class TestSublatticeWitness:
+    """``_find_sublattice`` reads the first pentagon or diamond off a pair and
+    a third element; the reference tests every 5-subset in order."""
+
+    @staticmethod
+    def assert_matches_subset_search(lat):
+        for kind in ("pentagon", "diamond"):
+            assert _find_sublattice(lat, kind) == first_sublattice_by_subsets(lat, kind), kind
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_census_matches_the_subset_search(self, n):
+        for lat in census_lattices(n):
+            self.assert_matches_subset_search(lat)
+
+    @pytest.mark.parametrize("name", WITNESS_POOL)
+    def test_nsub_lattice_matches_the_subset_search(self, name):
+        self.assert_matches_subset_search(enumerate_nsub(WITNESS_POOL[name]))
+
+    def test_relabelled_lattice_matches_the_subset_search(self):
+        # N5 x 3 with its elements shuffled, so the labelling is not natural
+        n = N5x3.size
+        p = list(range(n))
+        Random(28).shuffle(p)
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[p[a]][p[b]] = p[N5x3.op(a, b)]
+        lat = lattice_from_join_table(table)
+        assert lat.bottom != 0 and _find_sublattice(lat, "pentagon") is not None
+        self.assert_matches_subset_search(lat)
 
 
 def _law_scan_verdicts(lat):

@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 307 CLI calls, one line per call.
+"""Digest the output of a fixed set of 311 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -58,7 +58,10 @@ and ``secondiso`` and ``diexact`` at depth 0 on Z2^5 and on
 (Z3, *) x (Z4, *), whose tables count the classes of a cokernel for every
 normal submonoid; ``secondiso`` and ``diexact`` at depth 1 on Z2^4, where
 65 of the 67 objects fail; and ``hsd``, ``modular`` and ``distributive`` at
-depth 1 on the two census lattices, which are not modular.
+depth 1 on the two census lattices, which are not modular; and
+``modular`` and ``distributive`` on monoid files of N5 x 3^2 and N5 x 3^3
+(45 and 135 elements), whose witnesses are the first pentagon of a larger
+lattice.
 Every call runs in a fresh interpreter with
 ``COLUMNS=80``, so help wraps alike on every terminal; the input files are
 written to a temporary directory that is the calls' working directory, so
@@ -219,6 +222,21 @@ def truncated_text(n: int) -> str:
     return f"monoid {n + 1}\n" + "\n".join(rows) + "\n"
 
 
+def n5_chains_text(k: int) -> str:
+    """The monoid file of N5 x 3^k: the ``N5`` fixture's join table
+    (elements 0, A, B, C, D) times k copies of the 3-element chain under
+    max, elements in lexicographic order of their coordinates (the identity
+    first)."""
+    n5 = ((0, 1, 2, 3, 4), (1, 1, 1, 1, 1), (2, 1, 2, 2, 1), (3, 1, 2, 3, 1), (4, 1, 1, 1, 4))
+    elems = list(product(range(5), *[range(3)] * k))
+    index = {e: i for i, e in enumerate(elems)}
+    rows = [
+        " ".join(str(index[(n5[a[0]][b[0]], *map(max, a[1:], b[1:]))]) for b in elems)
+        for a in elems
+    ]
+    return f"monoid {len(elems)}\n" + "\n".join(rows) + "\n"
+
+
 # commutative monoids that are neither semilattices nor groups
 MIXED = {"Z12mul": multiplicative_text(12), "trunc4": truncated_text(4)}
 
@@ -303,6 +321,8 @@ def calls() -> list[tuple[str, ...]]:
         out.append(("check", "--property", prop, "--ses-depth", "1", "Z2x2x2x2.txt"))
     for name, prop in product(CENSUS_FILES, ("hsd", "modular", "distributive")):
         out.append(("check", "--property", prop, "--ses-depth", "1", f"{name}.txt"))
+    for name, prop in product(("N5x3x3", "N5x3x3x3"), ("modular", "distributive")):
+        out.append(("check", "--property", prop, f"{name}.txt"))
     return out
 
 
@@ -324,6 +344,8 @@ def main(argv=None) -> int:
         Path(work, "bool5.txt").write_text(boolean_cover_text(5))
         Path(work, "Z3mulxZ4mul.txt").write_text(multiplicative_product_text(3, 4))
         Path(work, "headeronly.txt").write_text(HEADER_ONLY)
+        for k in (2, 3):
+            Path(work, f"N5{'x3' * k}.txt").write_text(n5_chains_text(k))
         for call in calls():
             proc = subprocess.run(
                 [sys.executable, "-m", "monlat", *call], cwd=work, env=env, capture_output=True
