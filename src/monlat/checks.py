@@ -82,34 +82,39 @@ where a law applies gives every object the depth-0 report:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .monoid import cokernel_by_submonoid
+from .monoid import _Record, cokernel_by_submonoid
 from .nsub import enumerate_nsub, innermost, is_distributive, is_modular, lattice_verdicts
 
 
-@dataclass(frozen=True)
-class CheckWitness:
+class CheckWitness(_Record):
     """A failing configuration: canonical subobject keys plus display names."""
 
-    keys: tuple
-    names: tuple[str, ...]
-    note: str = ""
+    __slots__ = _fields = ("keys", "names", "note")
+
+    def __init__(self, keys: tuple, names: tuple[str, ...], note: str = ""):
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "note", note)
 
     def render(self) -> str:
         body = ";".join(self.names)
         return f"({body})" + (f":{self.note}" if self.note else "")
 
 
-@dataclass
-class CheckReport:
-    prop: str
-    obj: str
-    depth: int
-    passed: bool
-    witnesses: tuple[CheckWitness, ...]
-    cases: int
+class CheckReport(_Record):
+    __slots__ = _fields = ("prop", "obj", "depth", "passed", "witnesses", "cases")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, prop: str, obj: str, depth: int, passed: bool,
+                 witnesses: tuple[CheckWitness, ...], cases: int):
+        self.prop = prop
+        self.obj = obj
+        self.depth = depth
+        self.passed = passed
+        self.witnesses = witnesses
+        self.cases = cases
 
     @property
     def status(self) -> str:

@@ -16,7 +16,6 @@ keep no caches; results are memoized by the cached functions of ``monoid``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from . import monoid as mn
@@ -26,6 +25,7 @@ from .monoid import (
     MonoidError,
     MonoidHom,
     _hom_unchecked,
+    _Record,
 )
 from .nsub import SesObject, enumerate_nsub
 
@@ -175,8 +175,7 @@ def cmon_context() -> CmonContext:
 # short exact sequences
 
 
-@dataclass(frozen=True)
-class SesHom:
+class SesHom(_Record):
     """A morphism of short exact sequences, at any depth of the tower.
 
     It is stored as its innermost monoid map ``base``, src.monoid ->
@@ -186,17 +185,16 @@ class SesHom:
     directly.
     """
 
-    src: SesObject
-    dst: SesObject
-    base: MonoidHom
+    _fields = ("src", "dst", "base")
 
-    def __post_init__(self):
-        if self.base.dom != self.src.monoid or self.base.cod != self.dst.monoid:
+    def __init__(self, src: SesObject, dst: SesObject, base: MonoidHom):
+        if base.dom != src.monoid or base.cod != dst.monoid:
             raise MonoidError("map endpoints do not match")
-        if len(self.src.marks) != len(self.dst.marks):
+        if len(src.marks) != len(dst.marks):
             raise MonoidError("sequences of different depths")
-        if not _carries(self.base, self.src.marks, self.dst.marks):
+        if not _carries(base, src.marks, dst.marks):
             raise MonoidError("map does not carry the subobjects into the target's")
+        self.__dict__.update(src=src, dst=dst, base=base)
 
 
 def _hom(src: SesObject, dst: SesObject, base: MonoidHom) -> SesHom:

@@ -3,15 +3,15 @@ the rest of the package is built on.
 
 Element 0 is always the two-sided identity; validation enforces this rather
 than searching for an identity, so element indices are canonical and values
-hash/compare structurally. Everything here is immutable and every function
-is pure, so results may be shared between threads and cached freely.
+hash/compare structurally. Every value here refuses assignment and every
+function is pure, so results may be shared between threads and cached freely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, islice, product
+from operator import attrgetter
 from typing import Iterator
 
 
@@ -19,12 +19,48 @@ class MonoidError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AxiomFailure:
-    """One violated monoid axiom together with its witnessing indices."""
+class _Record:
+    """Value semantics read off the field names in ``_fields``: equality
+    with an instance of the same class, a hash, pickling and a repr that
+    names each field. A subclass refuses assignment unless it restores
+    ``object.__setattr__``, so its ``__init__`` sets its fields through
+    ``object.__setattr__`` or, beside a ``cached_property``, ``__dict__``."""
 
-    kind: str  # OutOfRange | IdentityViolation | NonAssociative
-    witness: tuple[int, ...]
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class AxiomFailure(_Record):
+    """One violated monoid axiom (OutOfRange, IdentityViolation or
+    NonAssociative) together with its witnessing indices."""
+
+    __slots__ = _fields = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: tuple[int, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
 
     def __str__(self) -> str:
         return f"{self.kind}({','.join(map(str, self.witness))})"
@@ -79,8 +115,7 @@ def table_axiom_failures(table) -> Iterator[AxiomFailure]:
             yield AxiomFailure("NonAssociative", (i, j, k))
 
 
-@dataclass(frozen=True)
-class FinMonoid:
+class FinMonoid(_Record):
     """A finite monoid given by its full operation table.
 
     ``table[i][j]`` is the index of ``i * j``. Labels only name elements,
@@ -88,12 +123,10 @@ class FinMonoid:
     monoid hands back results carrying that monoid's labels.
     """
 
-    table: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
+    _fields = ("table", "labels")
 
-    def __post_init__(self):
-        table = tuple(tuple(row) for row in self.table)
-        object.__setattr__(self, "table", table)
+    def __init__(self, table, labels: tuple[str, ...] | None = None):
+        table = tuple(tuple(row) for row in table)
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):
             raise MonoidError("operation table must be square and nonempty")
@@ -101,17 +134,16 @@ class FinMonoid:
         first = next(failures, None)
         if first is not None:
             raise InvalidMonoid(chain((first,), failures))
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
+        if labels is not None:
+            labels = tuple(str(x) for x in labels)
             if len(labels) != n:
                 raise MonoidError("label count differs from element count")
-            object.__setattr__(self, "labels", labels)
+        self.__dict__.update(table=table, labels=labels)
 
     def __hash__(self):
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.table, self.labels))
-            object.__setattr__(self, "_hash", h)
+            h = self.__dict__["_hash"] = hash((self.table, self.labels))
         return h
 
     @property
@@ -159,29 +191,26 @@ def validate_monoid(table, labels=None) -> FinMonoid:
 TRIVIAL = FinMonoid(((0,),))
 
 
-@dataclass(frozen=True)
-class MonoidHom:
+class MonoidHom(_Record):
     """A total identity- and operation-preserving map between FinMonoids."""
 
-    dom: FinMonoid
-    cod: FinMonoid
-    mapping: tuple[int, ...]
+    _fields = ("dom", "cod", "mapping")
 
-    def __post_init__(self):
-        mapping = tuple(self.mapping)
-        object.__setattr__(self, "mapping", mapping)
-        n, m = self.dom.size, self.cod.size
+    def __init__(self, dom: FinMonoid, cod: FinMonoid, mapping):
+        mapping = tuple(mapping)
+        n, m = dom.size, cod.size
         if len(mapping) != n:
             raise MonoidError("mapping length differs from domain size")
         if any(not (0 <= v < m) for v in mapping):
             raise MonoidError("mapping hits elements outside the codomain")
         if mapping[0] != 0:
             raise MonoidError("identity is not preserved")
-        td, tc = self.dom.table, self.cod.table
+        td, tc = dom.table, cod.table
         for i in range(n):
             for j in range(n):
                 if mapping[td[i][j]] != tc[mapping[i]][mapping[j]]:
                     raise MonoidError(f"not a homomorphism at pair ({i},{j})")
+        self.__dict__.update(dom=dom, cod=cod, mapping=mapping)
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]
@@ -189,8 +218,7 @@ class MonoidHom:
     def __hash__(self):
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.dom, self.cod, self.mapping))
-            object.__setattr__(self, "_hash", h)
+            h = self.__dict__["_hash"] = hash((self.dom, self.cod, self.mapping))
         return h
 
     @cached_property
@@ -210,17 +238,17 @@ class MonoidHom:
         return f"MonoidHom({self.dom.size}->{self.cod.size}, {self.mapping})"
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(_Record):
     """A set of element indices of a monoid (submonoids, kernels, ...)."""
 
-    of: FinMonoid
-    members: frozenset[int]
+    __slots__ = _fields = ("of", "members")
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        if any(not (0 <= i < self.of.size) for i in self.members):
+    def __init__(self, of: FinMonoid, members):
+        members = frozenset(members)
+        if any(not (0 <= i < of.size) for i in members):
             raise MonoidError("subset member out of range")
+        object.__setattr__(self, "of", of)
+        object.__setattr__(self, "members", members)
 
     def is_submonoid(self) -> bool:
         mem = self.members
@@ -235,8 +263,7 @@ def _monoid_unchecked(table, labels) -> FinMonoid:
     (submonoids, quotients by a congruence, join tables of semilattices),
     skipping the O(n^3) axiom scan. Raw or external tables go through FinMonoid()."""
     M = object.__new__(FinMonoid)
-    object.__setattr__(M, "table", table)
-    object.__setattr__(M, "labels", labels)
+    M.__dict__.update(table=table, labels=labels)
     return M
 
 

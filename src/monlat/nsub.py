@@ -17,7 +17,6 @@ pentagon or diamond sublattice, is read off a pair and a third in O(n³).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -73,15 +72,18 @@ def make_ses(base, key) -> SesObject:
 # the lattice of normal subobjects
 
 
-@dataclass(frozen=True)
-class LatticeWitness:
-    kind: str  # pentagon | diamond
-    elements: tuple[int, ...]
-    names: tuple[str, ...]
+class LatticeWitness(mn._Record):
+    """A pentagon or diamond sublattice: its kind, its sorted elements and their names."""
+
+    __slots__ = _fields = ("kind", "elements", "names")
+
+    def __init__(self, kind: str, elements: tuple[int, ...], names: tuple[str, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "names", names)
 
 
-@dataclass(frozen=True)
-class NSubLattice:
+class NSubLattice(mn._Record):
     """A finite lattice with elements indexed 0..n-1, given by its join and
     meet tables: a <= b when ``join[a][b] == b``.
 
@@ -92,18 +94,14 @@ class NSubLattice:
     read off the join table when not given, and take no part in equality.
     """
 
-    join: tuple[tuple[int, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
-    top: int
-    bottom: int
-    names: tuple[str, ...]
-    keys: tuple = ()
-    up: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    down: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    _fields = ("join", "meet", "top", "bottom", "names", "keys")
 
-    def __post_init__(self):
-        object.__setattr__(self, "up", self.up or tuple(up_sets(self.join)))
-        object.__setattr__(self, "down", self.down or tuple(down_sets(self.up)))
+    def __init__(self, join, meet, top: int, bottom: int, names: tuple[str, ...],
+                 keys: tuple = (), up: tuple[int, ...] = (), down: tuple[int, ...] = ()):
+        up = up or tuple(up_sets(join))
+        down = down or tuple(down_sets(up))
+        self.__dict__.update(join=join, meet=meet, top=top, bottom=bottom, names=names,
+                             keys=keys, up=up, down=down)
 
     @property
     def size(self) -> int:

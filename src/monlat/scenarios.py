@@ -12,20 +12,21 @@ depths, and the Klein four-group separates the last at depth one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .checks import diexact_check, dpn_check, third_iso_check
-from .monoid import FinMonoid, cokernel_by_submonoid, compose, inclusion_hom
+from .monoid import FinMonoid, _Record, cokernel_by_submonoid, compose, inclusion_hom
 from .nsub import enumerate_nsub, is_distributive, is_modular, make_ses
 from .semilattice import klein_four, pentagon, principal_downset, six_lattice
 
 
-@dataclass
-class ScenarioResult:
-    name: str
-    ok: bool
-    detail: str
-    skipped: bool = False
+class ScenarioResult(_Record):
+    __slots__ = _fields = ("name", "ok", "detail", "skipped")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, name: str, ok: bool, detail: str, skipped: bool = False):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+        self.skipped = skipped
 
     def line(self) -> str:
         status = "skip" if self.skipped else ("ok" if self.ok else "MISMATCH")

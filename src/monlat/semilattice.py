@@ -10,9 +10,7 @@ up-set of an element, which is then their join.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .monoid import FinMonoid, MonoidError, Subset, _monoid_unchecked
+from .monoid import FinMonoid, MonoidError, Subset, _monoid_unchecked, _Record
 
 
 class SemilatticeError(MonoidError):
@@ -39,23 +37,23 @@ class NotAPartialOrder(SemilatticeError):
     pass
 
 
-@dataclass(frozen=True)
-class CoverGraph:
+class CoverGraph(_Record):
     """A Hasse diagram: (a, b) in covers means a is covered by b."""
 
-    size: int
-    covers: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...] | None = None
+    __slots__ = _fields = ("size", "covers", "labels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "covers", tuple((int(a), int(b)) for a, b in self.covers))
-        if self.size < 1:
+    def __init__(self, size: int, covers, labels: tuple[str, ...] | None = None):
+        covers = tuple((int(a), int(b)) for a, b in covers)
+        if size < 1:
             raise SemilatticeError("a cover graph needs at least one element")
-        for a, b in self.covers:
-            if not (0 <= a < self.size and 0 <= b < self.size) or a == b:
+        for a, b in covers:
+            if not (0 <= a < size and 0 <= b < size) or a == b:
                 raise SemilatticeError(f"bad cover pair ({a},{b})")
-        if self.labels is not None and len(self.labels) != self.size:
+        if labels is not None and len(labels) != size:
             raise SemilatticeError("label count differs from element count")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "covers", covers)
+        object.__setattr__(self, "labels", labels)
 
 
 def _reachable(size: int, covers) -> list[int]:

@@ -616,6 +616,17 @@ class TestGrammar:
         )
         assert (proc.returncode, proc.stdout) == (0, "False\n")
 
+    def test_import_loads_no_dataclasses(self):
+        # dataclasses and the inspect, ast and dis modules it imports cost
+        # about 9 ms of every CLI start
+        code = "import monlat, monlat.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
     def test_production_path_loads_no_context(self):
         # the kernel/cokernel contexts are the tests' reference: importing
         # the package and the CLI, and running a depth-1 check and the
