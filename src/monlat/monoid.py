@@ -407,17 +407,6 @@ def _saturation(t, S) -> frozenset[int]:
     return frozenset(x for x, row in enumerate(t) if not S.isdisjoint(map(row.__getitem__, S)))
 
 
-def _join(t, K, G) -> frozenset[int]:
-    """The join sat(K + G) of normal submonoids K and G (see
-    ``normal_closure``); one that holds the other is normal, so it is the
-    join."""
-    if G <= K:
-        return K
-    if K <= G:
-        return G
-    return _saturation(t, _sum_set(t, K, G))
-
-
 @lru_cache(maxsize=None)
 def normal_closure(M: FinMonoid, seed: frozenset) -> frozenset[int]:
     """Smallest normal submonoid of a commutative monoid containing the seed.
@@ -452,7 +441,14 @@ def normal_submonoids(M: FinMonoid) -> tuple[frozenset[int], ...]:
     Every normal submonoid is the join of the closures of its members, so
     one pass finds them all: starting from {0}, each singleton closure G
     not found yet is joined with every key K found so far, as sat(K + G)
-    (see ``normal_closure``).
+    (see ``normal_closure``), or as the one that holds the other.
+
+    Only a sum set not seen yet is saturated, as a normal submonoid N is
+    its own saturation: N lies in sat(N), as x = x + 0, and if x + s and s
+    are in N, so is x, as N is the kernel of some f and f(x) = f(x) + f(s)
+    = f(x + s) = 0. So a sum set that is a key, or an earlier join of this
+    pass, is the join. In a group every K + G is a subgroup, so each key
+    is saturated once.
     """
     if not M.commutative:
         raise NotCommutative("normal subobject enumeration needs a commutative monoid")
@@ -461,7 +457,11 @@ def normal_submonoids(M: FinMonoid) -> tuple[frozenset[int], ...]:
     for x in range(M.size):
         g = normal_closure(M, frozenset({x}))
         if g not in keys:
-            keys |= {_join(t, k, g) for k in keys}
+            joins = {g}
+            for k in keys:
+                s = k if g <= k else g if k <= g else frozenset(_sum_set(t, k, g))
+                joins.add(s if s in keys or s in joins else _saturation(t, s))
+            keys |= joins
     return tuple(sorted(keys, key=lambda k: (len(k), sorted(k))))
 
 

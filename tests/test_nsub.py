@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monlat import monoid
 from monlat.census import census_lattices, lattices_up_to
 from monlat.monoid import FinMonoid, normal_closure, normal_submonoids
 from monlat.nsub import (
@@ -172,6 +173,47 @@ class TestClosureOracles:
         found = sorted(normal_submonoids(S), key=sorted)
         assert found == sorted(normal_submonoids_by_filter(S), key=sorted)
         assert enumerate_nsub(S) == lattice_by_closures(S)
+
+
+def _galois_number(p, n):
+    """The number of subspaces of GF(p)^n: the sum over k of the Gaussian
+    binomials [n k]_p = prod_{i<k} (p^(n-i) - 1) / (p^(i+1) - 1)."""
+    total = 0
+    for k in range(n + 1):
+        num = den = 1
+        for i in range(k):
+            num *= p ** (n - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+class TestEnumerationCounts:
+    """The enumeration against the subgroup counts of elementary abelian
+    groups, and the number of saturations it runs."""
+
+    @pytest.mark.parametrize(
+        "p, n, count", [(2, 1, 2), (2, 2, 5), (2, 3, 16), (2, 4, 67), (2, 5, 374), (3, 3, 28)]
+    )
+    def test_subgroups_of_elementary_abelian_groups(self, p, n, count):
+        assert _galois_number(p, n) == count
+        assert len(normal_submonoids(abelian_group(*[p] * n))) == count
+
+    @pytest.mark.parametrize("orders", [(2,) * 4, (2,) * 5, (3,) * 3])
+    def test_each_new_sum_set_is_saturated_once(self, orders, monkeypatch):
+        # the closures saturate once per element, the joins at most once per key
+        calls = []
+        saturation = monoid._saturation
+
+        def recording(t, S):
+            calls.append(S)
+            return saturation(t, S)
+
+        monkeypatch.setattr(monoid, "_saturation", recording)
+        normal_closure.cache_clear()
+        M = abelian_group(*orders)
+        keys = normal_submonoids(M)
+        assert len(calls) <= M.size + len(keys)
 
 
 def _tables(lat):
