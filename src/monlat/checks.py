@@ -189,8 +189,9 @@ def _antinormal_failures(M, lat) -> dict[tuple[int, int], str]:
 
 def _dpn_witnesses(lat, table) -> list[CheckWitness]:
     """A witness per ordered pair (Y, Z) where exactly one of Z >-> X ->> X/Y
-    and its dinverse Y >-> X ->> X/Z is normal, noted with the normal one."""
-    pairs = product(range(lat.size), repeat=2)
+    and its dinverse Y >-> X ->> X/Z is normal, noted with the normal one.
+    Only a failing pair or its transpose can differ: those, in row-major order."""
+    pairs = sorted({*table, *((iz, iy) for iy, iz in table)})
     return _pair_witnesses(lat, {
         (iy, iz): "dinverse-normal" if (iz, iy) in table else "map-normal"
         for iy, iz in pairs

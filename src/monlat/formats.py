@@ -6,8 +6,8 @@ Monoid files:       optional '#' comments, a `monoid <n>` header, n rows of
 Semilattice files:  `semilattice <n>` (or `lattice <n>`, so exported
                     subobject lattices re-parse as first-class inputs),
                     `cover <a> <b>` lines, optional labels. Joins are
-                    inferred; the canonical form lists elements in the
-                    deterministic linear extension.
+                    inferred; the canonical form numbers elements by
+                    height, ties by original index.
 """
 
 from __future__ import annotations
@@ -143,29 +143,22 @@ def parse_structure(text: str) -> FinMonoid:
     raise ParseError(1, "empty input")
 
 
-def _label_lines(M: FinMonoid) -> list[str]:
-    if M.labels is None:
-        return []
-    return [f"label {i} {M.label(i)}" for i in range(M.size)]
+def _text(header: str, body, labels) -> str:
+    """A file's text: the header line, the body lines, and a ``label <i>
+    <name>`` line per element when there are labels."""
+    labels = [f"label {i} {name}" for i, name in enumerate(labels or ())]
+    return "\n".join([header, *body, *labels]) + "\n"
 
 
 def emit_monoid_text(M: FinMonoid) -> str:
-    lines = [f"monoid {M.size}"]
-    lines += [" ".join(str(v) for v in row) for row in M.table]
-    lines += _label_lines(M)
-    return "\n".join(lines) + "\n"
+    return _text(f"monoid {M.size}", (" ".join(map(str, row)) for row in M.table), M.labels)
 
 
 def emit_semilattice_text(M: FinMonoid) -> str:
-    lines = [f"semilattice {M.size}"]
-    lines += [f"cover {a} {b}" for a, b in lattice_of_semilattice(M).covers]
-    lines += _label_lines(M)
-    return "\n".join(lines) + "\n"
+    covers = lattice_of_semilattice(M).covers
+    return _text(f"semilattice {M.size}", (f"cover {a} {b}" for a, b in covers), M.labels)
 
 
 def emit_lattice_text(lat: NSubLattice) -> str:
     """Subobject-lattice export in the semilattice format, re-parseable."""
-    lines = [f"lattice {lat.size}"]
-    lines += [f"cover {a} {b}" for a, b in lat.covers]
-    lines += [f"label {i} {lat.names[i]}" for i in range(lat.size)]
-    return "\n".join(lines) + "\n"
+    return _text(f"lattice {lat.size}", (f"cover {a} {b}" for a, b in lat.covers), lat.names)

@@ -9,7 +9,8 @@ cached value. A lattice is its join and meet tables: a <= b when a v b = b.
 Every lattice here, that one or a semilattice's own, is built from up-set
 bitmasks of its order by one function: the up-set of a v b is the
 intersection of those of a and b, the down-set of a ^ b that of their
-down-sets, so each bound is one lookup keyed by a mask. Modularity and
+down-sets, so each bound is one lookup keyed by a mask, and
+``semilattice.mask_table`` reads every pair's. Modularity and
 distributivity are decided in O(n²) from the lattice's masks and covers, by
 heights and join-irreducibles. A failing lattice's witness, its first
 pentagon or diamond sublattice, is read off a pair and a third in O(n³).
@@ -21,7 +22,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import monoid as mn
-from .semilattice import down_sets, is_cover, require_semilattice, up_sets
+from .semilattice import down_sets, heights, is_cover, mask_table, require_semilattice, up_sets
 
 
 class SesInvariantError(RuntimeError):
@@ -126,12 +127,6 @@ class NSubLattice(mn._Record):
         return self.keys.index(key)
 
 
-def _mask_table(masks, at) -> tuple[tuple[int, ...], ...]:
-    """Entry (a, b) is the element ``at[masks[a] & masks[b]]``; each row is
-    one C-level pass."""
-    return tuple(tuple(map(at.__getitem__, map(m.__and__, masks))) for m in masks)
-
-
 def _lattice_from_order(up, names, keys=()) -> NSubLattice:
     """The lattice of a finite order given by up-set bitmasks (bit b of
     ``up[a]`` set when a <= b). The join of a and b is the element whose
@@ -144,7 +139,7 @@ def _lattice_from_order(up, names, keys=()) -> NSubLattice:
     above = {mask: x for x, mask in enumerate(up)}
     below = {mask: x for x, mask in enumerate(down)}
     try:
-        join, meet = _mask_table(up, above), _mask_table(down, below)
+        join, meet = mask_table(up, above.__getitem__), mask_table(down, below.__getitem__)
         top, bottom = below[everything], above[everything]
     except KeyError:
         raise RuntimeError("order is not a lattice") from None
@@ -194,12 +189,7 @@ def lattice_verdicts(lat) -> tuple[bool, bool]:
     (Birkhoff; h is strictly monotone, so a pentagon breaks it). Whether it
     is distributive: modular, and x -> {join-irreducibles <= x} (injective,
     keeps meets) keeps joins. Join-irreducibles have one lower cover."""
-    lower = [[] for _ in range(lat.size)]
-    for y, x in lat.covers:
-        lower[x].append(y)
-    height = [0] * lat.size
-    for x in sorted(range(lat.size), key=lambda x: lat.down[x].bit_count()):
-        height[x] = max((height[y] + 1 for y in lower[x]), default=0)
+    height, lower = heights(lat.down, lat.covers)
     for hx, Jx, Mx in zip(height, lat.join, lat.meet):
         if any(hx + hy != height[j] + height[m] for hy, j, m in zip(height, Jx, Mx)):
             return False, False

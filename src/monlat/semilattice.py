@@ -5,7 +5,9 @@ and the named fixtures used throughout the test suite.
 Every finite order in the package is a list of up-set bitmasks (bit b of
 ``up[a]`` set when a <= b); b covers a when ``up[a] & down[b]`` holds just
 a and b, and a and b have a join exactly when ``up[a] & up[b]`` is the
-up-set of an element, which is then their join.
+up-set of an element, which is then their join. One routine of each kind
+serves the cover-file reader and ``nsub``'s lattices alike: ``up_sets``,
+``down_sets``, ``is_cover``, ``mask_table`` (every bound) and ``heights``.
 """
 
 from __future__ import annotations
@@ -84,12 +86,30 @@ def is_cover(up, down, a: int, b: int) -> bool:
     return (up[a] & down[b]).bit_count() == 2
 
 
+def mask_table(masks, at) -> tuple[tuple, ...]:
+    """Entry (a, b) is ``at(masks[a] & masks[b])``, each row one C-level
+    pass: on up-sets, with ``at`` the element of an up-set, the joins."""
+    return tuple(tuple(map(at, map(m.__and__, masks))) for m in masks)
+
+
+def heights(down, covers) -> tuple[list[int], list[list[int]]]:
+    """Each element's height, its longest chain down to a minimal element,
+    and its lower covers, from down-set bitmasks and the covers (a, b), a
+    covered by b, read by b's down-set size: a's height is then final."""
+    lower = [[] for _ in down]
+    height = [0] * len(down)
+    for a, b in sorted(covers, key=lambda cover: down[cover[1]].bit_count()):
+        lower[b].append(a)
+        height[b] = max(height[b], height[a] + 1)
+    return height, lower
+
+
 def semilattice_from_covers(g: CoverGraph) -> FinMonoid:
     """Least-upper-bound table of a cover graph, as a commutative monoid.
 
-    Elements are renumbered by a deterministic linear extension (layered
-    sweep from the bottom, ties broken by original index), so the bottom
-    lands at index 0 and equal inputs produce identical tables.
+    Elements are numbered by height, ties by original index, so the bottom
+    lands at index 0 and equal inputs produce identical tables. NoJoin names
+    the first joinless pair in row-major order of the original numbering.
     """
     n = g.size
     # the order is checked on the elements the covers name, in their order,
@@ -115,33 +135,18 @@ def semilattice_from_covers(g: CoverGraph) -> FinMonoid:
             shown += f" ({len(minimal) - NoBottom.SHOWN} more)"
         raise NoBottom(shown)
     # one minimal element: every element is named, or n is 1, so the
-    # indices are the elements'
-
-    # layered linear extension: emit every element whose strict down-set is
-    # already numbered, one layer at a time, ordered by original index
-    new_index = [0] * n
-    placed = 0
-    while placed != (1 << n) - 1:
-        layer = [i for i in range(n) if not placed >> i & 1 and down[i] & ~placed == 1 << i]
-        for i in layer:
-            new_index[i] = placed.bit_count()
-            placed |= 1 << i
-    above = {mask: t for t, mask in enumerate(up)}
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            t = above.get(up[a] & up[b])
-            if t is None:
-                raise NoJoin(a, b)
-            table[new_index[a]][new_index[b]] = new_index[t]
-    labels = None
-    if g.labels is not None:
-        labels = [""] * n
-        for old, new in enumerate(new_index):
-            labels[new] = str(g.labels[old])
-        labels = tuple(labels)
+    # indices are the elements' and the given covers are all the order's
+    height, _ = heights(down, g.covers)
+    order = sorted(range(n), key=height.__getitem__)  # stable: ties by index
+    up = [up[x] for x in order]  # listed in the new numbering, bits in the old
+    table = mask_table(up, {mask: t for t, mask in enumerate(up)}.get)
+    for a in range(n):  # row-major in the file's numbering
+        row = table[order.index(a)]
+        if None in row:
+            raise NoJoin(a, min(order[b] for b, t in enumerate(row) if t is None))
+    labels = None if g.labels is None else tuple(str(g.labels[x]) for x in order)
     # the join table of an order with a least element and all joins is a monoid
-    return _monoid_unchecked(tuple(tuple(row) for row in table), labels)
+    return _monoid_unchecked(table, labels)
 
 
 def require_semilattice(L: FinMonoid) -> None:

@@ -203,6 +203,22 @@ def matrix_covers_of(leq) -> list[tuple[int, int]]:
     ]
 
 
+def matrix_heights(leq) -> list[int]:
+    """The height of each element of a finite order given by its relation
+    matrix: the length of its longest chain down to a minimal element, by
+    raising b above a for every pair a < b until no height changes."""
+    n = len(leq)
+    height = [0] * n
+    changed = True
+    while changed:
+        changed = False
+        for a, b in product(range(n), repeat=2):
+            if a != b and leq[a][b] and height[b] <= height[a]:
+                height[b] = height[a] + 1
+                changed = True
+    return height
+
+
 # ---------------------------------------------------------------------------
 # short exact sequences, nested: the categorical construction the package's
 # flat tower is compared against

@@ -23,17 +23,19 @@ from monlat.semilattice import (
     SemilatticeError,
     _chain_digits,
     chain,
+    heights,
     pentagon,
     principal_downset,
     semilattice_from_covers,
     fixture,
 )
 
-from conftest import down
+from conftest import abelian_group, down
 from oracles import (
     all_normal_subobjects_semilattice,
     inclusion_order,
     matrix_covers_of,
+    matrix_heights,
     matrix_semilattice_from_covers,
     principal_upset,
     quotient_by_downset,
@@ -145,6 +147,37 @@ class TestUpDownSets:
                 continue
             for a in range(L.size):
                 assert is_normal_submonoid(L, principal_downset(L, a).members)[0]
+
+
+class TestHeights:
+    """``heights`` against the longest chains of a relation matrix built
+    outside the lattice under test, and its lower covers against the
+    lattice's covers and the matrix's betweenness covers."""
+
+    @staticmethod
+    def _check(lat, leq):
+        height, lower = heights(lat.down, lat.covers)
+        assert height == matrix_heights(leq)
+        assert lower == [[a for a, b in lat.covers if b == x] for x in range(lat.size)]
+        pairs = sorted((a, b) for b, below in enumerate(lower) for a in below)
+        assert pairs == matrix_covers_of(leq)
+
+    def test_census_lattices_up_to_eight(self):
+        for L in lattices_up_to(8):
+            self._check(lattice_of_semilattice(L), table_order(L.table))
+
+    def test_named_fixtures(self, commutative_fixtures):
+        for name, L in commutative_fixtures.items():
+            lat = enumerate_nsub(L)
+            self._check(lat, inclusion_order(lat.keys))
+            if L.is_semilattice:
+                self._check(lattice_of_semilattice(L), table_order(L.table))
+
+    def test_z2_fourth_power(self):
+        lat = enumerate_nsub(abelian_group(2, 2, 2, 2))
+        assert lat.size == 67
+        self._check(lat, inclusion_order(lat.keys))
+        assert max(heights(lat.down, lat.covers)[0]) == 4
 
 
 class TestQuotientByDownset:

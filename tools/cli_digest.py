@@ -1,4 +1,4 @@
-"""Digest the output of a fixed set of 311 CLI calls, one line per call.
+"""Digest the output of a fixed set of 313 CLI calls, one line per call.
 
 Each line is ``md5<TAB>exit<TAB>argv``: the md5 of the call's stdout, a NUL
 byte and its stderr, the exit code, and the arguments. Two checkouts print
@@ -61,7 +61,10 @@ normal submonoid; ``secondiso`` and ``diexact`` at depth 1 on Z2^4, where
 depth 1 on the two census lattices, which are not modular; and
 ``modular`` and ``distributive`` on monoid files of N5 x 3^2 and N5 x 3^3
 (45 and 135 elements), whose witnesses are the first pentagon of a larger
-lattice.
+lattice; ``validate`` on a renumbered cover file with no join, whose
+first joinless pair in row-major order of the file's own numbering is
+(0,1) while in height order it is (3,4); and ``stability`` at depth 1 on
+N5, which the CLI refuses (exit 2).
 Every call runs in a fresh interpreter with
 ``COLUMNS=80``, so help wraps alike on every terminal; the input files are
 written to a temporary directory that is the calls' working directory, so
@@ -107,6 +110,10 @@ COVER_FILES = {
     "nobottom": "semilattice 3\ncover 0 2\ncover 1 2\n",
     "nojoin": "semilattice 5\ncover 0 1\ncover 0 2\ncover 1 3\ncover 2 3\ncover 1 4\ncover 2 4\n",
     "cycle": "semilattice 2\ncover 0 1\ncover 1 0\n",
+    # the no-join file renumbered: 2 is the bottom, 0 and 1 the two upper
+    # bounds of 3 and 4
+    "nojoinrenumbered": "semilattice 5\ncover 2 3\ncover 2 4\ncover 3 0\ncover 4 0\n"
+    "cover 3 1\ncover 4 1\n",
 }
 # one malformed file per message of the two readers (exit 2); the monoid
 # files break the header, the rows, the label lines and each monoid axiom,
@@ -323,6 +330,8 @@ def calls() -> list[tuple[str, ...]]:
         out.append(("check", "--property", prop, "--ses-depth", "1", f"{name}.txt"))
     for name, prop in product(("N5x3x3", "N5x3x3x3"), ("modular", "distributive")):
         out.append(("check", "--property", prop, f"{name}.txt"))
+    out.append(("validate", "nojoinrenumbered.txt"))
+    out.append(("check", "--property", "stability", "--ses-depth", "1", "N5"))
     return out
 
 
