@@ -53,13 +53,6 @@ from .monoid import FinMonoid, _monoid_unchecked
 from .nsub import NSubLattice, lattice_from_join_table
 
 
-def _feasible(join: bytes, pairs, allowed: frozenset) -> bool:
-    """Whether the next element may go above a down-set: ``pairs`` reads the
-    entries of the pairs in it, and ``allowed`` holds its members and the
-    codes of pairs without a join."""
-    return allowed.issuperset(pairs(join))
-
-
 def _natural_tables(n: int) -> list[bytes]:
     """Join tables of every naturally labelled lattice of size n.
 
@@ -84,7 +77,10 @@ def _natural_tables(n: int) -> list[bytes]:
         return places[down]
 
     def test(mask: int) -> tuple:
-        # entry (0, 0) twice makes itemgetter return a tuple even without pairs
+        # whether the next element may go above a down-set: a getter of the
+        # entries of the pairs in it, all of which must be among its members
+        # or the codes of pairs without a join; entry (0, 0) twice makes
+        # itemgetter return a tuple even without pairs
         if mask not in tests:
             members = [a for a in range(n) if mask >> a & 1]
             pairs = [a * n + b for a in members for b in members if 0 < a < b]
@@ -100,7 +96,8 @@ def _natural_tables(n: int) -> list[bytes]:
             return
         bit = 1 << k
         for mask in ideals:
-            if _feasible(join, *test(mask)):
+            pairs, allowed = test(mask)
+            if allowed.issuperset(pairs(join)):
                 grown = ideals + [i | bit for i in ideals if i & mask == mask]
                 extend(join.translate(place(mask | bit)), k + 1, grown)
 

@@ -54,10 +54,16 @@ compares are equal. So a mark K fails the pair when:
   exactly when K is dually standard; in a modular L, standard, dually
   standard and neutral coincide (Gratzer, General Lattice Theory, III.2);
 - secondiso primal: (Y^K)vZ != ((YvZ)^K)vZ, the latter the mark of the
-  cokernel (YvZ)/Z of Z >-> YvZ;
+  cokernel (YvZ)/Z of Z >-> YvZ; since Y^((YvZ)^K) = Y^K and
+  ((YvZ)^K)vZ <= YvZ, this is the antinormal identity at (Y, Z) with the
+  mark (YvZ)^K;
 - secondiso dual: ((Kv(Y^Z))^Z)vY != (KvY)^(YvZ), the marks of the kernel
   Z/(Y^Z) of M/(Y^Z) ->> M/Z carried into M/Y, and of the kernel (YvZ)/Y
-  of M/Y ->> M/(YvZ).
+  of M/Y ->> M/(YvZ); since (Kv(Y^Z))vY = KvY, this is the antinormal
+  identity at (Z, Y) with the mark Kv(Y^Z).
+
+Read off antinormal tables, one secondiso mark table would need those of
+up to n marks, one per (YvZ)^K and Kv(Y^Z), so its rules stay as above.
 
 Laws of L decide these identities for every mark at once, so a sweep with
 marks reads ``lattice_verdicts`` before it builds any mark table, and

@@ -97,7 +97,6 @@ def cmd_enumerate(args) -> int:
     if args.max_size < 1 or args.max_size > 8:
         print("supported sizes are 1..8", file=sys.stderr)
         return 2
-    emitted = 0
     counts: dict[int, int] = {}
     # the whole census is built, and checked, before the first line is
     # written, so a census that breaks its invariant prints nothing
@@ -121,11 +120,10 @@ def cmd_enumerate(args) -> int:
             sys.stdout.write("LATTICE\t" + "\t".join(fields) + "\n")
         else:
             sys.stdout.write("lattice " + " ".join(fields) + "\n")
-        emitted += 1
     if args.format == "text":
         for n in sorted(counts):
             sys.stdout.write(f"# size {n}: {counts[n]}\n")
-        sys.stdout.write(f"# total: {emitted}\n")
+        sys.stdout.write(f"# total: {sum(counts.values())}\n")
     return 0
 
 

@@ -185,7 +185,7 @@ class FinMonoid(_Record):
 def validate_monoid(table, labels=None) -> FinMonoid:
     """Build a FinMonoid, raising InvalidMonoid with the first violated
     axioms and the number of all of them."""
-    return FinMonoid(tuple(tuple(row) for row in table), labels)
+    return FinMonoid(table, labels)
 
 
 TRIVIAL = FinMonoid(((0,),))
@@ -214,12 +214,6 @@ class MonoidHom(_Record):
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.dom, self.cod, self.mapping))
-        return h
 
     @cached_property
     def image(self) -> frozenset[int]:
@@ -373,7 +367,7 @@ def cokernel_by_submonoid(M: FinMonoid, members: frozenset) -> tuple[FinMonoid, 
         seen.update(dict.fromkeys(sums, ci))
     reps = [cls[0] for cls in classes]
     table = tuple(tuple(class_of[t[a][b]] for b in reps) for a in reps)
-    labels = tuple("{" + ",".join(map(M.label, cls)) + "}" for cls in classes)
+    labels = tuple(map(M.render_subset, classes))
     Q = _monoid_unchecked(table, labels)
     return Q, _hom_unchecked(M, Q, tuple(class_of))
 
@@ -467,19 +461,12 @@ def normal_submonoids(M: FinMonoid) -> tuple[frozenset[int], ...]:
 
 def is_normal_epi(f: MonoidHom) -> bool:
     """Surjective and coinciding, up to the canonical iso, with the cokernel
-    of its own kernel."""
+    of its own kernel K. Each class of that cokernel lies in one fibre of f,
+    as f(m + k) = f(m) for k in K, so the map it induces onto the codomain
+    is a bijection exactly when the two have as many elements."""
     if not f.is_surjective():
         return False
-    _, proj = cokernel_by_submonoid(f.dom, kernel_subset(f))
-    seen: dict[int, int] = {}
-    for x in range(f.dom.size):
-        cls = proj(x)
-        if cls in seen:
-            if seen[cls] != f(x):
-                return False  # f does not factor through the quotient
-        else:
-            seen[cls] = f(x)
-    return len(set(seen.values())) == len(seen)
+    return cokernel_by_submonoid(f.dom, kernel_subset(f))[0].size == f.cod.size
 
 
 def _iso_backtrack(M: FinMonoid, N: FinMonoid) -> Iterator[tuple[int, ...]]:

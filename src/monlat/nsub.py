@@ -26,7 +26,7 @@ from .semilattice import down_sets, heights, is_cover, mask_table, require_semil
 
 
 class SesInvariantError(RuntimeError):
-    """A constructed short exact sequence violated its defining invariant.
+    """``make_ses`` was handed a sub leg that is not a normal mono.
 
     This never fires on correct inputs; it exists so a misreading of the
     kernel/cokernel recipes would be reported loudly instead of silently
@@ -60,12 +60,12 @@ def make_ses(base, key) -> SesObject:
     sub is the one on ``key``, a normal member set of base's innermost
     monoid M: base with one more mark. The sub leg is re-checked to be a
     normal mono (its mark squares are pullbacks by construction, so M decides)
-    and the kernel of its cokernel; a violation raises SesInvariantError."""
+    and a violation raises SesInvariantError. The sub leg is then the kernel
+    of the quotient leg, the normal closure of key (``cokernel_by_submonoid``),
+    as a normal submonoid is its own saturation (``normal_submonoids``)."""
     M, marks = innermost(base)
     if not mn.is_normal_submonoid(M, key)[0]:
         raise SesInvariantError("sub leg is not a normal mono: image-not-normal")
-    if mn.kernel_subset(mn.cokernel_by_submonoid(M, key)[1]) != key:
-        raise SesInvariantError("sub leg is not the kernel of the quotient leg")
     return SesObject(M, marks + (key,))
 
 

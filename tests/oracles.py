@@ -1131,6 +1131,24 @@ def is_normal_map_in(ctx, f) -> bool:
     return isinstance(normal_decomposition_in(ctx, f), NormalDecomposition)
 
 
+def normal_epi_by_fibres(f: MonoidHom) -> bool:
+    """Whether f is a normal epi, by a walk over its domain: f is surjective,
+    takes one value on each class of the cokernel of its kernel (it factors
+    through the quotient) and different values on different classes."""
+    if not f.is_surjective():
+        return False
+    _, proj = cokernel_by_submonoid(f.dom, kernel_subset(f))
+    seen: dict[int, int] = {}
+    for x in range(f.dom.size):
+        cls = proj(x)
+        if cls in seen:
+            if seen[cls] != f(x):
+                return False  # f does not factor through the quotient
+        else:
+            seen[cls] = f(x)
+    return len(set(seen.values())) == len(seen)
+
+
 def normal_decomposition(f: MonoidHom) -> NormalDecomposition | NotNormal:
     """Concrete normal decomposition of a hom between commutative monoids.
 

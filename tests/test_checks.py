@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monlat import checks, cli
-from monlat.census import lattices_of_size
+from monlat.census import census_lattices, lattices_of_size
 from monlat.checks import (
     CHECKS,
     _antinormal_at_mark,
     _antinormal_failures,
     _hsd_at_mark,
+    _second_iso_at_mark,
     diexact_check,
     dpn_check,
     pullback_stability_check,
@@ -28,7 +29,7 @@ from monlat.context import (
     cmon_context,
     ses_context,
 )
-from monlat.monoid import FinMonoid
+from monlat.monoid import FinMonoid, cokernel_by_submonoid, kernel_subset
 from monlat.nsub import (
     enumerate_nsub,
     is_distributive,
@@ -624,6 +625,41 @@ def _characterization_cases():
 
 
 CHARACTERIZATION_CASES = _characterization_cases()
+
+
+class TestSubLegsAreKernels:
+    def test_every_normal_submonoid_is_the_kernel_of_its_cokernel(self):
+        # the exactness make_ses does not re-check: the sub leg on a key of
+        # the lattice is the kernel of the quotient leg
+        for name, M in CHARACTERIZATION_CASES:
+            for key in enumerate_nsub(M).keys:
+                assert kernel_subset(cokernel_by_submonoid(M, key)[1]) == key, (name, key)
+
+
+class TestMarkRulesAreOneIdentity:
+    def test_each_mark_rule_substitutes_into_the_antinormal_identity(self):
+        # A_k(y, z) is (y^k)vz != (yvz)^(kvz); hsd is A at (y, x) for x <= y,
+        # secondiso's primal entry A at the mark (yvz)^k, its dual entry A at
+        # (z, y) with the mark kv(y^z); dpn and diexact read A itself
+        marks_checked = 0
+        for lat in (lat for n in range(1, 9) for lat in census_lattices(n)):
+            J, W = lat.join, lat.meet
+            pairs = list(product(range(lat.size), repeat=2))
+
+            def A(k, y, z):
+                return J[W[y][k]][z] != W[J[y][z]][J[k][z]]
+
+            for k in range(lat.size):
+                assert set(_antinormal_at_mark(lat, k)) == {(y, z) for y, z in pairs if A(k, y, z)}
+                nested = {(x, y) for x, y in pairs if J[x][y] == y and A(k, y, x)}
+                assert set(_hsd_at_mark(lat, k)) == nested
+                second = _second_iso_at_mark(lat, k)
+                for y, z in pairs:
+                    tags = second.get((y, z), "").split("+")
+                    assert ("primal" in tags) == A(W[J[y][z]][k], y, z), (lat.join, k, y, z)
+                    assert ("dual" in tags) == A(J[k][W[y][z]], z, y), (lat.join, k, y, z)
+                marks_checked += 1
+        assert marks_checked == 2276
 
 
 class TestLatticeCharacterizations:

@@ -1,10 +1,13 @@
 import contextlib
 import gc
 import hashlib
+import importlib.util
 import io
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -385,11 +388,12 @@ class TestInternalError:
 
     def test_census_non_lattice_exits_three(self, capsys, monkeypatch):
         # the census re-checks that the lattice of each table it returns has
-        # that table as its joins; a search that no longer prunes emits the
-        # six-element order in which two atoms have two minimal upper bounds,
-        # and that breaks the invariant (the one census cache is cleared so
-        # that the search runs; a failed size is not cached)
-        monkeypatch.setattr(census, "_feasible", lambda join, pairs, allowed: True)
+        # that table as its joins; a search that no longer prunes (its tests
+        # read no entry, so no down-set is refused) emits the six-element
+        # order in which two atoms have two minimal upper bounds, and that
+        # breaks the invariant (the one census cache is cleared so that the
+        # search runs; a failed size is not cached)
+        monkeypatch.setattr(census, "itemgetter", lambda *entries: lambda join: ())
         census.census_lattices.cache_clear()
         code, out, err = run(capsys, "enumerate", "--max-size", "6")
         assert code == 3
@@ -503,6 +507,29 @@ class TestModuleEntryPoint:
             os.close(write_end)
         assert "Traceback" not in proc.stderr
         assert (proc.returncode, proc.stderr) == (CLOSED_PIPE, "")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestDigestTable:
+    """``tools/cli_digest.tsv`` and the docs keep step with the digest's calls."""
+
+    @pytest.fixture(scope="class")
+    def digest(self):
+        spec = importlib.util.spec_from_file_location("cli_digest", ROOT / "tools" / "cli_digest.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_table_lists_the_calls_in_order(self, digest):
+        lines = (ROOT / "tools" / "cli_digest.tsv").read_text().splitlines()
+        assert [line.split("\t")[2] for line in lines] == [" ".join(c) for c in digest.calls()]
+
+    def test_docs_count_the_calls(self, digest):
+        for text in (digest.__doc__, (ROOT / "README.md").read_text()):
+            counts = re.findall(r"fixed set of (\d+) CLI calls", " ".join(text.split()))
+            assert counts == [str(len(digest.calls()))]
 
 
 class TestReferenceScenarios:

@@ -14,8 +14,10 @@ from monlat.context import (
 )
 from monlat.nsub import SesInvariantError, SesObject, enumerate_nsub, make_ses
 from monlat.monoid import (
+    FinMonoid,
     MonoidError,
     MonoidHom,
+    NotCommutative,
     identity_hom,
     inclusion_hom,
 )
@@ -212,6 +214,13 @@ class TestSesObjects:
         bad = inclusion_hom(N5, frozenset({0, N5.element("B")}))
         with pytest.raises(SesInvariantError):
             make_ses(N5, cmon.mono_key(bad))
+
+    def test_a_non_commutative_monoid_fails_at_its_lattice(self):
+        # make_ses tests normality only; the first read of the lattice of a
+        # sequence over a non-commutative monoid refuses it
+        M = FinMonoid(((0, 1, 2), (1, 1, 1), (2, 2, 2)))
+        with pytest.raises(NotCommutative):
+            run_check("hsd", make_ses(M, frozenset({0})), 1)
 
     @pytest.mark.parametrize("fixture", ["N5", "V4", "L6"])
     def test_make_ses_keeps_the_context_checks(self, commutative_fixtures, fixture):

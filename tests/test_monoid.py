@@ -1,9 +1,10 @@
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monlat.census import lattices_of_size
 from monlat.monoid import (
     FinMonoid,
     InvalidMonoid,
@@ -33,6 +34,7 @@ from conftest import (
     down,
     mixed_monoids,
     named_commutative_monoids,
+    truncated_monoid,
 )
 from oracles import (
     NormalDecomposition,
@@ -42,6 +44,7 @@ from oracles import (
     all_homs,
     fixpoint_normal_closure,
     normal_decomposition,
+    normal_epi_by_fibres,
     quotient_by_downset,
     syntactic_quotient,
 )
@@ -339,6 +342,18 @@ class TestNormalMonosAndEpis:
                 _, proj = cokernel_by_submonoid(M, members)
                 assert is_normal_epi(proj)
                 assert kernel_subset(proj) == members
+
+    def test_normal_epis_match_the_fibre_walk(self, V4):
+        # every homomorphism among the census lattices of size <= 4, the
+        # groups Z2, Z3, Z4 and V4, and truncated addition on {0..2} and
+        # {0..3}, normal epis and not
+        monoids = [L for n in range(1, 5) for L in lattices_of_size(n)]
+        monoids += [abelian_group(m) for m in (2, 3, 4)] + [V4]
+        monoids += [truncated_monoid(2), truncated_monoid(3)]
+        homs = [f for M, N in product(monoids, repeat=2) for f in all_homs(M, N)]
+        verdicts = [normal_epi_by_fibres(f) for f in homs]
+        assert [is_normal_epi(f) for f in homs] == verdicts
+        assert len(homs) == 321 and 0 < sum(verdicts) < len(homs)
 
     def test_normal_mono_composition_lemma(self, cmon, commutative_fixtures):
         # if v.u is a normal mono and v is injective then u is a normal mono
